@@ -15,6 +15,8 @@ from .division import (
     DivisionStep,
     DivisionTrace,
     FirstMatch,
+    GBReport,
+    GBVerdict,
     GenSet,
     Seeded,
     divide,
@@ -28,6 +30,7 @@ from .errors import (
     BudgetExceeded,
     CompletionFailure,
     EmptyWord,
+    EngineInvariantBroken,
     InvalidLie,
     NonUnitalRemainder,
     NotAGroebnerBasis,
@@ -71,8 +74,6 @@ from .poly import (
 from .quotient import QuotientBasis, decompose, enumerate_basis, is_normal
 from .rings import QQ, ZZ, ModularRing, Ring, Zmod, ring_from_name
 from .spolys import (
-    GBReport,
-    GBVerdict,
     SPoly,
     check_groebner,
     complete,

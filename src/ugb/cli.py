@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import textio
-from .division import divide, parse_strategy
+from .division import GBVerdict, divide, parse_strategy
 from .errors import (
     BoundTooSmall,
     CompletionFailure,
@@ -24,7 +24,7 @@ from .errors import (
 from .membership import build_truncation, is_member
 from .pbw import verify_pbw
 from .quotient import decompose, enumerate_basis
-from .spolys import GBVerdict, check_groebner, complete, s_polynomials
+from .spolys import check_groebner, complete, s_polynomials
 
 
 def _add_common(parser, poly=False, max_deg=False, strict=False, strategy=False):
@@ -156,12 +156,7 @@ def _cmd_normal_form(args, problem):
     f = textio.parse_poly(problem.algebra, args.poly, "--poly")
     strategy = parse_strategy(args.strategy)
     if args.strict:
-        report = G.groebner_report()
-        if report.verdict is not GBVerdict.IS_GROEBNER:
-            raise NotAGroebnerBasis(
-                f"generating set verdict is {report.verdict.value}; "
-                "use --no-strict for a G-normal remainder"
-            )
+        G.require_groebner()
     trace = divide(f, G, strategy)
     _emit(args, textio.format_trace(trace), textio.record_trace(trace))
     return 0

@@ -2,11 +2,11 @@
 
 Divisors are drawn only from the supplied generating set.  All leading
 coefficients must be units, which makes the divisibility test purely
-combinatorial (leading-word factor containment) and keeps every
-inversion legal over the ground ring.  The remainder is "G-normal": none
-of its words contains a leading word of the set as a contiguous factor.
-When the set is a verified Groebner basis this normal form is unique and
-independent of the divisor-selection strategy.
+combinatorial (it looks at leading words only, and the multiplication
+oracle defines it) and keeps every inversion legal over the ground ring.
+The remainder is "G-normal": no leading word of the set divides any of
+its words.  When the set is a verified Groebner basis this normal form
+is unique and independent of the divisor-selection strategy.
 
 Termination is guaranteed because the working leading monomial strictly
 decreases in a well order; the step budget is a defensive guard against
@@ -15,10 +15,11 @@ engine bugs, not expected behavior.
 
 from __future__ import annotations
 
+import enum
 import random
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, NotAGroebnerBasis, NotUnital
+from .errors import BudgetExceeded, EngineInvariantBroken, NotAGroebnerBasis, NotUnital
 from .poly import Poly, ensure_same_algebra
 
 DEFAULT_STEP_BUDGET = 10 ** 6
@@ -59,16 +60,36 @@ def parse_strategy(text):
     raise ValueError(f"unknown strategy {text!r} (expected first or seeded:<n>)")
 
 
+class GBVerdict(enum.Enum):
+    IS_GROEBNER = "IsGroebner"
+    NOT_GROEBNER = "NotGroebner"
+
+
+@dataclass(frozen=True)
+class GBReport:
+    """Outcome of the Buchberger check.
+
+    witnesses holds one (s-polynomial, division trace) pair for every
+    nonzero remainder; it is empty exactly when the verdict is
+    IS_GROEBNER.
+    """
+
+    verdict: GBVerdict
+    pairs_checked: int
+    witnesses: tuple
+
+
 class GenSet:
     """An ordered set of nonzero generators in one algebra.
 
     Carries a per-generator record of which leading coefficients are
     units; operations that invert leading coefficients insist on all of
-    them being units.  The Groebner verdict for the set is computed on
+    them being units.  ``leads`` is the oracle's divisibility index over
+    the leading words.  The Groebner verdict for the set is computed on
     demand and cached (the set itself is immutable).
     """
 
-    __slots__ = ("algebra", "gens", "unit_leads", "lead_words", "_inv_leads", "_report")
+    __slots__ = ("algebra", "gens", "unit_leads", "lead_words", "leads", "_inv_leads", "_report")
 
     def __init__(self, gens, algebra=None):
         gens = tuple(gens)
@@ -85,6 +106,7 @@ class GenSet:
         ring = algebra.ring
         self.unit_leads = tuple(ring.is_unit(g.lc()) for g in gens)
         self.lead_words = tuple(g.lm() for g in gens)
+        self.leads = algebra.oracle.lead_index(self.lead_words)
         self._inv_leads = tuple(
             ring.inv_unit(g.lc()) if unit else None
             for g, unit in zip(gens, self.unit_leads)
@@ -106,15 +128,21 @@ class GenSet:
     def groebner_report(self):
         """Cached Buchberger verdict for this set."""
         if self._report is None:
-            from .spolys import check_groebner
-
             check_groebner(self)
         return self._report
 
     def is_groebner(self):
-        from .spolys import GBVerdict
-
         return self.groebner_report().verdict is GBVerdict.IS_GROEBNER
+
+    def require_groebner(self):
+        """Strict-mode gate: normal forms, quotient bases and the split
+        are canonical only for a verified Groebner basis."""
+        verdict = self.groebner_report().verdict
+        if verdict is not GBVerdict.IS_GROEBNER:
+            raise NotAGroebnerBasis(
+                f"generating set verdict is {verdict.value}; strict mode needs a "
+                "verified Groebner basis (non-strict mode gives G-normal results)"
+            )
 
     def __len__(self):
         return len(self.gens)
@@ -143,14 +171,13 @@ class DivisionStep:
 class DivisionTrace:
     """Full record of one division run.
 
-    Invariant: dividend == remainder + sum of the recorded steps, and the
-    remainder words carry no leading word of the set as a factor.
+    Invariant: dividend == remainder + sum of the recorded steps, and no
+    leading word of the set divides a remainder word.
     """
 
     dividend: Poly
     gens: GenSet
     steps: tuple
-    peeled: tuple
     remainder: Poly
 
     def ideal_part(self):
@@ -163,27 +190,6 @@ class DivisionTrace:
         return self.ideal_part() + self.remainder
 
 
-def _first_match(lm_f, lead_words):
-    for i, w in enumerate(lead_words):
-        n = len(w)
-        m = len(lm_f)
-        for p in range(m - n + 1):
-            if lm_f[p:p + n] == w:
-                return i, lm_f[:p], lm_f[p + n:]
-    return None
-
-
-def _all_matches(lm_f, lead_words):
-    out = []
-    for i, w in enumerate(lead_words):
-        n = len(w)
-        m = len(lm_f)
-        for p in range(m - n + 1):
-            if lm_f[p:p + n] == w:
-                out.append((i, lm_f[:p], lm_f[p + n:]))
-    return out
-
-
 def try_divide_step(f, G):
     """First applicable rewrite for the leading term of f, if any.
 
@@ -194,7 +200,7 @@ def try_divide_step(f, G):
     G.require_unital()
     ensure_same_algebra(f.algebra, G.algebra)
     lc_f, lm_f = f.leading()
-    match = _first_match(lm_f, G.lead_words)
+    match = G.leads.first(lm_f)
     if match is None:
         return None
     i, u, v = match
@@ -219,7 +225,7 @@ def divide(f, G, strategy=FIRST_MATCH, step_budget=DEFAULT_STEP_BUDGET):
     ring = algebra.ring
     mul_words = algebra.oracle.mul_words
     key = algebra.order.key
-    lead_words = G.lead_words
+    leads = G.leads
     inv_leads = G._inv_leads
     gen_terms = tuple(g.terms for g in G.gens)
 
@@ -234,13 +240,14 @@ def divide(f, G, strategy=FIRST_MATCH, step_budget=DEFAULT_STEP_BUDGET):
             raise BudgetExceeded(f"division exceeded {step_budget} steps")
         lm_f = max(working, key=key)
         k = key(lm_f)
-        assert prev_key is None or k < prev_key, "leading monomial failed to decrease"
+        if prev_key is not None and k >= prev_key:
+            raise EngineInvariantBroken("leading monomial failed to decrease")
         prev_key = k
         lc_f = working[lm_f]
         if rng is None:
-            match = _first_match(lm_f, lead_words)
+            match = leads.first(lm_f)
         else:
-            matches = _all_matches(lm_f, lead_words)
+            matches = leads.matches(lm_f)
             match = rng.choice(matches) if matches else None
         if match is None:
             peeled.append((lc_f, lm_f))
@@ -258,9 +265,10 @@ def divide(f, G, strategy=FIRST_MATCH, step_budget=DEFAULT_STEP_BUDGET):
                 working.pop(w, None)
             else:
                 working[w] = nc
-        assert lm_f not in working, "leading term failed to cancel"
+        if lm_f in working:
+            raise EngineInvariantBroken("leading term failed to cancel")
     remainder = Poly(algebra, tuple(peeled))
-    return DivisionTrace(f, G, tuple(steps), tuple(peeled), remainder)
+    return DivisionTrace(f, G, tuple(steps), remainder)
 
 
 def normal_form(f, G, strict=True):
@@ -271,12 +279,10 @@ def normal_form(f, G, strict=True):
     claim unless the set actually is a Groebner basis.
     """
     if strict:
-        from .spolys import GBVerdict
-
-        report = G.groebner_report()
-        if report.verdict is not GBVerdict.IS_GROEBNER:
-            raise NotAGroebnerBasis(
-                f"generating set verdict is {report.verdict.value}; "
-                "pass strict=False for a G-normal remainder"
-            )
+        G.require_groebner()
     return divide(f, G, FIRST_MATCH).remainder
+
+
+# spolys builds on GenSet and divide above; importing it once they exist
+# lets GenSet.groebner_report run the check without a cyclic import.
+from .spolys import check_groebner  # noqa: E402

@@ -37,6 +37,11 @@ class BudgetExceeded(UGBError):
     """Division ran past its defensive step budget."""
 
 
+class EngineInvariantBroken(UGBError):
+    """A leading term failed to cancel or to decrease; a real exception,
+    not an assert, so the soundness check still runs under ``python -O``."""
+
+
 class NotAGroebnerBasis(UGBError):
     """A strict-mode operation requires a verified Groebner basis."""
 

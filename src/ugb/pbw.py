@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .division import GenSet
+from .division import GBVerdict, GenSet
 from .errors import InvalidLie
 from .poly import FREE, Algebra
 from .quotient import QuotientBasis, enumerate_basis
@@ -177,8 +177,6 @@ class PBWReport:
 
     @property
     def ok(self):
-        from .spolys import GBVerdict
-
         return (
             self.lie.ok
             and self.groebner.verdict is GBVerdict.IS_GROEBNER

@@ -9,11 +9,15 @@ Both shipped oracles multiply two basis words to a single monic basis
 word, never zero and never a sum.  That makes context scaling
 order-preserving and collision-free, and it makes the leading
 coefficient of ``u * g * v`` equal to the leading coefficient of ``g``,
-which is what turns divisibility testing into plain word matching.
+which turns divisibility into a test on leading words alone.  Each
+oracle owns that test (``lead_index``) and the critical pairs it implies
+(``critical_overlaps``), so division, the Buchberger check and normal
+words share one notion of divisibility.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations_with_replacement, product
 
 from .errors import (
@@ -22,7 +26,7 @@ from .errors import (
     RingMismatch,
     ZeroPolynomial,
 )
-from .words import DEGLEX, EMPTY, Alphabet
+from .words import DEGLEX, EMPTY, Alphabet, FactorIndex, Overlap, overlaps
 
 
 class FreeConcat:
@@ -39,6 +43,21 @@ class FreeConcat:
     def basis_words(self, n_letters, degree):
         """All basis words of the given degree, ascending in the order."""
         return product(range(n_letters), repeat=degree)
+
+    def lead_index(self, lead_words):
+        """Divisibility is containment as a contiguous factor."""
+        return FactorIndex(lead_words)
+
+    def critical_overlaps(self, w, w2, same_gen):
+        """Proper overlaps and inclusions (the diamond-lemma family);
+        disjoint placements always reduce to zero for unital pairs and are
+        covered by the property suite instead of being enumerated."""
+        out = overlaps(w, w2)
+        if w == w2 and not same_gen:
+            # distinct generators collide at the word itself; overlaps()
+            # drops it, as it is trivial for a generator against itself
+            out.insert(0, Overlap(EMPTY, EMPTY, EMPTY, EMPTY, w))
+        return out
 
     def __repr__(self):
         return self.name
@@ -58,8 +77,47 @@ class CommutativeMerge:
     def basis_words(self, n_letters, degree):
         return combinations_with_replacement(range(n_letters), degree)
 
+    def lead_index(self, lead_words):
+        """Divisibility is multiset inclusion of letter counts."""
+        return MultisetIndex(lead_words)
+
+    def critical_overlaps(self, w, w2, same_gen):
+        """One placement per pair of distinct generators, at the least
+        common multiple of the leading words (the letterwise max); both
+        divide it, and their cofactors are the two contexts."""
+        if same_gen:
+            return []
+        ambiguity = tuple(sorted((Counter(w) | Counter(w2)).elements()))
+        (_, u, v), (_, u2, v2) = MultisetIndex((w, w2)).matches(ambiguity)
+        return [Overlap(u, v, u2, v2, ambiguity)]
+
     def __repr__(self):
         return self.name
+
+
+class MultisetIndex:
+    """Leading words found by multiset inclusion in sorted words, under
+    the :class:`~ugb.words.FactorIndex` contract.  A generator divides a
+    word in at most one way; the cofactor is the sorted difference, placed
+    as ``left`` with ``right`` empty.
+    """
+
+    __slots__ = ("_counts",)
+
+    def __init__(self, lead_words):
+        self._counts = tuple(Counter(w) for w in lead_words)
+
+    def _divisions(self, word):
+        have = Counter(word)
+        for i, need in enumerate(self._counts):
+            if need <= have:
+                yield i, tuple(sorted((have - need).elements())), EMPTY
+
+    def first(self, word):
+        return next(self._divisions(word), None)
+
+    def matches(self, word):
+        return list(self._divisions(word))
 
 
 FREE = FreeConcat()

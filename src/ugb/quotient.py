@@ -1,24 +1,24 @@
 """Normal words, quotient-module bases and the direct-sum split.
 
-A word is normal for a generating set when no leading word occurs in it
-as a contiguous factor.  For a verified Groebner basis the normal words
-form a free module basis of the quotient, and every element splits
-uniquely into an ideal part plus a normal part.
+A word is normal for a generating set when no leading word of the set
+divides it, in the sense of divisibility that the multiplication oracle
+defines.  For a verified Groebner basis the normal words form a free
+module basis of the quotient, and every element splits uniquely into an
+ideal part plus a normal part.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .division import FIRST_MATCH, divide
-from .errors import NotAGroebnerBasis
-from .poly import CommutativeMerge, ensure_same_algebra
-from .words import EMPTY, contains_factor
+from .division import FIRST_MATCH, GBVerdict, divide
+from .poly import ensure_same_algebra
+from .words import EMPTY
 
 
 def is_normal(word, G):
-    """True iff no leading word of G is a contiguous factor of ``word``."""
-    return not any(contains_factor(w, word) for w in G.lead_words)
+    """True iff no leading word of G divides ``word``."""
+    return G.leads.first(word) is None
 
 
 @dataclass(frozen=True)
@@ -50,49 +50,32 @@ class QuotientBasis:
             yield from self.by_degree[d]
 
 
-def _has_forbidden_suffix(word, forbidden):
-    for f in forbidden:
-        n = len(f)
-        if n <= len(word) and word[len(word) - n:] == f:
-            return True
-    return False
-
-
 def enumerate_basis(G, max_degree, strict=True):
     """Normal words of every degree up to the bound, by pruned extension.
 
-    Words grow one letter at a time; a factor of the extended word that
-    is not already a factor of the parent must be a suffix, so only
-    suffix matches against the forbidden words are rechecked.
+    Words grow one letter at a time at the right end.  For both oracles
+    a word divisible by a leading word stays divisible when extended, so
+    only normal words are extended; each candidate is kept when it is a
+    basis word and no leading word divides it.
     """
-    from .spolys import GBVerdict
-
     G.require_unital()
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    verified = False
     if strict:
-        report = G.groebner_report()
-        if report.verdict is not GBVerdict.IS_GROEBNER:
-            raise NotAGroebnerBasis(
-                f"generating set verdict is {report.verdict.value}; "
-                "pass strict=False to enumerate G-normal words"
-            )
-        verified = True
-    elif G._report is not None:
-        verified = G._report.verdict is GBVerdict.IS_GROEBNER
+        G.require_groebner()
+    verified = G._report is not None and G._report.verdict is GBVerdict.IS_GROEBNER
     forbidden = tuple(dict.fromkeys(G.lead_words))
-    commutative = isinstance(G.algebra.oracle, CommutativeMerge)
+    oracle = G.algebra.oracle
+    first = G.leads.first
     n = G.algebra.alphabet.size
-    by_degree = {0: [] if EMPTY in forbidden else [EMPTY]}
+    by_degree = {0: [EMPTY] if first(EMPTY) is None else []}
     level = by_degree[0]
     for d in range(1, max_degree + 1):
         nxt = []
         for w in level:
-            start = w[-1] if (commutative and w) else 0
-            for a in range(start, n):
+            for a in range(n):
                 cand = w + (a,)
-                if not _has_forbidden_suffix(cand, forbidden):
+                if oracle.is_basis_word(cand) and first(cand) is None:
                     nxt.append(cand)
         by_degree[d] = nxt
         level = nxt
@@ -107,15 +90,8 @@ def decompose(f, G, strict=True):
     a verified Groebner basis, which makes the split the projection pair
     of the direct sum.
     """
-    from .spolys import GBVerdict
-
     ensure_same_algebra(f.algebra, G.algebra)
     if strict:
-        report = G.groebner_report()
-        if report.verdict is not GBVerdict.IS_GROEBNER:
-            raise NotAGroebnerBasis(
-                f"generating set verdict is {report.verdict.value}; "
-                "pass strict=False for a G-normal split"
-            )
+        G.require_groebner()
     trace = divide(f, G, FIRST_MATCH)
     return trace.ideal_part(), trace.remainder

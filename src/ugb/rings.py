@@ -73,17 +73,8 @@ class Ring:
         return self.name
 
 
-class IntegerRing(Ring):
-    name = "Z"
-
-    def coerce(self, x):
-        return operator.index(x)
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
+class _NativeRing(Ring):
+    """Arithmetic by Python's own operators on ``int`` or ``Fraction``."""
 
     def add(self, a, b):
         return a + b
@@ -99,6 +90,22 @@ class IntegerRing(Ring):
 
     def is_zero(self, a):
         return a == 0
+
+    def split_sign(self, a):
+        return (a < 0, -a if a < 0 else a)
+
+
+class IntegerRing(_NativeRing):
+    name = "Z"
+
+    def coerce(self, x):
+        return operator.index(x)
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
 
     def is_unit(self, a):
         return a == 1 or a == -1
@@ -113,9 +120,6 @@ class IntegerRing(Ring):
             raise ValueError(f"not an integer: {text!r}")
         return int(text)
 
-    def split_sign(self, a):
-        return (a < 0, -a if a < 0 else a)
-
     def __eq__(self, other):
         return type(other) is IntegerRing
 
@@ -123,7 +127,7 @@ class IntegerRing(Ring):
         return hash("Z")
 
 
-class RationalField(Ring):
+class RationalField(_NativeRing):
     name = "Q"
 
     def coerce(self, x):
@@ -137,21 +141,6 @@ class RationalField(Ring):
     def one(self):
         return Fraction(1)
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a):
-        return a == 0
-
     def is_unit(self, a):
         return a != 0
 
@@ -164,9 +153,6 @@ class RationalField(Ring):
         if not _RAT_RE.match(text):
             raise ValueError(f"not a rational: {text!r}")
         return Fraction(text)
-
-    def split_sign(self, a):
-        return (a < 0, -a if a < 0 else a)
 
     def __eq__(self, other):
         return type(other) is RationalField

@@ -6,26 +6,22 @@ generators whose leading terms meet at one ambiguity word; the scaling
 divides by the (unit) leading coefficients, so coefficients stay small
 and nothing outside the unit group is ever inverted.
 
-Pair enumeration depends on the oracle.  Free concatenation: proper
-overlaps in both directions, inclusions in both directions and
-self-overlaps, following the classical diamond-lemma family; disjoint
-placements always reduce to zero for unital pairs and are covered by the
-property suite instead of being enumerated.  Commutative merge: one pair
-per unordered pair of generators, built at the least common multiple of
-the leading words, since sorted words can share letters without sharing
-a contiguous factor.
+Pair enumeration belongs to the oracle (``critical_overlaps``).  Free
+concatenation: proper overlaps in both directions, inclusions in both
+directions and self-overlaps, following the classical diamond-lemma
+family.  Commutative merge: one pair per unordered pair of generators,
+built at the least common multiple of the leading words, since sorted
+words can share letters without sharing a contiguous factor.
 """
 
 from __future__ import annotations
 
-import enum
-from collections import Counter
 from dataclasses import dataclass
 
-from .errors import NonUnitalRemainder, PreconditionViolated, RoundsExceeded
-from .division import FIRST_MATCH, GenSet, divide
-from .poly import CommutativeMerge, Poly, ensure_same_algebra
-from .words import EMPTY, Overlap, overlaps
+from .errors import EngineInvariantBroken, NonUnitalRemainder, PreconditionViolated, RoundsExceeded
+from .division import FIRST_MATCH, GBReport, GBVerdict, GenSet, divide
+from .poly import Poly, ensure_same_algebra
+from .words import Overlap
 
 
 @dataclass(frozen=True)
@@ -47,26 +43,6 @@ class SPoly:
         return self.overlap.ambiguity
 
 
-class GBVerdict(enum.Enum):
-    IS_GROEBNER = "IsGroebner"
-    NOT_GROEBNER = "NotGroebner"
-    INCONCLUSIVE = "Inconclusive"
-
-
-@dataclass(frozen=True)
-class GBReport:
-    """Outcome of the Buchberger check.
-
-    witnesses holds one (s-polynomial, division trace) pair for every
-    nonzero remainder; it is empty exactly when the verdict is
-    IS_GROEBNER.
-    """
-
-    verdict: GBVerdict
-    pairs_checked: int
-    witnesses: tuple
-
-
 def _make_spoly(G, i, j, overlap):
     gi = G.gens[i]
     gj = G.gens[j]
@@ -74,22 +50,9 @@ def _make_spoly(G, i, j, overlap):
     right = gj.scale(G._inv_leads[j], overlap.u2, overlap.v2)
     value = left - right
     key = G.algebra.order.key
-    assert value.is_zero() or key(value.lm()) < key(overlap.ambiguity), (
-        "s-polynomial leading terms failed to cancel"
-    )
+    if not (value.is_zero() or key(value.lm()) < key(overlap.ambiguity)):
+        raise EngineInvariantBroken("s-polynomial leading terms failed to cancel")
     return SPoly(i, j, overlap, value)
-
-
-def _lcm_overlap(w1, w2):
-    # commutative words are multisets; the minimal common context product
-    # meets at the letterwise max
-    c1 = Counter(w1)
-    c2 = Counter(w2)
-    lcm = c1 | c2
-    ambiguity = tuple(sorted(lcm.elements()))
-    u = tuple(sorted((lcm - c1).elements()))
-    u2 = tuple(sorted((lcm - c2).elements()))
-    return Overlap(u, EMPTY, u2, EMPTY, ambiguity)
 
 
 def s_polynomials(G):
@@ -98,24 +61,13 @@ def s_polynomials(G):
     Zero-valued s-polynomials are kept: they count as checked pairs.
     """
     G.require_unital()
+    critical_overlaps = G.algebra.oracle.critical_overlaps
+    lead_words = G.lead_words
     out = []
-    if isinstance(G.algebra.oracle, CommutativeMerge):
-        for i in range(len(G)):
-            for j in range(i + 1, len(G)):
-                out.append(_make_spoly(G, i, j, _lcm_overlap(G.lead_words[i], G.lead_words[j])))
-    else:
-        for i in range(len(G)):
-            for j in range(i, len(G)):
-                wi = G.lead_words[i]
-                wj = G.lead_words[j]
-                ovs = overlaps(wi, wj)
-                if i < j and wi == wj:
-                    # distinct generators colliding at the word itself;
-                    # overlaps() drops this placement because it is trivial
-                    # only for i == j
-                    ovs.insert(0, Overlap(EMPTY, EMPTY, EMPTY, EMPTY, wi))
-                for ov in ovs:
-                    out.append(_make_spoly(G, i, j, ov))
+    for i in range(len(G)):
+        for j in range(i, len(G)):
+            for ov in critical_overlaps(lead_words[i], lead_words[j], i == j):
+                out.append(_make_spoly(G, i, j, ov))
     key = G.algebra.order.key
     out.sort(key=lambda sp: (key(sp.overlap.ambiguity), sp.i, sp.j))
     return out

@@ -108,12 +108,34 @@ def factorizations(needle, haystack):
     return out
 
 
-def contains_factor(needle, haystack):
-    n = len(needle)
-    m = len(haystack)
-    if n > m:
-        return False
-    return any(haystack[i:i + n] == needle for i in range(m - n + 1))
+class FactorIndex:
+    """Leading words found as contiguous factors: one hash table per length.
+
+    ``matches`` lists the placements ``(gen, left, right)`` with
+    ``left + lead_words[gen] + right == word`` by lowest generator index,
+    then leftmost position; ``first`` is the head of that list, or None.
+    """
+
+    __slots__ = ("_tables",)
+
+    def __init__(self, lead_words):
+        tables = {}
+        for i, w in enumerate(lead_words):
+            tables.setdefault(len(w), {}).setdefault(w, []).append(i)
+        self._tables = tuple(tables.items())
+
+    def first(self, word):
+        found = self.matches(word)
+        return found[0] if found else None
+
+    def matches(self, word):
+        hits = []
+        for n, table in self._tables:
+            for p in range(len(word) - n + 1):
+                for i in table.get(word[p:p + n], ()):
+                    hits.append((i, p, n))
+        hits.sort()
+        return [(i, word[:p], word[p + n:]) for i, p, n in hits]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -10,6 +14,7 @@ from ugb import (
     ZZ,
     Algebra,
     BudgetExceeded,
+    EngineInvariantBroken,
     GenSet,
     NotAGroebnerBasis,
     NotUnital,
@@ -198,3 +203,32 @@ def test_trace_serialization_shape(inverse_pair_q):
         "  step 1: coeff=2 left=1 gen=0 right=x",
         "remainder: y + 2*x",
     ]
+
+
+_BROKEN_INVERSE = textwrap.dedent("""
+    from ugb import QQ, Algebra, EngineInvariantBroken, GenSet, divide
+
+    A = Algebra(QQ, ["x", "y"])
+    G = GenSet([A.poly([(1, (0, 1)), (-1, ())])], A)
+    G._inv_leads = (QQ.coerce(2),)  # the true inverse of the lead is 1
+    try:
+        divide(A.poly([(1, (0, 1, 0))]), G)
+    except EngineInvariantBroken as exc:
+        print(exc)
+""")
+
+
+def test_broken_lead_inverse_raises_engine_invariant():
+    # a corrupted lead inverse leaves the leading term standing
+    G = _gset(AZ, [(1, (X, Y)), (-1, ())])
+    G._inv_leads = (2,)
+    with pytest.raises(EngineInvariantBroken, match="failed to cancel"):
+        divide(AZ.poly([(1, (X, Y, X))]), G)
+    # python -O strips assert statements; the check must survive it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_INVERSE],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "leading term failed to cancel\n"
