@@ -140,11 +140,11 @@ def _cmd_check_gb(args, problem):
 def _cmd_complete(args, problem):
     G = _require_gens(problem)
     result = complete(G, args.max_deg, args.max_rounds)
-    rounds = len(result.gens) - len(G.gens)
-    text = f"status: completed\nadjoined: {rounds}\n" + textio.format_genset(result)
+    adjoined = len(result.gens) - len(G.gens)
+    text = f"status: completed\nadjoined: {adjoined}\n" + textio.format_genset(result)
     record = {
         "status": "completed",
-        "adjoined": rounds,
+        "adjoined": adjoined,
         "generators": [str(g) for g in result.gens],
     }
     _emit(args, text, record)

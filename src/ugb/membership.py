@@ -2,11 +2,13 @@
 
 The truncated module spans every context product u * g * v whose words
 stay inside the bound, and each query is one exact linear solve against
-those rows: Fraction Gaussian elimination over Q, xgcd row echelon over
-Z (no division by non-units anywhere), and Z/n by lifting to Z with the
-congruence rows n * e_k adjoined.  Witnesses come back in the same
-(coeff, left, gen, right) shape as division steps and reconstruct the
-query exactly.
+those rows in a single sparse row echelon.  Its pivot is a row's lowest
+column, the leading word, and the ring supplies only an exact-quotient
+rule: plain division over Q, and over Z the quotient when it exists,
+with an xgcd row operation otherwise (no division by non-units
+anywhere).  Z/n is still solved by lifting to Z with the congruence
+rows n * e_k adjoined.  Witnesses come back in the same (coeff, left,
+gen, right) shape as division steps and reconstruct the query exactly.
 
 This module is deliberately independent of the reduction engine so the
 two can cross-check each other.
@@ -14,6 +16,7 @@ two can cross-check each other.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .division import DivisionStep
@@ -35,142 +38,81 @@ def _xgcd(a, b):
     return a, x0, y0
 
 
-def _sub_scaled(dst, src, q):
-    for t in range(len(dst)):
-        dst[t] -= q * src[t]
+def _divide_exactly(a, b):
+    """Exact quotient over Z, or None when b does not divide a."""
+    return a // b if a % b == 0 else None
 
 
-class _EchelonZ:
-    """Incremental row echelon over Z with row-combination tracking.
+def _add_scaled(dst, src, c):
+    """dst += c * src on a (row, combination) pair of sparse dicts,
+    dropping the entries that cancel."""
+    for d, s in zip(dst, src):
+        for t, v in s.items():
+            v = d.get(t, 0) + c * v
+            if v:
+                d[t] = v
+            else:
+                d.pop(t, None)
 
-    Pivot rows are combined with incoming rows through xgcd row
-    operations, so membership in the row lattice and an explicit integer
-    combination fall out of back-substitution.
+
+def _scaled(pair, c):
+    return tuple({t: c * v for t, v in s.items()} for s in pair)
+
+
+class _Echelon:
+    """Sparse incremental row echelon with row-combination tracking.
+
+    Rows and combinations are ``{index: nonzero}`` dicts, kept together
+    as (row, combination) pairs.  A row's pivot is its lowest column,
+    and a stored pivot row has a positive pivot entry.  The ring enters
+    only through ``quotient(a, b)``, the exact quotient a / b or None
+    when there is none.  On insert a missing quotient is met by an xgcd
+    row operation, which replaces the pivot by the gcd row and carries
+    on with the cancelled remainder (no division by non-units anywhere);
+    on solve it means the target is not in the row span.
     """
 
-    def __init__(self, rows, ncols):
-        self.nrows = len(rows)
-        self.ncols = ncols
+    def __init__(self, rows, quotient):
+        self.quotient = quotient
         self.pivots = {}
         for r, row in enumerate(rows):
-            combo = [0] * self.nrows
-            combo[r] = 1
-            self._insert(list(row), combo)
+            self._reduce((dict(row), {r: 1}), insert=True)
 
-    def _insert(self, vec, combo):
-        for col in range(self.ncols):
+    def _reduce(self, pair, insert):
+        """Cancel the row of the pair against the pivots, lowest column
+        first, and return what is left of it.  Insert stores a nonzero
+        remainder as a new pivot; solve stops at the first column it
+        cannot cancel."""
+        vec = pair[0]
+        while vec:
+            col = min(vec)
             a = vec[col]
-            if a == 0:
-                continue
             piv = self.pivots.get(col)
             if piv is None:
-                if a < 0:
-                    vec = [-x for x in vec]
-                    combo = [-x for x in combo]
-                self.pivots[col] = (vec, combo)
-                return
-            pvec, pcombo = piv
-            b = pvec[col]
-            if a % b == 0:
-                q = a // b
-                _sub_scaled(vec, pvec, q)
-                _sub_scaled(combo, pcombo, q)
+                if insert:
+                    self.pivots[col] = _scaled(pair, -1) if a < 0 else pair
+                return vec
+            b = piv[0][col]
+            q = self.quotient(a, b)
+            if q is not None:
+                _add_scaled(pair, piv, -q)
+            elif not insert:
+                return vec
             else:
                 g, x, y = _xgcd(b, a)
-                new_vec = [x * p + y * w for p, w in zip(pvec, vec)]
-                new_combo = [x * p + y * w for p, w in zip(pcombo, combo)]
-                qa = a // g
-                qb = b // g
-                red_vec = [qa * p - qb * w for p, w in zip(pvec, vec)]
-                red_combo = [qa * p - qb * w for p, w in zip(pcombo, combo)]
-                self.pivots[col] = (new_vec, new_combo)
-                vec, combo = red_vec, red_combo
-        # fully cancelled: dependent row
+                self.pivots[col] = _scaled(pair, y)
+                _add_scaled(self.pivots[col], piv, x)
+                pair = _scaled(pair, -(b // g))
+                _add_scaled(pair, piv, a // g)
+                vec = pair[0]
+        return vec  # fully cancelled: a dependent row, or a member
 
     def solve(self, target):
-        """Integer combination of the original rows equal to target, or None."""
-        vec = list(target)
-        sol = [0] * self.nrows
-        for col in range(self.ncols):
-            a = vec[col]
-            if a == 0:
-                continue
-            piv = self.pivots.get(col)
-            if piv is None:
-                return None
-            pvec, pcombo = piv
-            b = pvec[col]
-            if a % b:
-                return None
-            q = a // b
-            _sub_scaled(vec, pvec, q)
-            for t in range(self.nrows):
-                sol[t] += q * pcombo[t]
-        return sol
-
-
-class _EchelonQ:
-    """Fraction Gaussian elimination with row-combination tracking."""
-
-    def __init__(self, rows, ncols):
-        self.nrows = len(rows)
-        self.ncols = ncols
-        self.pivots = {}
-        for r, row in enumerate(rows):
-            combo = [0] * self.nrows
-            combo[r] = 1
-            self._insert(list(row), combo)
-
-    def _insert(self, vec, combo):
-        for col in range(self.ncols):
-            a = vec[col]
-            if a == 0:
-                continue
-            piv = self.pivots.get(col)
-            if piv is None:
-                self.pivots[col] = (vec, combo)
-                return
-            pvec, pcombo = piv
-            q = a / pvec[col]
-            _sub_scaled(vec, pvec, q)
-            _sub_scaled(combo, pcombo, q)
-
-    def solve(self, target):
-        vec = list(target)
-        sol = [0] * self.nrows
-        for col in range(self.ncols):
-            a = vec[col]
-            if a == 0:
-                continue
-            piv = self.pivots.get(col)
-            if piv is None:
-                return None
-            pvec, pcombo = piv
-            q = a / pvec[col]
-            _sub_scaled(vec, pvec, q)
-            for t in range(self.nrows):
-                sol[t] += q * pcombo[t]
-        return sol
-
-
-class _SolverModN:
-    """Solve over Z/n by lifting to Z with congruence rows adjoined."""
-
-    def __init__(self, rows, ncols, modulus):
-        self.nreal = len(rows)
-        self.modulus = modulus
-        aug = list(rows)
-        for k in range(ncols):
-            row = [0] * ncols
-            row[k] = modulus
-            aug.append(row)
-        self.inner = _EchelonZ(aug, ncols)
-
-    def solve(self, target):
-        sol = self.inner.solve(target)
-        if sol is None:
+        """Combination of the rows equal to target, or None."""
+        pair = (dict(target), {})
+        if self._reduce(pair, insert=False):
             return None
-        return [s % self.modulus for s in sol[: self.nreal]]
+        return {r: -c for r, c in pair[1].items()}
 
 
 @dataclass(frozen=True)
@@ -204,24 +146,23 @@ class TruncatedModule:
         return len(self.rows)
 
     def _vector(self, poly):
-        vec = [0] * len(self.columns)
-        for c, w in poly.terms:
-            vec[self.col_index[w]] = c
-        return vec
+        return {self.col_index[w]: c for c, w in poly.terms}
 
     def _get_solver(self):
+        """Z/n is lifted to Z with the congruence rows n * e_k appended
+        after the real rows, so their indices never reach a witness."""
         if self._solver is None:
             ring = self.genset.algebra.ring
             vectors = [self._vector(p) for p in self.rows]
             if isinstance(ring, RationalField):
-                vectors = [[ring.coerce(x) for x in v] for v in vectors]
-                self._solver = _EchelonQ(vectors, len(self.columns))
-            elif isinstance(ring, IntegerRing):
-                self._solver = _EchelonZ(vectors, len(self.columns))
-            elif isinstance(ring, ModularRing):
-                self._solver = _SolverModN(vectors, len(self.columns), ring.modulus)
+                quotient = operator.truediv
+            elif isinstance(ring, (IntegerRing, ModularRing)):
+                quotient = _divide_exactly
             else:
                 raise UnsupportedRing(f"no exact solver for {ring}")
+            if isinstance(ring, ModularRing):
+                vectors += [{k: ring.modulus} for k in range(len(self.columns))]
+            self._solver = _Echelon(vectors, quotient)
         return self._solver
 
 
@@ -281,18 +222,17 @@ def is_member(f, T):
     if f.is_zero():
         return MembershipResult(True, (), T.bound)
     ring = G.algebra.ring
-    solver = T._get_solver()
-    target = T._vector(f)
-    if isinstance(ring, RationalField):
-        target = [ring.coerce(x) for x in target]
-    sol = solver.solve(target)
+    sol = T._get_solver().solve(T._vector(f))
     if sol is None:
         return MembershipResult(False, None, T.bound)
     witness = []
-    for coeff, (i, u, v) in zip(sol, T.provenance):
-        coeff = ring.coerce(coeff)
+    for r in sorted(sol):
+        if r >= len(T.rows):
+            break  # congruence rows of Z/n
+        coeff = ring.coerce(sol[r])
         if ring.is_zero(coeff):
             continue
+        i, u, v = T.provenance[r]
         witness.append(DivisionStep(coeff, u, i, v))
     return MembershipResult(True, tuple(witness), T.bound)
 

@@ -30,7 +30,6 @@ class QuotientBasis:
     canonical quotient basis.
     """
 
-    forbidden: tuple
     by_degree: dict
     max_degree: int
     verified: bool
@@ -64,7 +63,6 @@ def enumerate_basis(G, max_degree, strict=True):
     if strict:
         G.require_groebner()
     verified = G._report is not None and G._report.verdict is GBVerdict.IS_GROEBNER
-    forbidden = tuple(dict.fromkeys(G.lead_words))
     oracle = G.algebra.oracle
     first = G.leads.first
     n = G.algebra.alphabet.size
@@ -79,7 +77,7 @@ def enumerate_basis(G, max_degree, strict=True):
                     nxt.append(cand)
         by_degree[d] = nxt
         level = nxt
-    return QuotientBasis(forbidden, by_degree, max_degree, verified, G.algebra)
+    return QuotientBasis(by_degree, max_degree, verified, G.algebra)
 
 
 def decompose(f, G, strict=True):

@@ -8,6 +8,7 @@ from ugb import (
     ZZ,
     Algebra,
     BoundTooSmall,
+    DivisionStep,
     GenSet,
     Zmod,
     build_truncation,
@@ -74,6 +75,8 @@ def test_member_integer_combination():
     r = is_member(AZ1.poly([(2, (0,))]), T)
     assert r.member
     assert expand_witness(G, r.witness) == AZ1.poly([(2, (0,))])
+    # the xgcd row operation on 4x and 6x leaves the pivot 2x = 6x - 4x
+    assert r.witness == (DivisionStep(-1, (), 0, ()), DivisionStep(1, (), 1, ()))
     # and 3x needs an odd combination of 4 and 6: impossible
     assert not is_member(AZ1.poly([(3, (0,))]), T).member
 
@@ -98,6 +101,15 @@ def test_member_mod_n():
     # 3 * 2x = 6x = 2x mod 4
     r = is_member(A4.poly([(2, (0,))]), T)
     assert expand_witness(G, r.witness) == A4.poly([(2, (0,))])
+    # congruence rows act across columns: 2 * (2x + y) = 2y mod 4, but y
+    # would need the 2x column cancelled by a unit multiple of 2
+    A4 = Algebra(Zmod(4), ["x", "y"])
+    G = GenSet([A4.poly([(2, (0,)), (1, (1,))])])
+    T = build_truncation(G, 1)
+    r = is_member(A4.poly([(2, (1,))]), T)
+    assert r.member
+    assert r.witness == (DivisionStep(2, (), 0, ()),)
+    assert not is_member(A4.poly([(1, (1,))]), T).member
 
 
 def test_member_bound_checked():
@@ -107,7 +119,7 @@ def test_member_bound_checked():
         is_member(AZ.poly([(1, (0, 0, 1))]), T)
 
 
-@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(6)])
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(6), Zmod(4)])
 def test_random_combinations_are_members_with_exact_witnesses(ring):
     rng = random.Random(51)
     algebra = Algebra(ring, ["x", "y"])
