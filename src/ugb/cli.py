@@ -92,62 +92,36 @@ def _require_lie(problem):
     return problem.lie
 
 
-def _emit(args, text, record):
+def _emit(args, record, layout):
     if args.format == "records":
         print(json.dumps(record, indent=2, sort_keys=True))
     else:
-        print(text)
+        print(layout(record))
 
 
 def _cmd_check_unital(args, problem):
     G = _require_gens(problem)
-    record = {
-        "unital": G.is_unital,
-        "leads": [
-            {"gen": i, "coeff": G.algebra.ring.format(g.lc()), "unit": unit}
-            for i, (g, unit) in enumerate(zip(G.gens, G.unit_leads))
-        ],
-    }
-    _emit(args, textio.format_unital_report(G), record)
+    _emit(args, textio.record_unital(G), textio.format_unital)
     return 0 if G.is_unital else 1
 
 
 def _cmd_spolys(args, problem):
     G = _require_gens(problem)
-    sps = s_polynomials(G)
-    record = {
-        "count": len(sps),
-        "s_polynomials": [
-            {
-                "pair": [sp.i, sp.j],
-                "ambiguity": G.algebra.alphabet.word_text(sp.ambiguity),
-                "value": str(sp.value),
-            }
-            for sp in sps
-        ],
-    }
-    _emit(args, textio.format_spolys(sps, G.algebra), record)
+    _emit(args, textio.record_spolys(s_polynomials(G), G.algebra), textio.format_spolys)
     return 0
 
 
 def _cmd_check_gb(args, problem):
     G = _require_gens(problem)
     report = check_groebner(G)
-    _emit(args, textio.format_gb_report(report, G.algebra), textio.record_gb_report(report, G.algebra))
+    _emit(args, textio.record_gb_report(report, G.algebra), textio.format_gb_report)
     return 0 if report.verdict is GBVerdict.IS_GROEBNER else 1
 
 
 def _cmd_complete(args, problem):
     G = _require_gens(problem)
     result = complete(G, args.max_deg, args.max_rounds)
-    adjoined = len(result.gens) - len(G.gens)
-    text = f"status: completed\nadjoined: {adjoined}\n" + textio.format_genset(result)
-    record = {
-        "status": "completed",
-        "adjoined": adjoined,
-        "generators": [str(g) for g in result.gens],
-    }
-    _emit(args, text, record)
+    _emit(args, textio.record_completion(G, result), textio.format_completion)
     return 0
 
 
@@ -157,32 +131,28 @@ def _cmd_normal_form(args, problem):
     strategy = parse_strategy(args.strategy)
     if args.strict:
         G.require_groebner()
-    trace = divide(f, G, strategy)
-    _emit(args, textio.format_trace(trace), textio.record_trace(trace))
+    _emit(args, textio.record_trace(divide(f, G, strategy)), textio.format_trace)
     return 0
 
 
 def _cmd_quotient_basis(args, problem):
     G = _require_gens(problem)
     basis = enumerate_basis(G, args.max_deg, strict=args.strict)
-    _emit(args, textio.format_quotient(basis), textio.record_quotient(basis))
+    _emit(args, textio.record_quotient(basis), textio.format_quotient)
     return 0
 
 
 def _cmd_decompose(args, problem):
     G = _require_gens(problem)
     f = textio.parse_poly(problem.algebra, args.poly, "--poly")
-    ideal_part, normal_part = decompose(f, G, strict=args.strict)
-    text = f"ideal part: {ideal_part}\nnormal part: {normal_part}"
-    record = {"ideal_part": str(ideal_part), "normal_part": str(normal_part)}
-    _emit(args, text, record)
+    _emit(args, textio.record_split(*decompose(f, G, strict=args.strict)), textio.format_split)
     return 0
 
 
 def _cmd_pbw(args, problem):
     L = _require_lie(problem)
     report = verify_pbw(L, args.max_deg)
-    _emit(args, textio.format_pbw_report(report), textio.record_pbw_report(report))
+    _emit(args, textio.record_pbw_report(report), textio.format_pbw_report)
     return 0 if report.ok else 1
 
 
@@ -191,7 +161,7 @@ def _cmd_member(args, problem):
     f = textio.parse_poly(problem.algebra, args.poly, "--poly")
     module = build_truncation(G, args.max_deg)
     result = is_member(f, module)
-    _emit(args, textio.format_membership(result, G.algebra), textio.record_membership(result, G.algebra))
+    _emit(args, textio.record_membership(result, G.algebra), textio.format_membership)
     return 0 if result.member else 1
 
 

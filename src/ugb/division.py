@@ -181,10 +181,10 @@ class DivisionTrace:
     remainder: Poly
 
     def ideal_part(self):
-        total = self.gens.algebra.zero()
-        for s in self.steps:
-            total = total + self.gens[s.gen].scale(s.coeff, s.left, s.right)
-        return total
+        gens = self.gens
+        scaled = (gens[s.gen].scale(s.coeff, s.left, s.right) for s in self.steps)
+        terms = [t for p in scaled for t in p.terms]
+        return gens.algebra.poly(terms)
 
     def reconstruct(self):
         return self.ideal_part() + self.remainder

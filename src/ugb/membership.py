@@ -239,7 +239,6 @@ def is_member(f, T):
 
 def expand_witness(G, witness):
     """Sum of the witness context products; equals the queried element."""
-    total = G.algebra.zero()
-    for s in witness:
-        total = total + G[s.gen].scale(s.coeff, s.left, s.right)
-    return total
+    scaled = (G[s.gen].scale(s.coeff, s.left, s.right) for s in witness)
+    terms = [t for p in scaled for t in p.terms]
+    return G.algebra.poly(terms)

@@ -26,7 +26,7 @@ from .errors import (
     RingMismatch,
     ZeroPolynomial,
 )
-from .words import DEGLEX, EMPTY, Alphabet, FactorIndex, Overlap, overlaps
+from .words import DEGLEX, EMPTY, Alphabet, FactorIndex, Overlap, factorizations, overlaps
 
 
 class FreeConcat:
@@ -51,8 +51,17 @@ class FreeConcat:
     def critical_overlaps(self, w, w2, same_gen):
         """Proper overlaps and inclusions (the diamond-lemma family);
         disjoint placements always reduce to zero for unital pairs and are
-        covered by the property suite instead of being enumerated."""
-        out = overlaps(w, w2)
+        covered by the property suite instead of being enumerated.  An
+        empty leading word (a constant generator) has no proper overlaps;
+        it is included in the other word at every cut."""
+        if w and w2:
+            out = overlaps(w, w2)
+        elif w2:
+            out = [Overlap(u, v, EMPTY, EMPTY, w2) for u, v in factorizations(w, w2)]
+        elif w:
+            out = [Overlap(EMPTY, EMPTY, u2, v2, w) for u2, v2 in factorizations(w2, w)]
+        else:
+            out = []
         if w == w2 and not same_gen:
             # distinct generators collide at the word itself; overlaps()
             # drops it, as it is trivial for a generator against itself

@@ -152,7 +152,10 @@ class RationalField(_NativeRing):
     def parse(self, text):
         if not _RAT_RE.match(text):
             raise ValueError(f"not a rational: {text!r}")
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
 
     def __eq__(self, other):
         return type(other) is RationalField

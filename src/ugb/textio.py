@@ -241,125 +241,8 @@ def load_problem(path):
 
 
 # ---------------------------------------------------------------------------
-# canonical text serializations
-
-
-def format_steps(steps, algebra, indent="  "):
-    ring = algebra.ring
-    alphabet = algebra.alphabet
-    lines = []
-    for k, s in enumerate(steps, 1):
-        lines.append(
-            f"{indent}step {k}: coeff={ring.format(s.coeff)} "
-            f"left={alphabet.word_text(s.left)} gen={s.gen} "
-            f"right={alphabet.word_text(s.right)}"
-        )
-    return lines
-
-
-def format_trace(trace):
-    algebra = trace.gens.algebra
-    lines = [f"dividend: {trace.dividend}", f"steps: {len(trace.steps)}"]
-    lines.extend(format_steps(trace.steps, algebra))
-    lines.append(f"remainder: {trace.remainder}")
-    return "\n".join(lines)
-
-
-def format_spolys(spolys, algebra):
-    alphabet = algebra.alphabet
-    lines = [f"s-polynomials: {len(spolys)}"]
-    for sp in spolys:
-        lines.append(
-            f"pair ({sp.i}, {sp.j}) ambiguity {alphabet.word_text(sp.ambiguity)}: "
-            f"value = {sp.value}"
-        )
-    return "\n".join(lines)
-
-
-def format_gb_report(report, algebra):
-    alphabet = algebra.alphabet
-    lines = [f"verdict: {report.verdict.value}", f"pairs checked: {report.pairs_checked}"]
-    for k, (sp, trace) in enumerate(report.witnesses, 1):
-        lines.append(
-            f"witness {k}: pair ({sp.i}, {sp.j}) "
-            f"ambiguity {alphabet.word_text(sp.ambiguity)}"
-        )
-        lines.append(f"  s-polynomial: {sp.value}")
-        lines.append(f"  steps: {len(trace.steps)}")
-        lines.extend(format_steps(trace.steps, algebra, indent="    "))
-        lines.append(f"  remainder: {trace.remainder}")
-    return "\n".join(lines)
-
-
-def format_unital_report(G):
-    ring = G.algebra.ring
-    lines = [f"unital: {'yes' if G.is_unital else 'no'}"]
-    for i, (g, unit) in enumerate(zip(G.gens, G.unit_leads)):
-        status = "unit" if unit else "NOT a unit"
-        lines.append(f"gen {i}: leading coeff {ring.format(g.lc())}: {status}")
-    return "\n".join(lines)
-
-
-def format_quotient(basis):
-    alphabet = basis.algebra.alphabet
-    if basis.verified:
-        label = "normal words (verified Groebner basis)"
-    else:
-        label = "G-normal words (set not verified as a Groebner basis)"
-    lines = [f"basis: {label}"]
-    for d in range(basis.max_degree + 1):
-        row = basis.by_degree[d]
-        if row:
-            listing = ", ".join(alphabet.word_text(w) for w in row)
-            lines.append(f"deg {d}: {len(row)} - {listing}")
-        else:
-            lines.append(f"deg {d}: 0")
-    lines.append(f"total: {basis.total()}")
-    return "\n".join(lines)
-
-
-def format_pbw_report(report):
-    lines = []
-    if report.lie.ok:
-        lines.append("lie: ok")
-    else:
-        first = report.lie.violations[0]
-        lines.append(
-            f"lie: {len(report.lie.violations)} Jacobi violations, "
-            f"first on triple {first.triple}"
-        )
-    lines.append(
-        f"groebner: {report.groebner.verdict.value} "
-        f"(pairs checked: {report.groebner.pairs_checked})"
-    )
-    lines.append("counts:   " + ", ".join(str(c) for c in report.counts))
-    lines.append("expected: " + ", ".join(str(c) for c in report.expected_counts))
-    lines.append(f"non-decreasing normal words: {'yes' if report.non_decreasing else 'no'}")
-    lines.append(f"pbw: {'verified' if report.ok else 'FAILED'}")
-    return "\n".join(lines)
-
-
-def format_membership(result, algebra):
-    if not result.member:
-        return f"verdict: NotMemberAtBound\nbound: {result.bound}"
-    lines = [
-        "verdict: Member",
-        f"bound: {result.bound}",
-        f"witness steps: {len(result.witness)}",
-    ]
-    lines.extend(format_steps(result.witness, algebra))
-    return "\n".join(lines)
-
-
-def format_genset(G):
-    lines = [f"generators: {len(G)}"]
-    for g in G.gens:
-        lines.append(f"gen {g}")
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# machine-readable records
+# CLI results: each ``record_*`` turns engine values into the JSON document
+# of ``--format records``; each ``format_*`` lays that record out as text.
 
 
 def record_steps(steps, algebra):
@@ -376,6 +259,53 @@ def record_steps(steps, algebra):
     ]
 
 
+def format_steps(steps, indent="  "):
+    return [
+        f"{indent}step {k}: coeff={s['coeff']} left={s['left']} gen={s['gen']} right={s['right']}"
+        for k, s in enumerate(steps, 1)
+    ]
+
+
+def record_unital(G):
+    return {
+        "unital": G.is_unital,
+        "leads": [
+            {"gen": i, "coeff": G.algebra.ring.format(g.lc()), "unit": unit}
+            for i, (g, unit) in enumerate(zip(G.gens, G.unit_leads))
+        ],
+    }
+
+
+def format_unital(record):
+    lines = [f"unital: {'yes' if record['unital'] else 'no'}"]
+    for lead in record["leads"]:
+        status = "unit" if lead["unit"] else "NOT a unit"
+        lines.append(f"gen {lead['gen']}: leading coeff {lead['coeff']}: {status}")
+    return "\n".join(lines)
+
+
+def record_spolys(spolys, algebra):
+    return {
+        "count": len(spolys),
+        "s_polynomials": [
+            {
+                "pair": [sp.i, sp.j],
+                "ambiguity": algebra.alphabet.word_text(sp.ambiguity),
+                "value": str(sp.value),
+            }
+            for sp in spolys
+        ],
+    }
+
+
+def format_spolys(record):
+    lines = [f"s-polynomials: {record['count']}"]
+    for sp in record["s_polynomials"]:
+        i, j = sp["pair"]
+        lines.append(f"pair ({i}, {j}) ambiguity {sp['ambiguity']}: value = {sp['value']}")
+    return "\n".join(lines)
+
+
 def record_trace(trace):
     return {
         "dividend": str(trace.dividend),
@@ -384,21 +314,58 @@ def record_trace(trace):
     }
 
 
+def format_trace(record):
+    lines = [f"dividend: {record['dividend']}", f"steps: {len(record['steps'])}"]
+    lines.extend(format_steps(record["steps"]))
+    lines.append(f"remainder: {record['remainder']}")
+    return "\n".join(lines)
+
+
 def record_gb_report(report, algebra):
-    alphabet = algebra.alphabet
     return {
         "verdict": report.verdict.value,
         "pairs_checked": report.pairs_checked,
         "witnesses": [
             {
                 "pair": [sp.i, sp.j],
-                "ambiguity": alphabet.word_text(sp.ambiguity),
+                "ambiguity": algebra.alphabet.word_text(sp.ambiguity),
                 "s_polynomial": str(sp.value),
                 "trace": record_trace(trace),
             }
             for sp, trace in report.witnesses
         ],
     }
+
+
+def format_gb_report(record):
+    lines = [f"verdict: {record['verdict']}", f"pairs checked: {record['pairs_checked']}"]
+    for k, w in enumerate(record["witnesses"], 1):
+        i, j = w["pair"]
+        trace = w["trace"]
+        lines.append(f"witness {k}: pair ({i}, {j}) ambiguity {w['ambiguity']}")
+        lines.append(f"  s-polynomial: {w['s_polynomial']}")
+        lines.append(f"  steps: {len(trace['steps'])}")
+        lines.extend(format_steps(trace["steps"], indent="    "))
+        lines.append(f"  remainder: {trace['remainder']}")
+    return "\n".join(lines)
+
+
+def record_completion(G, result):
+    return {
+        "status": "completed",
+        "adjoined": len(result) - len(G),
+        "generators": [str(g) for g in result.gens],
+    }
+
+
+def format_completion(record):
+    lines = [
+        f"status: {record['status']}",
+        f"adjoined: {record['adjoined']}",
+        f"generators: {len(record['generators'])}",
+    ]
+    lines.extend(f"gen {g}" for g in record["generators"])
+    return "\n".join(lines)
 
 
 def record_quotient(basis):
@@ -415,6 +382,29 @@ def record_quotient(basis):
     }
 
 
+def format_quotient(record):
+    if record["verified"]:
+        label = "normal words (verified Groebner basis)"
+    else:
+        label = "G-normal words (set not verified as a Groebner basis)"
+    lines = [f"basis: {label}"]
+    for d, row in record["by_degree"].items():
+        if row:
+            lines.append(f"deg {d}: {len(row)} - {', '.join(row)}")
+        else:
+            lines.append(f"deg {d}: 0")
+    lines.append(f"total: {record['total']}")
+    return "\n".join(lines)
+
+
+def record_split(ideal_part, normal_part):
+    return {"ideal_part": str(ideal_part), "normal_part": str(normal_part)}
+
+
+def format_split(record):
+    return f"ideal part: {record['ideal_part']}\nnormal part: {record['normal_part']}"
+
+
 def record_pbw_report(report):
     return {
         "lie_ok": report.lie.ok,
@@ -428,8 +418,34 @@ def record_pbw_report(report):
     }
 
 
+def format_pbw_report(record):
+    violations = record["jacobi_violations"]
+    if record["lie_ok"]:
+        lines = ["lie: ok"]
+    else:
+        lines = [f"lie: {len(violations)} Jacobi violations, first on triple {tuple(violations[0])}"]
+    lines.append(f"groebner: {record['groebner']} (pairs checked: {record['pairs_checked']})")
+    lines.append("counts:   " + ", ".join(str(c) for c in record["counts"]))
+    lines.append("expected: " + ", ".join(str(c) for c in record["expected_counts"]))
+    lines.append(f"non-decreasing normal words: {'yes' if record['non_decreasing'] else 'no'}")
+    lines.append(f"pbw: {'verified' if record['ok'] else 'FAILED'}")
+    return "\n".join(lines)
+
+
 def record_membership(result, algebra):
     out = {"member": result.member, "bound": result.bound}
     if result.member:
         out["witness"] = record_steps(result.witness, algebra)
     return out
+
+
+def format_membership(record):
+    if not record["member"]:
+        return f"verdict: NotMemberAtBound\nbound: {record['bound']}"
+    lines = [
+        "verdict: Member",
+        f"bound: {record['bound']}",
+        f"witness steps: {len(record['witness'])}",
+    ]
+    lines.extend(format_steps(record["witness"]))
+    return "\n".join(lines)

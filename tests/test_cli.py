@@ -64,6 +64,10 @@ def test_usage_and_parse_errors_exit_2(tmp_path, capsys):
     ]) == 2
     # pbw on a file without a lie block
     assert main(["pbw", str(FIXTURES / "example1.gb"), "--max-deg", "2"]) == 2
+    # a zero denominator is malformed input, not a mathematical "no"
+    capsys.readouterr()
+    assert main(["normal-form", str(FIXTURES / "inverse_pair.gb"), "--poly", "1/0*x"]) == 2
+    assert "--poly: zero denominator" in capsys.readouterr().err
 
 
 def test_strict_flag_controls_normal_form(capsys):

@@ -191,12 +191,12 @@ def test_parse_strategy():
 
 
 def test_trace_serialization_shape(inverse_pair_q):
-    from ugb.textio import format_trace
+    from ugb.textio import format_trace, record_trace
 
     A = inverse_pair_q.algebra
     f = A.poly([(2, (0, 1, 0)), (1, (1,))])
     trace = divide(f, inverse_pair_q)
-    text = format_trace(trace)
+    text = format_trace(record_trace(trace))
     assert text.splitlines() == [
         "dividend: 2*x y x + y",
         "steps: 1",

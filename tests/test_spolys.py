@@ -6,6 +6,7 @@ import pytest
 import helpers
 from ugb import (
     COMMUTATIVE,
+    FREE,
     QQ,
     ZZ,
     Algebra,
@@ -16,9 +17,12 @@ from ugb import (
     PreconditionViolated,
     RoundsExceeded,
     Zmod,
+    build_truncation,
     check_groebner,
     complete,
     divide,
+    is_member,
+    normal_form,
     pbw_generators,
     s_polynomials,
     telescope,
@@ -66,6 +70,21 @@ def test_equal_leading_words_of_distinct_generators_collide():
     assert len(sps) == 1
     assert sps[0].value == A3.poly([(1, (1,)), (-1, (0,))])
     assert check_groebner(G).verdict is GBVerdict.NOT_GROEBNER
+
+
+@pytest.mark.parametrize("oracle", [FREE, COMMUTATIVE])
+def test_unit_constant_generator_is_groebner(oracle):
+    # a unit constant generates everything: its empty leading word is
+    # included in every word, so every query reduces to zero and is a member
+    A = Algebra(QQ, ["x", "y"], oracle)
+    rng = random.Random(7)
+    for gens in ([[(2, ())]], [[(2, ())], [(1, (X, Y)), (-1, ())]], [[(2, ())], [(3, ())]]):
+        G = _gset(A, *gens)
+        assert check_groebner(G).verdict is GBVerdict.IS_GROEBNER
+        module = build_truncation(G, 3)
+        for _ in range(10):
+            f = helpers.random_poly(rng, A, max_deg=3)
+            assert normal_form(f, G).is_zero() == is_member(f, module).member
 
 
 def test_spolys_not_unital():

@@ -112,6 +112,8 @@ def test_parse_problem_diagnostics_carry_line_numbers():
         ("ring Z\noracle commutative\nalphabet x y\ngen y x\n", 4, "basis word"),
         ("ring Z\nalphabet x\ngen 0\n", 3, "zero"),
         ("ring Z/1\n", 1, "modulus"),
+        ("ring Q\nalphabet x\ngen 1/0*x\n", 3, "zero denominator"),
+        ("ring Q\nrank 2\nbracket 2 1 : 0 1/0\n", 3, "zero denominator"),
     ]
     for text, line, needle in cases:
         with pytest.raises(ParseError) as err:
