@@ -29,7 +29,6 @@ from .errors import (
     BoundTooSmall,
     BudgetExceeded,
     CompletionFailure,
-    EmptyWord,
     EngineInvariantBroken,
     InvalidLie,
     NonUnitalRemainder,
@@ -81,6 +80,6 @@ from .spolys import (
     telescope,
 )
 from .textio import Problem, load_problem, parse_poly, parse_problem
-from .words import DEGLEX, EMPTY, Alphabet, DegLex, Overlap, factorizations, overlaps
+from .words import EMPTY, Alphabet, Overlap, factorizations, overlaps
 
 __version__ = "0.1.0"

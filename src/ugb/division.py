@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, EngineInvariantBroken, NotAGroebnerBasis, NotUnital
 from .poly import Poly, ensure_same_algebra
+from .words import _deglex
 
 DEFAULT_STEP_BUDGET = 10 ** 6
 
@@ -224,7 +225,6 @@ def divide(f, G, strategy=FIRST_MATCH, step_budget=DEFAULT_STEP_BUDGET):
     algebra = G.algebra
     ring = algebra.ring
     mul_words = algebra.oracle.mul_words
-    key = algebra.order.key
     leads = G.leads
     inv_leads = G._inv_leads
     gen_terms = tuple(g.terms for g in G.gens)
@@ -238,8 +238,8 @@ def divide(f, G, strategy=FIRST_MATCH, step_budget=DEFAULT_STEP_BUDGET):
         iterations += 1
         if iterations > step_budget:
             raise BudgetExceeded(f"division exceeded {step_budget} steps")
-        lm_f = max(working, key=key)
-        k = key(lm_f)
+        lm_f = max(working, key=_deglex)
+        k = _deglex(lm_f)
         if prev_key is not None and k >= prev_key:
             raise EngineInvariantBroken("leading monomial failed to decrease")
         prev_key = k

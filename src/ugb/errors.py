@@ -25,10 +25,6 @@ class ZeroPolynomial(UGBError):
     pass
 
 
-class EmptyWord(UGBError):
-    pass
-
-
 class NotUnital(UGBError):
     """A generating set has a leading coefficient that is not a unit."""
 

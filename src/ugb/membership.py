@@ -23,6 +23,7 @@ from .division import DivisionStep
 from .errors import BoundTooSmall, UnsupportedRing
 from .poly import ensure_same_algebra
 from .rings import IntegerRing, ModularRing, RationalField
+from .words import _deglex
 
 
 def _xgcd(a, b):
@@ -169,12 +170,12 @@ class TruncatedModule:
 def build_truncation(G, bound):
     """Enumerate context products u * g * v with every word inside the bound.
 
-    With a graded order and monic-word oracles the leading word has
-    maximal length among the terms, so the row filter is exactly
-    len(u) + len(LM(g)) + len(v) <= bound.  Identical rows (the same
-    polynomial from different contexts) are kept once, first provenance
-    wins.  Rows are ordered by generator, then context degree, then
-    context words.
+    The fixed order is graded and both oracles map words to single
+    monic words, so the leading word has maximal length among the terms
+    and the row filter is exactly len(u) + len(LM(g)) + len(v) <= bound.
+    Identical rows (the same polynomial from different contexts) are
+    kept once, first provenance wins.  Rows are ordered by generator,
+    then context degree, then context words.
     """
     algebra = G.algebra
     max_lead = max((len(w) for w in G.lead_words), default=0)
@@ -184,11 +185,10 @@ def build_truncation(G, bound):
         )
     n = algebra.alphabet.size
     oracle = algebra.oracle
-    key = algebra.order.key
     columns = []
     for d in range(bound + 1):
         columns.extend(oracle.basis_words(n, d))
-    columns.sort(key=key, reverse=True)
+    columns.sort(key=_deglex, reverse=True)
     one = algebra.ring.one()
     rows = []
     provenance = []

@@ -1,9 +1,12 @@
 """Sparse polynomials in a free or commutative-monomial algebra.
 
-An :class:`Algebra` fixes the coefficient ring, the alphabet, the
-basis-multiplication oracle and the monomial order.  A :class:`Poly` is
-an immutable list of (coefficient, word) terms, strictly descending in
-the order, so the leading term is ``terms[0]``.
+An :class:`Algebra` fixes the coefficient ring, the alphabet and the
+basis-multiplication oracle; the monomial order is the fixed graded lex
+of :mod:`ugb.words`.  A :class:`Poly` is an immutable tuple of
+(coefficient, word) terms, strictly descending in the order, so the
+leading term is ``terms[0]``.  ``Algebra.poly``, ``+``, ``-`` and ``*``
+lay terms out through one normaliser, ``Algebra._sum``; ``scale`` and
+negation keep the layout they are given.
 
 Both shipped oracles multiply two basis words to a single monic basis
 word, never zero and never a sum.  That makes context scaling
@@ -26,7 +29,7 @@ from .errors import (
     RingMismatch,
     ZeroPolynomial,
 )
-from .words import DEGLEX, EMPTY, Alphabet, FactorIndex, Overlap, factorizations, overlaps
+from .words import EMPTY, Alphabet, FactorIndex, Overlap, overlaps
 
 
 class FreeConcat:
@@ -52,16 +55,9 @@ class FreeConcat:
         """Proper overlaps and inclusions (the diamond-lemma family);
         disjoint placements always reduce to zero for unital pairs and are
         covered by the property suite instead of being enumerated.  An
-        empty leading word (a constant generator) has no proper overlaps;
-        it is included in the other word at every cut."""
-        if w and w2:
-            out = overlaps(w, w2)
-        elif w2:
-            out = [Overlap(u, v, EMPTY, EMPTY, w2) for u, v in factorizations(w, w2)]
-        elif w:
-            out = [Overlap(EMPTY, EMPTY, u2, v2, w) for u2, v2 in factorizations(w2, w)]
-        else:
-            out = []
+        empty leading word (a constant generator) is included in the other
+        word at every cut."""
+        out = overlaps(w, w2)
         if w == w2 and not same_gen:
             # distinct generators collide at the word itself; overlaps()
             # drops it, as it is trivial for a generator against itself
@@ -154,17 +150,16 @@ def ensure_same_algebra(a, b):
 
 
 class Algebra:
-    """Context for polynomial arithmetic: ring, alphabet, oracle, order."""
+    """Context for polynomial arithmetic: ring, alphabet, oracle."""
 
-    __slots__ = ("ring", "alphabet", "oracle", "order")
+    __slots__ = ("ring", "alphabet", "oracle")
 
-    def __init__(self, ring, alphabet, oracle=FREE, order=DEGLEX):
+    def __init__(self, ring, alphabet, oracle=FREE):
         if not isinstance(alphabet, Alphabet):
             alphabet = Alphabet(alphabet)
         self.ring = ring
         self.alphabet = alphabet
         self.oracle = oracle
-        self.order = order
 
     def __eq__(self, other):
         return (
@@ -172,11 +167,10 @@ class Algebra:
             and other.ring == self.ring
             and other.alphabet == self.alphabet
             and type(other.oracle) is type(self.oracle)
-            and type(other.order) is type(self.order)
         )
 
     def __hash__(self):
-        return hash((self.ring, self.alphabet, type(self.oracle), type(self.order)))
+        return hash((self.ring, self.alphabet, type(self.oracle)))
 
     def __repr__(self):
         return f"Algebra({self.ring}, {list(self.alphabet.names)}, {self.oracle.name})"
@@ -197,22 +191,32 @@ class Algebra:
         Like terms merge, zero coefficients drop, non-basis words raise.
         """
         ring = self.ring
-        acc = {}
+        checked = []
         for coeff, word in terms:
             word = tuple(word)
             self.check_word(word)
             c = ring.coerce(coeff)
-            if word in acc:
-                c = ring.add(acc[word], c)
-            if ring.is_zero(c):
-                acc.pop(word, None)
-            else:
-                acc[word] = c
-        key = self.order.key
-        ordered = tuple(
-            (acc[w], w) for w in sorted(acc, key=key, reverse=True)
-        )
-        return Poly(self, ordered)
+            if not ring.is_zero(c):
+                checked.append((c, word))
+        return self._sum(checked)
+
+    def _sum(self, terms):
+        """The polynomial of trusted terms, (nonzero ring element, basis
+        word) pairs.  Like terms merge and drop when they cancel, the only
+        place a zero can arise; words come out strictly descending in
+        graded lex, by C-level tuple comparison, then stably by length."""
+        add = self.ring.add
+        is_zero = self.ring.is_zero
+        acc = {}
+        for c, w in terms:
+            if w in acc:
+                c = add(acc[w], c)
+                if is_zero(c):
+                    del acc[w]
+                    continue
+            acc[w] = c
+        words = sorted(sorted(acc, reverse=True), key=len, reverse=True)
+        return Poly(self, tuple([(acc[w], w) for w in words]))
 
     def zero(self):
         return Poly(self, ())
@@ -231,7 +235,7 @@ class Algebra:
 
 
 class Poly:
-    """Immutable sparse polynomial; ``terms`` is descending in the order.
+    """Immutable sparse polynomial; ``terms`` is descending in graded lex.
 
     Construct through :meth:`Algebra.poly`; the raw constructor trusts
     its input to be normalized already.
@@ -266,31 +270,7 @@ class Poly:
 
     def __add__(self, other):
         self._check_same(other)
-        ring = self.algebra.ring
-        key = self.algebra.order.key
-        ts, to = self.terms, other.terms
-        out = []
-        i = j = 0
-        while i < len(ts) and j < len(to):
-            cs, ws = ts[i]
-            co, wo = to[j]
-            ks = key(ws)
-            ko = key(wo)
-            if ks > ko:
-                out.append(ts[i])
-                i += 1
-            elif ks < ko:
-                out.append(to[j])
-                j += 1
-            else:
-                c = ring.add(cs, co)
-                i += 1
-                j += 1
-                if not ring.is_zero(c):
-                    out.append((c, ws))
-        out.extend(ts[i:])
-        out.extend(to[j:])
-        return Poly(self.algebra, tuple(out))
+        return self.algebra._sum(self.terms + other.terms)
 
     def __neg__(self):
         neg = self.algebra.ring.neg
@@ -329,20 +309,13 @@ class Poly:
         self._check_same(other)
         ring = self.algebra.ring
         mul_words = self.algebra.oracle.mul_words
-        acc = {}
-        for ca, wa in self.terms:
-            for cb, wb in other.terms:
-                w = mul_words(wa, wb)
-                c = ring.mul(ca, cb)
-                if w in acc:
-                    c = ring.add(acc[w], c)
-                if ring.is_zero(c):
-                    acc.pop(w, None)
-                else:
-                    acc[w] = c
-        key = self.algebra.order.key
-        ordered = tuple((acc[w], w) for w in sorted(acc, key=key, reverse=True))
-        return Poly(self.algebra, ordered)
+        products = (
+            (ring.mul(ca, cb), mul_words(wa, wb))
+            for ca, wa in self.terms
+            for cb, wb in other.terms
+        )
+        # over Z/n a product of two nonzero coefficients can be zero
+        return self.algebra._sum(t for t in products if not ring.is_zero(t[0]))
 
     def __eq__(self, other):
         return (

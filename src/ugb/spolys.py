@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .errors import EngineInvariantBroken, NonUnitalRemainder, PreconditionViolated, RoundsExceeded
 from .division import FIRST_MATCH, GBReport, GBVerdict, GenSet, divide
 from .poly import Poly, ensure_same_algebra
-from .words import Overlap
+from .words import Overlap, _deglex
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,7 @@ def _make_spoly(G, i, j, overlap):
     left = gi.scale(G._inv_leads[i], overlap.u, overlap.v)
     right = gj.scale(G._inv_leads[j], overlap.u2, overlap.v2)
     value = left - right
-    key = G.algebra.order.key
-    if not (value.is_zero() or key(value.lm()) < key(overlap.ambiguity)):
+    if not (value.is_zero() or _deglex(value.lm()) < _deglex(overlap.ambiguity)):
         raise EngineInvariantBroken("s-polynomial leading terms failed to cancel")
     return SPoly(i, j, overlap, value)
 
@@ -68,8 +67,7 @@ def s_polynomials(G):
         for j in range(i, len(G)):
             for ov in critical_overlaps(lead_words[i], lead_words[j], i == j):
                 out.append(_make_spoly(G, i, j, ov))
-    key = G.algebra.order.key
-    out.sort(key=lambda sp: (key(sp.overlap.ambiguity), sp.i, sp.j))
+    out.sort(key=lambda sp: (_deglex(sp.overlap.ambiguity), sp.i, sp.j))
     return out
 
 

@@ -1,6 +1,7 @@
 """Text formats: polynomials, problem files, traces and reports.
 
 Problem files hold one declaration per line; ``#`` starts a comment.
+``ring``, ``oracle`` and ``alphabet`` come before the first ``gen``.
 
     ring Q
     oracle commutative
@@ -21,7 +22,7 @@ basis, with 1-based generator indices and i > j:
 Polynomial text is ``c*w`` terms joined by signs, where a word is a
 whitespace-separated run of symbols, ``1`` is the empty word, and a bare
 coefficient is a constant term.  Printing is canonical (descending in
-the monomial order), so outputs are diffable and parse back exactly.
+graded lex), so outputs are diffable and parse back exactly.
 """
 
 from __future__ import annotations
@@ -90,8 +91,10 @@ def parse_poly(algebra, text, filename=None, line=None):
         else:
             try:
                 coeff = ring.parse(token)
-            except ValueError:
-                fail(f"unknown symbol {token!r}")
+            except ValueError as exc:
+                # symbols cannot start with a digit; such a token is a
+                # coefficient the ring rejects
+                fail(str(exc) if token[0].isdigit() else f"unknown symbol {token!r}")
             constant = True
         # remaining letters of the word
         while pos < len(tokens) and tokens[pos] not in "+-":
@@ -153,6 +156,8 @@ def parse_problem(text, filename="<input>"):
         elif directive == "oracle":
             if oracle is not None:
                 fail("duplicate oracle line", lineno)
+            if algebra is not None:
+                fail("oracle must be declared before generators", lineno)
             try:
                 oracle = oracle_from_name(rest)
             except ValueError as exc:

@@ -2,16 +2,17 @@
 overlap enumeration.
 
 A word is a plain tuple of letter indices; the empty tuple is the
-monomial 1.  Keeping words as bare tuples makes them hashable, cheap to
-slice and directly comparable through the order key.
+monomial 1.  The monomial order is fixed: graded lex, length first and
+then letters left to right.  Keeping words as bare tuples makes them
+hashable, cheap to slice and comparable in C: tuple comparison is the
+lex part of the order, ``len`` the graded part, and ``_deglex`` the two
+as one sort key.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-
-from .errors import EmptyWord
 
 EMPTY = ()
 
@@ -70,28 +71,10 @@ class Alphabet:
         return f"Alphabet({list(self.names)})"
 
 
-class DegLex:
-    """Graded lexicographic: length first, then letters left to right."""
-
-    name = "deglex"
-
-    def key(self, word):
-        return (len(word), word)
-
-    def compare(self, a, b):
-        ka = (len(a), a)
-        kb = (len(b), b)
-        if ka < kb:
-            return -1
-        if ka > kb:
-            return 1
-        return 0
-
-    def __repr__(self):
-        return self.name
-
-
-DEGLEX = DegLex()
+def _deglex(word):
+    """Graded lexicographic sort key, the engine's one monomial order:
+    length first, then letter indices left to right."""
+    return (len(word), word)
 
 
 def factorizations(needle, haystack):
@@ -156,14 +139,13 @@ class Overlap:
 
 
 def overlaps(w, w2):
-    """Proper overlaps and inclusions of two nonempty words, both directions.
+    """Proper overlaps and inclusions of two words, both directions.
 
     Disjoint placements are not enumerated.  The trivial placement of a
     word on itself is excluded, and for w == w2 only one of each mirrored
-    placement pair is kept.
+    placement pair is kept.  An empty word has no proper overlaps; it is
+    included in the other word at every cut.
     """
-    if not w or not w2:
-        raise EmptyWord("overlap enumeration needs nonempty words")
     same = w == w2
     out = []
     # suffix of w meets prefix of w2: ambiguity is w followed by the rest of w2

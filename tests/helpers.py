@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from ugb import COMMUTATIVE, FREE, QQ, ZZ, Algebra, GenSet, LieAlgebra
 from ugb.rings import IntegerRing, ModularRing, RationalField
+from ugb.words import _deglex
 
 
 def random_word(rng, n_letters, max_len, oracle=FREE, min_len=0):
@@ -70,12 +71,11 @@ def random_telescope_instance(rng, algebra, size):
     nonzero coefficients whose weighted sum against the leads vanishes."""
     ring = algebra.ring
     alpha = random_word(rng, algebra.alphabet.size, 3, algebra.oracle, min_len=1)
-    key = algebra.order.key
     fs, leads = [], []
     for _ in range(size):
         lead = random_unit(rng, ring)
         tail = random_poly(rng, algebra, max_deg=2, max_terms=2)
-        tail = algebra.poly([(c, w) for c, w in tail.terms if key(w) < key(alpha)])
+        tail = algebra.poly([(c, w) for c, w in tail.terms if _deglex(w) < _deglex(alpha)])
         fs.append(algebra.monomial(alpha, lead) + tail)
         leads.append(lead)
     while True:

@@ -68,6 +68,21 @@ def test_usage_and_parse_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["normal-form", str(FIXTURES / "inverse_pair.gb"), "--poly", "1/0*x"]) == 2
     assert "--poly: zero denominator" in capsys.readouterr().err
+    # a bare coefficient the ring rejects is not an unknown symbol
+    assert main(["normal-form", str(FIXTURES / "inverse_pair.gb"), "--poly", "x + 1/0"]) == 2
+    assert "--poly: zero denominator" in capsys.readouterr().err
+    over_z = tmp_path / "over_z.gb"
+    over_z.write_text("ring Z\nalphabet x\ngen x x\n")
+    assert main(["normal-form", str(over_z), "--poly", "1/2"]) == 2
+    assert "--poly: not an integer" in capsys.readouterr().err
+    # an oracle line after a generator would be ignored, so it is refused
+    late = tmp_path / "late_oracle.gb"
+    late.write_text("ring Q\nalphabet x y z\ngen x z\noracle commutative\n")
+    assert main(["quotient-basis", str(late), "--max-deg", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "late_oracle.gb:4" in captured.err
+    assert "oracle must be declared before generators" in captured.err
 
 
 def test_strict_flag_controls_normal_form(capsys):

@@ -17,6 +17,7 @@ from ugb import (
     Zmod,
     oracle_from_name,
 )
+from ugb.words import _deglex
 
 AZ = Algebra(ZZ, ["x", "y"])
 AQ = Algebra(QQ, ["x", "y"])
@@ -51,10 +52,9 @@ def test_leading_examples():
 
 def test_terms_strictly_descending():
     rng = random.Random(2)
-    key = AZ.order.key
     for _ in range(50):
         p = helpers.random_poly(rng, AZ)
-        keys = [key(w) for _, w in p.terms]
+        keys = [_deglex(w) for _, w in p.terms]
         assert keys == sorted(keys, reverse=True)
         assert all(not AZ.ring.is_zero(c) for c, _ in p.terms)
 
@@ -110,6 +110,45 @@ def test_commutative_oracle_mul_commutes(t1, t2):
     f = AC.poly([(c, tuple(sorted(w))) for c, w in t1])
     g = AC.poly([(c, tuple(sorted(w))) for c, w in t2])
     assert f * g == g * f
+
+
+def _reference(terms, modulus):
+    """Word -> nonzero coefficient from plain int/Fraction arithmetic."""
+    acc = {}
+    for c, w in terms:
+        acc[w] = acc.get(w, 0) + c
+    if modulus:
+        acc = {w: c % modulus for w, c in acc.items()}
+    return {w: c for w, c in acc.items() if c != 0}
+
+
+@pytest.mark.parametrize("oracle", [FREE, COMMUTATIVE], ids=["free", "commutative"])
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(4)], ids=["Z", "Q", "Z4"])
+def test_arithmetic_matches_dict_reference(ring, oracle):
+    # Z/4 has zero divisors, so products of nonzero terms can vanish
+    algebra = Algebra(ring, ["x", "y"], oracle)
+    modulus = getattr(ring, "modulus", None)
+    if oracle is FREE:
+        mul_words = lambda a, b: a + b  # noqa: E731
+    else:
+        mul_words = lambda a, b: tuple(sorted(a + b))  # noqa: E731
+    rng = random.Random(7)
+    for _ in range(150):
+        f = helpers.random_poly(rng, algebra, max_deg=2, max_terms=6)
+        g = helpers.random_poly(rng, algebra, max_deg=2, max_terms=6)
+        ft, gt = list(f.terms), list(g.terms)
+        expected = {
+            "+": _reference(ft + gt, modulus),
+            "-": _reference(ft + [(-c, w) for c, w in gt], modulus),
+            "*": _reference(
+                [(a * b, mul_words(u, v)) for a, u in ft for b, v in gt], modulus
+            ),
+        }
+        for op, got in (("+", f + g), ("-", f - g), ("*", f * g)):
+            assert {w: c for c, w in got.terms} == expected[op], op
+            keys = [(len(w), w) for _, w in got.terms]
+            assert all(a > b for a, b in zip(keys, keys[1:])), op
+            assert all(c != 0 for c, _ in got.terms), op
 
 
 def test_basis_violation_under_commutative_merge():

@@ -114,6 +114,11 @@ def test_parse_problem_diagnostics_carry_line_numbers():
         ("ring Z/1\n", 1, "modulus"),
         ("ring Q\nalphabet x\ngen 1/0*x\n", 3, "zero denominator"),
         ("ring Q\nrank 2\nbracket 2 1 : 0 1/0\n", 3, "zero denominator"),
+        ("ring Q\nalphabet x\ngen x + 1/0\n", 3, "zero denominator"),
+        ("ring Z\nalphabet x\ngen x - 1/2\n", 3, "not an integer"),
+        ("ring Z/4\nalphabet x\ngen 1/2\n", 3, "not a residue"),
+        ("ring Z\nalphabet x\ngen 2x\n", 3, "not an integer"),
+        ("ring Q\nalphabet x y z\ngen x z\noracle commutative\n", 4, "oracle must be declared before generators"),
     ]
     for text, line, needle in cases:
         with pytest.raises(ParseError) as err:

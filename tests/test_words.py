@@ -4,8 +4,8 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from ugb import DEGLEX, EMPTY, Alphabet, EmptyWord, Overlap, factorizations, overlaps
-from ugb.words import FactorIndex
+from ugb import EMPTY, Alphabet, Overlap, factorizations, overlaps
+from ugb.words import FactorIndex, _deglex
 
 words = st.lists(st.integers(0, 2), max_size=6).map(tuple)
 nonempty_words = st.lists(st.integers(0, 2), min_size=1, max_size=5).map(tuple)
@@ -29,24 +29,24 @@ def test_alphabet_validation():
 
 def test_compare_examples():
     x, y = (0,), (1,)
-    assert DEGLEX.compare(EMPTY, x) == -1
-    assert DEGLEX.compare((0, 1), (1, 0)) == -1
-    assert DEGLEX.compare((0, 0, 1), (0, 1)) == 1
-    assert DEGLEX.compare(x, x) == 0
+    assert _deglex(EMPTY) < _deglex(x)
+    assert _deglex((0, 1)) < _deglex((1, 0))
+    assert _deglex((0, 0, 1)) > _deglex((0, 1))
+    assert _deglex(x) == _deglex(x)
 
 
 @given(words, words, words, words)
 def test_order_axiom_context_compatibility(b, b2, r, s):
     # axiom (a): b < b' implies r b s < r b' s
-    if DEGLEX.compare(b, b2) == -1:
-        assert DEGLEX.compare(r + b + s, r + b2 + s) == -1
+    if _deglex(b) < _deglex(b2):
+        assert _deglex(r + b + s) < _deglex(r + b2 + s)
 
 
 @given(words, words, words)
 def test_order_axiom_proper_products_grow(b, r, s):
     # axiom (b): nontrivial contexts strictly enlarge
     if r or s:
-        assert DEGLEX.compare(b, r + b + s) == -1
+        assert _deglex(b) < _deglex(r + b + s)
 
 
 def test_order_is_total_and_ranked():
@@ -56,14 +56,14 @@ def test_order_is_total_and_ranked():
         all_words = [()]
         for length in range(1, 5):
             all_words.extend(product(range(n), repeat=length))
-        keys = sorted(DEGLEX.key(w) for w in all_words)
+        keys = sorted(_deglex(w) for w in all_words)
         assert len(set(keys)) == len(all_words)
         rng = random.Random(0)
         for _ in range(20):
             w = all_words[rng.randrange(len(all_words))]
             chain = 0
             while True:
-                smaller = [u for u in all_words if DEGLEX.compare(u, w) == -1]
+                smaller = [u for u in all_words if _deglex(u) < _deglex(w)]
                 if not smaller:
                     break
                 w = rng.choice(smaller)
@@ -105,11 +105,19 @@ def test_overlap_examples():
     assert overlaps((x, y, x), (y,)) == [Overlap((), (), (x,), (x,), (x, y, x))]
 
 
-def test_overlaps_reject_empty():
-    with pytest.raises(EmptyWord):
-        overlaps((), (0,))
-    with pytest.raises(EmptyWord):
-        overlaps((0,), ())
+def test_overlaps_with_empty_word():
+    # the empty word is included in the other word at every cut
+    x, y = 0, 1
+    assert overlaps((), (x, y)) == [
+        Overlap((), (x, y), (), (), (x, y)),
+        Overlap((x,), (y,), (), (), (x, y)),
+        Overlap((x, y), (), (), (), (x, y)),
+    ]
+    assert overlaps((x,), ()) == [
+        Overlap((), (), (), (x,), (x,)),
+        Overlap((), (), (x,), (), (x,)),
+    ]
+    assert overlaps((), ()) == []
 
 
 @given(nonempty_words, nonempty_words)
