@@ -22,7 +22,6 @@ from .division import (
     divide,
     normal_form,
     parse_strategy,
-    try_divide_step,
 )
 from .errors import (
     BasisViolation,

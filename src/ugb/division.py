@@ -18,10 +18,11 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from operator import neg
 
 from .errors import BudgetExceeded, EngineInvariantBroken, NotAGroebnerBasis, NotUnital
 from .poly import Poly, ensure_same_algebra
-from .words import _deglex
 
 DEFAULT_STEP_BUDGET = 10 ** 6
 
@@ -191,24 +192,6 @@ class DivisionTrace:
         return self.ideal_part() + self.remainder
 
 
-def try_divide_step(f, G):
-    """First applicable rewrite for the leading term of f, if any.
-
-    Returns (gen_index, left, right, coeff) with
-    coeff * LT(left * g * right) == LT(f), or None when no leading word
-    of G divides LM(f).
-    """
-    G.require_unital()
-    ensure_same_algebra(f.algebra, G.algebra)
-    lc_f, lm_f = f.leading()
-    match = G.leads.first(lm_f)
-    if match is None:
-        return None
-    i, u, v = match
-    lam = G.algebra.ring.mul(lc_f, G._inv_leads[i])
-    return i, u, v, lam
-
-
 def divide(f, G, strategy=FIRST_MATCH, step_budget=DEFAULT_STEP_BUDGET):
     """Run the rewriting loop until the working polynomial is exhausted.
 
@@ -230,19 +213,27 @@ def divide(f, G, strategy=FIRST_MATCH, step_budget=DEFAULT_STEP_BUDGET):
     gen_terms = tuple(g.terms for g in G.gens)
 
     working = {w: c for c, w in f.terms}
+    # Max-heap of the words entering ``working``, keyed (-len(w), -w) so
+    # that the least key is the graded-lex greatest word.  The terms of f
+    # descend in that order, so their ascending keys are already a heap.
+    # A word that leaves ``working`` leaves a stale entry, dropped when it
+    # is popped; a word that cancels and comes back gets a second entry.
+    heap = [(-len(w), tuple(map(neg, w)), w) for _, w in f.terms]
     steps = []
     peeled = []
-    prev_key = None
+    prev = ()  # below every heap entry
     iterations = 0
     while working:
         iterations += 1
         if iterations > step_budget:
             raise BudgetExceeded(f"division exceeded {step_budget} steps")
-        lm_f = max(working, key=_deglex)
-        k = _deglex(lm_f)
-        if prev_key is not None and k >= prev_key:
+        entry = heappop(heap)
+        while entry[2] not in working:
+            entry = heappop(heap)
+        if entry <= prev:
             raise EngineInvariantBroken("leading monomial failed to decrease")
-        prev_key = k
+        prev = entry
+        lm_f = entry[2]
         lc_f = working[lm_f]
         if rng is None:
             match = leads.first(lm_f)
@@ -265,6 +256,8 @@ def divide(f, G, strategy=FIRST_MATCH, step_budget=DEFAULT_STEP_BUDGET):
                 working.pop(w, None)
             else:
                 working[w] = nc
+                if cur is None:
+                    heappush(heap, (-len(w), tuple(map(neg, w)), w))
         if lm_f in working:
             raise EngineInvariantBroken("leading term failed to cancel")
     remainder = Poly(algebra, tuple(peeled))

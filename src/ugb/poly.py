@@ -176,8 +176,9 @@ class Algebra:
         return f"Algebra({self.ring}, {list(self.alphabet.names)}, {self.oracle.name})"
 
     def check_word(self, word):
+        size = self.alphabet.size
         for letter in word:
-            if not isinstance(letter, int) or not 0 <= letter < self.alphabet.size:
+            if not isinstance(letter, int) or not 0 <= letter < size:
                 raise BasisViolation(f"letter index {letter!r} out of range")
         if not self.oracle.is_basis_word(word):
             raise BasisViolation(

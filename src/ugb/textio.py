@@ -10,7 +10,8 @@ Problem files hold one declaration per line; ``#`` starts a comment.
     gen 2*x1 x2 - 1/2
 
 Lie-algebra blocks describe brackets as coefficient vectors over the
-basis, with 1-based generator indices and i > j:
+basis, with 1-based generator indices and i > j; a Lie block is read in
+the free algebra, so its file may declare no other oracle:
 
     ring Z
     rank 3
@@ -48,6 +49,15 @@ def parse_poly(algebra, text, filename=None, line=None):
 
     ring = algebra.ring
     alphabet = algebra.alphabet
+
+    def coefficient(token):
+        try:
+            return ring.parse(token)
+        except ValueError as exc:
+            # symbols cannot start with a digit; such a token is a
+            # coefficient the ring rejects
+            fail(str(exc) if token[0].isdigit() else f"unknown symbol {token!r}")
+
     tokens = _TOKEN_RE.findall(text)
     if not tokens:
         fail("empty polynomial text")
@@ -89,12 +99,7 @@ def parse_poly(algebra, text, filename=None, line=None):
         elif token in alphabet:
             letters.append(alphabet.index(token))
         else:
-            try:
-                coeff = ring.parse(token)
-            except ValueError as exc:
-                # symbols cannot start with a digit; such a token is a
-                # coefficient the ring rejects
-                fail(str(exc) if token[0].isdigit() else f"unknown symbol {token!r}")
+            coeff = coefficient(token)
             constant = True
         # remaining letters of the word
         while pos < len(tokens) and tokens[pos] not in "+-":
@@ -105,7 +110,8 @@ def parse_poly(algebra, text, filename=None, line=None):
                 letters.append(alphabet.index(token))
                 pos += 1
             else:
-                fail(f"unknown symbol {token!r}")
+                coefficient(token)
+                fail(f"misplaced coefficient {token!r}; write a term as c*w")
         if negative:
             coeff = ring.neg(coeff)
         terms.append((coeff, tuple(letters)))
@@ -130,6 +136,7 @@ class Problem:
 def parse_problem(text, filename="<input>"):
     ring = None
     oracle = None
+    oracle_line = None
     alphabet = None
     algebra = None
     gen_polys = []
@@ -162,6 +169,7 @@ def parse_problem(text, filename="<input>"):
                 oracle = oracle_from_name(rest)
             except ValueError as exc:
                 fail(str(exc), lineno)
+            oracle_line = lineno
         elif directive == "alphabet":
             if alphabet is not None:
                 fail("duplicate alphabet line", lineno)
@@ -221,6 +229,8 @@ def parse_problem(text, filename="<input>"):
         fail("missing ring line", 1)
     lie = None
     if rank is not None:
+        if oracle not in (None, FREE):
+            fail("a lie block is read in the free algebra; its oracle must be free", oracle_line)
         if basis_names is not None and len(basis_names) != rank:
             fail(f"basis has {len(basis_names)} names for rank {rank}", 1)
         try:

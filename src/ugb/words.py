@@ -108,8 +108,16 @@ class FactorIndex:
         self._tables = tuple(tables.items())
 
     def first(self, word):
-        found = self.matches(word)
-        return found[0] if found else None
+        best = None
+        for n, table in self._tables:
+            for p in range(len(word) - n + 1):
+                hit = table.get(word[p:p + n])
+                if hit is not None and (best is None or (hit[0], p, n) < best):
+                    best = (hit[0], p, n)
+        if best is None:
+            return None
+        i, p, n = best
+        return i, word[:p], word[p + n:]
 
     def matches(self, word):
         hits = []

@@ -71,6 +71,9 @@ def test_usage_and_parse_errors_exit_2(tmp_path, capsys):
     # a bare coefficient the ring rejects is not an unknown symbol
     assert main(["normal-form", str(FIXTURES / "inverse_pair.gb"), "--poly", "x + 1/0"]) == 2
     assert "--poly: zero denominator" in capsys.readouterr().err
+    # the same rule inside a word
+    assert main(["normal-form", str(FIXTURES / "inverse_pair.gb"), "--poly", "x 1/0"]) == 2
+    assert "--poly: zero denominator" in capsys.readouterr().err
     over_z = tmp_path / "over_z.gb"
     over_z.write_text("ring Z\nalphabet x\ngen x x\n")
     assert main(["normal-form", str(over_z), "--poly", "1/2"]) == 2
@@ -83,6 +86,15 @@ def test_usage_and_parse_errors_exit_2(tmp_path, capsys):
     assert captured.out == ""
     assert "late_oracle.gb:4" in captured.err
     assert "oracle must be declared before generators" in captured.err
+    # a lie block runs in the free algebra, so another oracle is refused
+    lie = tmp_path / "commutative_sl2.lie"
+    sl2 = (FIXTURES / "sl2.lie").read_text()
+    lie.write_text(sl2.replace("ring Z\n", "ring Z\noracle commutative\n"))
+    assert main(["pbw", str(lie), "--max-deg", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "commutative_sl2.lie:3" in captured.err
+    assert "oracle must be free" in captured.err
 
 
 def test_strict_flag_controls_normal_form(capsys):

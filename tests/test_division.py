@@ -5,15 +5,18 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from ugb import (
     COMMUTATIVE,
     FIRST_MATCH,
+    FREE,
     QQ,
     ZZ,
     Algebra,
     BudgetExceeded,
+    DivisionStep,
     EngineInvariantBroken,
     GenSet,
     NotAGroebnerBasis,
@@ -25,8 +28,8 @@ from ugb import (
     normal_form,
     parse_strategy,
     pbw_generators,
-    try_divide_step,
 )
+from ugb.words import _deglex
 
 AZ = Algebra(ZZ, ["x", "y"])
 X, Y = 0, 1
@@ -36,16 +39,20 @@ def _gset(algebra, *term_lists):
     return GenSet([algebra.poly(t) for t in term_lists], algebra)
 
 
-def test_try_divide_step_examples():
+def _first_step(f, G):
+    s = divide(f, G).steps[0]
+    return s.gen, s.left, s.right, s.coeff
+
+
+def test_divide_first_step_examples():
     G = _gset(AZ, [(1, (X, Y)), (-1, ())])  # xy - 1
     f = AZ.poly([(2, (X, Y, X)), (1, (Y,))])
-    assert try_divide_step(f, G) == (0, (), (X,), 2)
-    assert try_divide_step(AZ.poly([(1, (Y,))]), G) is None
+    assert _first_step(f, G) == (0, (), (X,), 2)
+    assert divide(AZ.poly([(1, (Y,))]), G).steps == ()
 
     A6 = Algebra(Zmod(6), ["x"])
     G6 = _gset(A6, [(5, (0,)), (1, ())])  # 5x + 1
-    step = try_divide_step(A6.poly([(4, (0,))]), G6)
-    assert step == (0, (), (), 2)
+    assert _first_step(A6.poly([(4, (0,))]), G6) == (0, (), (), 2)
     assert (2 * 5) % 6 == 4  # lambda * LC(g) recovers LT(f)
 
 
@@ -127,6 +134,66 @@ def test_remainder_uniqueness_on_groebner_corpora(gb_corpora):
                 assert divide(f, G, s).remainder == base, name
 
 
+def _max_scan_divide(f, G, strategy):
+    """Reference loop: each leading word is the maximum of a scan over the
+    whole working set, and FirstMatch is the head of ``matches``."""
+    ring = G.algebra.ring
+    mul_words = G.algebra.oracle.mul_words
+    rng = random.Random(strategy.seed) if isinstance(strategy, Seeded) else None
+    working = {w: c for c, w in f.terms}
+    steps = []
+    peeled = []
+    while working:
+        lm = max(working, key=_deglex)
+        lc = working[lm]
+        matches = G.leads.matches(lm)
+        if not matches:
+            peeled.append((lc, lm))
+            del working[lm]
+            continue
+        i, u, v = matches[0] if rng is None else rng.choice(matches)
+        lam = ring.mul(lc, ring.inv_unit(G[i].lc()))
+        steps.append(DivisionStep(lam, u, i, v))
+        for tc, tw in G[i].terms:
+            w = mul_words(u, mul_words(tw, v))
+            c = ring.sub(working.get(w, ring.zero()), ring.mul(lam, tc))
+            if ring.is_zero(c):
+                working.pop(w, None)
+            else:
+                working[w] = c
+    return tuple(steps), tuple(peeled)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ring=st.sampled_from([ZZ, QQ, Zmod(4), Zmod(6)]),
+    oracle=st.sampled_from([FREE, COMMUTATIVE]),
+    strategy=st.one_of(st.just(FIRST_MATCH), st.builds(Seeded, st.integers(0, 10**6))),
+)
+def test_divide_matches_max_scan_reference(seed, ring, oracle, strategy):
+    rng = random.Random(seed)
+    algebra = Algebra(ring, ["x", "y", "z"], oracle)
+    gens = [helpers.random_unital_poly(rng, algebra) for _ in range(rng.randint(1, 4))]
+    G = GenSet(gens, algebra)
+    # an ideal element plus noise: long divisions with cancellations
+    f = helpers.random_ideal_combo(rng, G) + helpers.random_poly(rng, algebra, max_deg=6, max_terms=8)
+    trace = divide(f, G, strategy)
+    steps, peeled = _max_scan_divide(f, G, strategy)
+    assert trace.steps == steps
+    assert trace.remainder.terms == peeled
+
+
+def test_long_sl2_division_step_counts(sl2_z):
+    A = sl2_z.algebra
+    e, f, h = (A.alphabet.index(name) for name in ("e", "f", "h"))
+    for n, count in ((4, 800), (5, 3342)):
+        trace = divide(A.monomial((h, f, e) * n), sl2_z)
+        assert len(trace.steps) == count
+        for _, w in trace.remainder.terms:
+            assert is_normal(w, sl2_z)
+
+
 def test_strategy_sensitivity_negative_control():
     # {x^2 - y} is not a Groebner basis; dividing x^3 at the left or the
     # right occurrence of x^2 strands different remainders (yx vs xy)
@@ -156,8 +223,6 @@ def test_not_unital_rejected():
     assert not G.is_unital
     with pytest.raises(NotUnital):
         divide(AZ.poly([(1, (X,))]), G)
-    with pytest.raises(NotUnital):
-        try_divide_step(AZ.poly([(1, (X,))]), G)
 
 
 def test_normal_form_abelian_pair():

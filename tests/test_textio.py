@@ -119,6 +119,11 @@ def test_parse_problem_diagnostics_carry_line_numbers():
         ("ring Z/4\nalphabet x\ngen 1/2\n", 3, "not a residue"),
         ("ring Z\nalphabet x\ngen 2x\n", 3, "not an integer"),
         ("ring Q\nalphabet x y z\ngen x z\noracle commutative\n", 4, "oracle must be declared before generators"),
+        ("ring Q\nalphabet x\ngen x 1/0\n", 3, "zero denominator"),
+        ("ring Z\nalphabet x\ngen x 1/2\n", 3, "not an integer"),
+        ("ring Z\nalphabet x\ngen x 2\n", 3, "misplaced coefficient '2'"),
+        ("ring Z\noracle commutative\nrank 1\n", 2, "oracle must be free"),
+        ("ring Z\nrank 2\nbracket 2 1 : 0 0\noracle commutative\n", 4, "oracle must be free"),
     ]
     for text, line, needle in cases:
         with pytest.raises(ParseError) as err:

@@ -94,6 +94,12 @@ def test_factorization_count_matches_brute_force(needle, haystack):
         assert u + needle + v == haystack
 
 
+@given(st.lists(words, max_size=6), st.lists(st.integers(0, 2), max_size=12).map(tuple))
+def test_factor_index_first_is_head_of_matches(leads, word):
+    index = FactorIndex(leads)
+    assert index.first(word) == (index.matches(word) or [None])[0]
+
+
 def test_overlap_examples():
     x, y = 0, 1
     got = overlaps((x, y), (y, x))
