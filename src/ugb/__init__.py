@@ -29,7 +29,6 @@ from .errors import (
     BudgetExceeded,
     CompletionFailure,
     EngineInvariantBroken,
-    InvalidLie,
     NonUnitalRemainder,
     NotAGroebnerBasis,
     NotAUnit,
@@ -54,8 +53,6 @@ from .pbw import (
     LieAlgebra,
     LieReport,
     PBWReport,
-    PBWSystem,
-    build_pbw,
     pbw_generators,
     validate_lie,
     verify_pbw,

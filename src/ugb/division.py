@@ -213,12 +213,13 @@ def divide(f, G, strategy=FIRST_MATCH, step_budget=DEFAULT_STEP_BUDGET):
     gen_terms = tuple(g.terms for g in G.gens)
 
     working = {w: c for c, w in f.terms}
-    # Max-heap of the words entering ``working``, keyed (-len(w), -w) so
-    # that the least key is the graded-lex greatest word.  The terms of f
-    # descend in that order, so their ascending keys are already a heap.
+    # Max-heap of the words entering ``working``: each entry is one flat
+    # tuple (-len(w), -w[0], ..., -w[-1], w), so that the least entry is
+    # the graded-lex greatest word, read back as entry[-1].  The terms of f
+    # descend in that order, so their ascending entries are already a heap.
     # A word that leaves ``working`` leaves a stale entry, dropped when it
     # is popped; a word that cancels and comes back gets a second entry.
-    heap = [(-len(w), tuple(map(neg, w)), w) for _, w in f.terms]
+    heap = [(-len(w), *map(neg, w), w) for _, w in f.terms]
     steps = []
     peeled = []
     prev = ()  # below every heap entry
@@ -228,12 +229,12 @@ def divide(f, G, strategy=FIRST_MATCH, step_budget=DEFAULT_STEP_BUDGET):
         if iterations > step_budget:
             raise BudgetExceeded(f"division exceeded {step_budget} steps")
         entry = heappop(heap)
-        while entry[2] not in working:
+        while entry[-1] not in working:
             entry = heappop(heap)
         if entry <= prev:
             raise EngineInvariantBroken("leading monomial failed to decrease")
         prev = entry
-        lm_f = entry[2]
+        lm_f = entry[-1]
         lc_f = working[lm_f]
         if rng is None:
             match = leads.first(lm_f)
@@ -257,7 +258,7 @@ def divide(f, G, strategy=FIRST_MATCH, step_budget=DEFAULT_STEP_BUDGET):
             else:
                 working[w] = nc
                 if cur is None:
-                    heappush(heap, (-len(w), tuple(map(neg, w)), w))
+                    heappush(heap, (-len(w), *map(neg, w), w))
         if lm_f in working:
             raise EngineInvariantBroken("leading term failed to cancel")
     remainder = Poly(algebra, tuple(peeled))

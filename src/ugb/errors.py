@@ -60,10 +60,6 @@ class RoundsExceeded(CompletionFailure):
     pass
 
 
-class InvalidLie(UGBError):
-    """Structure constants fail antisymmetry bookkeeping or Jacobi."""
-
-
 class BoundTooSmall(UGBError):
     pass
 

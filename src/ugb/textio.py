@@ -142,6 +142,7 @@ def parse_problem(text, filename="<input>"):
     gen_polys = []
     rank = None
     basis_names = None
+    basis_line = None
     brackets = {}
 
     def fail(message, line):
@@ -198,6 +199,7 @@ def parse_problem(text, filename="<input>"):
             if basis_names is not None:
                 fail("duplicate basis line", lineno)
             basis_names = tuple(rest.split())
+            basis_line = lineno
         elif directive == "bracket":
             if ring is None:
                 fail("ring must be declared before brackets", lineno)
@@ -232,13 +234,13 @@ def parse_problem(text, filename="<input>"):
         if oracle not in (None, FREE):
             fail("a lie block is read in the free algebra; its oracle must be free", oracle_line)
         if basis_names is not None and len(basis_names) != rank:
-            fail(f"basis has {len(basis_names)} names for rank {rank}", 1)
+            fail(f"basis has {len(basis_names)} names for rank {rank}", basis_line)
         try:
             lie = LieAlgebra(ring, rank, brackets, basis_names)
-        except ValueError as exc:
-            fail(str(exc), 1)
-    elif brackets or basis_names is not None:
-        fail("lie block needs a rank line", 1)
+        except ValueError as exc:  # the rest was checked line by line above
+            fail(str(exc), basis_line)
+    elif basis_names is not None:  # a bracket line before any rank already failed
+        fail("lie block needs a rank line", basis_line)
 
     gens = None
     if alphabet is not None:

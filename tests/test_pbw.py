@@ -7,18 +7,57 @@ import pytest
 import helpers
 from ugb import (
     GBVerdict,
-    InvalidLie,
     LieAlgebra,
     QQ,
     ZZ,
     Zmod,
-    build_pbw,
     check_groebner,
     normal_form,
     pbw_generators,
     validate_lie,
     verify_pbw,
 )
+
+
+def _random_lie(rng, ring, rank):
+    # sparse to dense, so that some tables satisfy Jacobi and most do not
+    density = rng.choice((0.1, 0.3, 0.6))
+    brackets = {}
+    for i in range(rank):
+        for j in range(i):
+            brackets[(i, j)] = tuple(
+                helpers.random_nonzero(rng, ring) if rng.random() < density else 0
+                for _ in range(rank)
+            )
+    return LieAlgebra(ring, rank, brackets)
+
+
+def _dense_jacobi_violations(L):
+    # Reference: every one of the rank**3 ordered triples, with each
+    # double bracket expanded on dense coefficient vectors.
+    ring = L.ring
+
+    def bracket_with_gen(vec, k):
+        out = [ring.zero()] * L.rank
+        for m, c in enumerate(vec):
+            if ring.is_zero(c):
+                continue
+            bm = L.bracket_vector(m, k)
+            for t in range(L.rank):
+                out[t] = ring.add(out[t], ring.mul(c, bm[t]))
+        return out
+
+    violations = []
+    for i in range(L.rank):
+        for j in range(L.rank):
+            for k in range(L.rank):
+                v1 = bracket_with_gen(L.bracket_vector(i, j), k)
+                v2 = bracket_with_gen(L.bracket_vector(j, k), i)
+                v3 = bracket_with_gen(L.bracket_vector(k, i), j)
+                total = tuple(ring.add(ring.add(a, b), c) for a, b, c in zip(v1, v2, v3))
+                if any(not ring.is_zero(c) for c in total):
+                    violations.append(((i, j, k), total))
+    return violations
 
 
 def test_validate_abelian():
@@ -29,6 +68,22 @@ def test_validate_abelian():
 def test_validate_sl2():
     assert validate_lie(helpers.sl2(ZZ)).ok
     assert validate_lie(helpers.sl2(QQ)).ok
+
+
+def test_validate_lie_matches_dense_reference():
+    rng = random.Random(44)
+    tables = [helpers.perturbed_sl2(ring) for ring in (ZZ, QQ, Zmod(4), Zmod(6))]
+    for ring in (ZZ, QQ, Zmod(4), Zmod(6)):
+        for rank in range(1, 6):
+            tables.extend(_random_lie(rng, ring, rank) for _ in range(6))
+    violating = 0
+    for L in tables:
+        report = validate_lie(L)
+        got = [(v.triple, v.coefficients) for v in report.violations]
+        assert got == _dense_jacobi_violations(L), L
+        assert report.ok == (not got)
+        violating += not report.ok
+    assert 0 < violating < len(tables)
 
 
 def test_validate_perturbed_sl2_reports_triples():
@@ -60,33 +115,30 @@ def test_bracket_input_validation():
 
 
 def test_build_rank_one_is_empty():
-    system = build_pbw(helpers.abelian(ZZ, 1))
-    assert len(system.gens) == 0
+    assert len(pbw_generators(helpers.abelian(ZZ, 1))) == 0
 
 
 def test_build_abelian_rank_two():
-    system = build_pbw(helpers.abelian(ZZ, 2))
-    A = system.gens.algebra
-    assert list(system.gens) == [A.poly([(1, (1, 0)), (-1, (0, 1))])]
+    G = pbw_generators(helpers.abelian(ZZ, 2))
+    A = G.algebra
+    assert list(G) == [A.poly([(1, (1, 0)), (-1, (0, 1))])]
 
 
 def test_build_sl2_generators_exact():
-    system = build_pbw(helpers.sl2(ZZ))
-    A = system.gens.algebra
+    G = pbw_generators(helpers.sl2(ZZ))
+    A = G.algebra
     e, f, h = 0, 1, 2
     expected = [
         A.poly([(1, (f, e)), (-1, (e, f)), (1, (h,))]),
         A.poly([(1, (h, e)), (-1, (e, h)), (-2, (e,))]),
         A.poly([(1, (h, f)), (-1, (f, h)), (2, (f,))]),
     ]
-    assert list(system.gens) == expected
-    assert system.gens.is_unital
+    assert list(G) == expected
+    assert G.is_unital
 
 
-def test_build_rejects_invalid_lie():
-    with pytest.raises(InvalidLie):
-        build_pbw(helpers.perturbed_sl2(ZZ))
-    # the unvalidated constructor still works for probes
+def test_build_invalid_lie_for_probes():
+    # no Jacobi validation happens when the system is built
     G = pbw_generators(helpers.perturbed_sl2(ZZ))
     assert len(G) == 3
 
@@ -144,20 +196,34 @@ def test_normal_words_are_exactly_non_decreasing():
 
 
 def test_jacobi_iff_buchberger_randomized():
+    # The PBW corollary triple by triple: the only ambiguities are
+    # x_i x_j x_k with i > j > k, one per set of three indices, and the
+    # remainder of each is the degree-1 Jacobi sum of the triple (i, j, k).
     rng = random.Random(42)
-    agreements = 0
-    for ring in (Zmod(5), Zmod(4)):
-        for _ in range(25):
-            brackets = {}
-            for i in range(3):
-                for j in range(i):
-                    brackets[(i, j)] = tuple(rng.randrange(ring.modulus) for _ in range(3))
-            L = LieAlgebra(ring, 3, brackets)
-            lie_ok = validate_lie(L).ok
-            gb_ok = check_groebner(pbw_generators(L)).verdict is GBVerdict.IS_GROEBNER
-            assert lie_ok == gb_ok
-            agreements += 1
-    assert agreements == 50
+    violating = 0
+    for ring in (ZZ, QQ, Zmod(4), Zmod(5), Zmod(6)):
+        for rank in (4, 5):
+            for _ in range(8):
+                L = _random_lie(rng, ring, rank)
+                lie = validate_lie(L)
+                jacobi = {
+                    v.triple: v.coefficients
+                    for v in lie.violations
+                    if v.triple[0] > v.triple[1] > v.triple[2]
+                }
+                gb = check_groebner(pbw_generators(L))
+                assert gb.pairs_checked == comb(rank, 3)
+                remainders = {}
+                for sp, trace in gb.witnesses:
+                    vec = [ring.zero()] * rank
+                    for c, w in trace.remainder.terms:
+                        assert len(w) == 1
+                        vec[w[0]] = c
+                    remainders[sp.ambiguity] = tuple(vec)
+                assert remainders == jacobi
+                assert lie.ok == (gb.verdict is GBVerdict.IS_GROEBNER)
+                violating += not lie.ok
+    assert 0 < violating < 80
 
 
 def test_abelian_normal_form_sorts_words():

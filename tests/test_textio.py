@@ -124,6 +124,10 @@ def test_parse_problem_diagnostics_carry_line_numbers():
         ("ring Z\nalphabet x\ngen x 2\n", 3, "misplaced coefficient '2'"),
         ("ring Z\noracle commutative\nrank 1\n", 2, "oracle must be free"),
         ("ring Z\nrank 2\nbracket 2 1 : 0 0\noracle commutative\n", 4, "oracle must be free"),
+        ("ring Z\nrank 3\nbracket 2 1 : 0 0 1\nbasis e f e\n", 4, "duplicate symbol names"),
+        ("ring Z\nbasis e f\n\nrank 3\n", 2, "basis has 2 names for rank 3"),
+        ("ring Z\nrank 2\nbasis e 1f\n", 3, "bad symbol name '1f'"),
+        ("ring Z\n\nbasis e f\n", 3, "lie block needs a rank line"),
     ]
     for text, line, needle in cases:
         with pytest.raises(ParseError) as err:
