@@ -54,21 +54,30 @@ def _make_spoly(G, i, j, overlap):
     return SPoly(i, j, overlap, value)
 
 
+def _pair_order(sp):
+    return (_deglex(sp.overlap.ambiguity), sp.i, sp.j)
+
+
+def _spolys(G, first_new):
+    """s-polynomials of the pairs (i, j), i <= j, with j >= first_new,
+    unsorted."""
+    critical_overlaps = G.algebra.oracle.critical_overlaps
+    lead_words = G.lead_words
+    out = []
+    for j in range(first_new, len(G)):
+        for i in range(j + 1):
+            for ov in critical_overlaps(lead_words[i], lead_words[j], i == j):
+                out.append(_make_spoly(G, i, j, ov))
+    return out
+
+
 def s_polynomials(G):
     """All critical-pair s-polynomials of the set, ascending by ambiguity.
 
     Zero-valued s-polynomials are kept: they count as checked pairs.
     """
     G.require_unital()
-    critical_overlaps = G.algebra.oracle.critical_overlaps
-    lead_words = G.lead_words
-    out = []
-    for i in range(len(G)):
-        for j in range(i, len(G)):
-            for ov in critical_overlaps(lead_words[i], lead_words[j], i == j):
-                out.append(_make_spoly(G, i, j, ov))
-    out.sort(key=lambda sp: (_deglex(sp.overlap.ambiguity), sp.i, sp.j))
-    return out
+    return sorted(_spolys(G, 0), key=_pair_order)
 
 
 def telescope(fs, cs):
@@ -117,6 +126,17 @@ def telescope(fs, cs):
     return out
 
 
+def _failures(spolys, G):
+    """(s-polynomial, FirstMatch trace) for each of spolys whose
+    remainder against G is nonzero, in the order given."""
+    out = []
+    for sp in spolys:
+        trace = divide(sp.value, G, FIRST_MATCH)
+        if not trace.remainder.is_zero():
+            out.append((sp, trace))
+    return out
+
+
 def check_groebner(G):
     """Buchberger criterion: the set is a Groebner basis iff every
     s-polynomial divides to zero remainder (FirstMatch strategy).
@@ -125,13 +145,9 @@ def check_groebner(G):
     exact and unconditional.
     """
     spolys = s_polynomials(G)
-    witnesses = []
-    for sp in spolys:
-        trace = divide(sp.value, G, FIRST_MATCH)
-        if not trace.remainder.is_zero():
-            witnesses.append((sp, trace))
+    witnesses = tuple(_failures(spolys, G))
     verdict = GBVerdict.IS_GROEBNER if not witnesses else GBVerdict.NOT_GROEBNER
-    report = GBReport(verdict, len(spolys), tuple(witnesses))
+    report = GBReport(verdict, len(spolys), witnesses)
     G._report = report
     return report
 
@@ -141,10 +157,19 @@ def complete(G, max_degree, max_rounds=8):
     Buchberger check passes, restricted to ambiguity words of length at
     most max_degree.
 
-    Already-complete input is returned unchanged.  Raises
-    NonUnitalRemainder when a failing remainder has a non-unit leading
-    coefficient, and RoundsExceeded when the round limit runs out or no
-    failing ambiguity fits the degree bound.
+    The first round divides every s-polynomial of the input.  Each later
+    round divides only the pairs that failed in the round before and the
+    new pairs, those involving an adjoined generator.  A pair that divided
+    to zero stays zero: adjoined generators come after the old ones and
+    FirstMatch picks the lowest generator index that divides, so the
+    division that matched old generators at every step takes the same
+    steps against the larger set.  The verdict, the adjoined generators
+    and the exceptions are those of running the full check every round.
+
+    Already-complete input is returned unchanged.  The result carries its
+    passing report.  Raises NonUnitalRemainder when a failing remainder
+    has a non-unit leading coefficient, and RoundsExceeded when the round
+    limit runs out or no failing ambiguity fits the degree bound.
     """
     G.require_unital()
     if max_degree < 1:
@@ -153,12 +178,19 @@ def complete(G, max_degree, max_rounds=8):
         raise ValueError("max_rounds must be positive")
     ring = G.algebra.ring
     current = G
+    first_new = 0
+    failed = []
+    pairs = 0
     for _ in range(max_rounds):
-        report = check_groebner(current)
-        if report.verdict is GBVerdict.IS_GROEBNER:
+        new = _spolys(current, first_new)
+        pairs += len(new)
+        pending = sorted([sp for sp, _ in failed] + new, key=_pair_order)
+        failed = _failures(pending, current)
+        if not failed:
+            current._report = GBReport(GBVerdict.IS_GROEBNER, pairs, ())
             return current
         additions = []
-        for sp, trace in report.witnesses:
+        for sp, trace in failed:
             if len(sp.ambiguity) > max_degree:
                 continue
             remainder = trace.remainder
@@ -176,5 +208,6 @@ def complete(G, max_degree, max_rounds=8):
                 "every failing ambiguity word is longer than "
                 f"max_degree={max_degree}; completion cannot progress"
             )
+        first_new = len(current)
         current = GenSet(current.gens + tuple(additions), G.algebra)
     raise RoundsExceeded(f"no Groebner basis after {max_rounds} rounds")

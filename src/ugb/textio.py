@@ -11,7 +11,8 @@ Problem files hold one declaration per line; ``#`` starts a comment.
 
 Lie-algebra blocks describe brackets as coefficient vectors over the
 basis, with 1-based generator indices and i > j; a Lie block is read in
-the free algebra, so its file may declare no other oracle:
+the free algebra, so its file may declare no other oracle, and no
+``alphabet`` or ``gen`` line:
 
     ring Z
     rank 3
@@ -133,6 +134,10 @@ class Problem:
     filename: str
 
 
+# Each directive of the two kinds of problem file; one file holds one kind.
+_BLOCKS = {"alphabet": "gens", "gen": "gens", "rank": "lie", "basis": "lie", "bracket": "lie"}
+
+
 def parse_problem(text, filename="<input>"):
     ring = None
     oracle = None
@@ -144,6 +149,7 @@ def parse_problem(text, filename="<input>"):
     basis_names = None
     basis_line = None
     brackets = {}
+    block = None
 
     def fail(message, line):
         raise ParseError(message, filename, line)
@@ -154,6 +160,11 @@ def parse_problem(text, filename="<input>"):
             continue
         directive, _, rest = stripped.partition(" ")
         rest = rest.strip()
+        kind = _BLOCKS.get(directive)
+        if kind is not None:
+            if block is not None and kind != block:
+                fail("a lie block and alphabet or gen lines cannot share a file", lineno)
+            block = kind
         if directive == "ring":
             if ring is not None:
                 fail("duplicate ring line", lineno)

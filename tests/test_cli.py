@@ -95,6 +95,15 @@ def test_usage_and_parse_errors_exit_2(tmp_path, capsys):
     assert captured.out == ""
     assert "commutative_sl2.lie:3" in captured.err
     assert "oracle must be free" in captured.err
+    # a lie block and generators in one file: neither half is dropped silently
+    both = tmp_path / "both.gb"
+    both.write_text("ring Z\nrank 2\nbasis e f\nalphabet x\ngen x\n")
+    for command in (["pbw", str(both), "--max-deg", "2"], ["check-gb", str(both)]):
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "both.gb:4" in captured.err
+        assert "cannot share a file" in captured.err
 
 
 def test_strict_flag_controls_normal_form(capsys):

@@ -23,6 +23,7 @@ from ugb import (
     divide,
     is_member,
     normal_form,
+    parse_poly,
     pbw_generators,
     s_polynomials,
     telescope,
@@ -370,3 +371,153 @@ def test_complete_degree_bound_blocks_progress():
     G = _gset(AZ, [(1, (X, X)), (-1, (Y,))])
     with pytest.raises(RoundsExceeded):
         complete(G, max_degree=2)  # the only ambiguity x^3 exceeds the bound
+
+
+def _complete_reference(G, max_degree, max_rounds):
+    """Completion that runs the full Buchberger check every round; the
+    incremental ``complete`` must agree with it exactly."""
+    ring = G.algebra.ring
+    current = G
+    for _ in range(max_rounds):
+        report = check_groebner(current)
+        if report.verdict is GBVerdict.IS_GROEBNER:
+            return current
+        additions = []
+        for sp, trace in report.witnesses:
+            if len(sp.ambiguity) > max_degree:
+                continue
+            remainder = trace.remainder
+            if not ring.is_unit(remainder.lc()):
+                raise NonUnitalRemainder(
+                    f"s-polynomial of pair ({sp.i}, {sp.j}) reduced to "
+                    f"{remainder} with non-unit leading coefficient "
+                    f"{ring.format(remainder.lc())}"
+                )
+            monic = remainder.monic()
+            if monic not in additions:
+                additions.append(monic)
+        if not additions:
+            raise RoundsExceeded(
+                "every failing ambiguity word is longer than "
+                f"max_degree={max_degree}; completion cannot progress"
+            )
+        current = GenSet(current.gens + tuple(additions), G.algebra)
+    raise RoundsExceeded(f"no Groebner basis after {max_rounds} rounds")
+
+
+def _outcome(run, G, max_degree, max_rounds):
+    try:
+        result = run(G, max_degree, max_rounds)
+    except (NonUnitalRemainder, RoundsExceeded) as exc:
+        return type(exc), str(exc), None
+    return "completed", result.gens, result
+
+
+_COMPLETION_RINGS = [ZZ, QQ, Zmod(4), Zmod(5), Zmod(6)]
+
+
+def _random_unital_set(rng, algebra):
+    gens = [helpers.random_unital_poly(rng, algebra, max_deg=3, max_terms=3)
+            for _ in range(rng.randint(2, 3))]
+    return GenSet(gens, algebra)
+
+
+def test_complete_matches_round_wise_reference():
+    rng = random.Random(8)
+    seen = set()
+    grown = 0
+    for case in range(600):
+        ring = _COMPLETION_RINGS[case % len(_COMPLETION_RINGS)]
+        oracle = (FREE, COMMUTATIVE)[case // len(_COMPLETION_RINGS) % 2]
+        algebra = Algebra(ring, ["x", "y", "z"], oracle)
+        G = _random_unital_set(rng, algebra)
+        max_degree = rng.randint(2, 5)
+        max_rounds = rng.randint(1, 4)
+        kind, value, result = _outcome(complete, G, max_degree, max_rounds)
+        if result is not None:
+            # before the reference runs, which caches its own report on G
+            grown += result is not G
+            cached = result.groebner_report()
+            again = check_groebner(GenSet(result.gens, algebra))
+            assert cached.verdict is again.verdict is GBVerdict.IS_GROEBNER
+            assert cached.pairs_checked == again.pairs_checked
+        assert (kind, value) == _outcome(_complete_reference, G, max_degree, max_rounds)[:2], G
+        seen.add(kind)
+    assert seen == {"completed", NonUnitalRemainder, RoundsExceeded}
+    assert grown > 100
+
+
+def test_complete_carries_failing_pairs_beyond_the_degree_bound():
+    # round 1: the pair at z x z x z (length 5) fails and is skipped, the
+    # one at z x z y adjoins y^2 - 17/9 y + 8/9; round 2 must divide the
+    # skipped pair again, and it still fails, so completion cannot progress
+    A3 = Algebra(QQ, ["x", "y", "z"])
+    G = GenSet([parse_poly(A3, "z x z - 3*y + 3"), parse_poly(A3, "z y - 8/9*z")], A3)
+    with pytest.raises(RoundsExceeded, match="longer than max_degree=4"):
+        complete(G, max_degree=4)
+    result = complete(G, max_degree=5)
+    assert [str(g) for g in result.gens[2:]] == ["y y - 17/9*y + 8/9", "z x y - y x z - z x + x z"]
+
+
+def test_complete_orders_carried_pairs_among_new_ones_by_ambiguity():
+    # in round 2 the pairs (0, 1) at y x y and (0, 2) at y y x fail again,
+    # next to new pairs of shorter ambiguity.  Merged by ambiguity, the new
+    # pair (1, 5) at x y adjoins x^2 + 3 before the new pair (0, 4) at y x
+    # adjoins x^2 + 3x; the carried pairs listed first would adjoin
+    # x^2 + 3x, from (0, 2), before x^2 + 3
+    A = Algebra(Zmod(4), ["x", "y"])
+    G = GenSet([parse_poly(A, t) for t in ("y x + x x", "x y + 1", "y y + y")], A)
+    result = complete(G, max_degree=4, max_rounds=3)
+    assert [str(g) for g in result.gens[7:]] == ["x + 3", "x x + 3", "x x + 3*x"]
+    assert result.gens == _complete_reference(G, 4, 3).gens
+
+
+@pytest.mark.parametrize("oracle", [FREE, COMMUTATIVE])
+def test_zero_pairs_divide_identically_after_appending_generators(oracle):
+    # the lemma incremental completion rests on: FirstMatch picks the
+    # lowest generator index that divides, so a division that reached zero
+    # against G takes the same steps once generators are appended to G
+    rng = random.Random(81)
+    checked = 0
+    for case in range(120):
+        ring = _COMPLETION_RINGS[case % len(_COMPLETION_RINGS)]
+        algebra = Algebra(ring, ["x", "y"], oracle)
+        G = _random_unital_set(rng, algebra)
+        try:
+            G = complete(G, max_degree=4, max_rounds=3)  # every pair divides to zero
+        except (NonUnitalRemainder, RoundsExceeded):
+            pass
+        # a unit multiple of an old generator shares its leading word, so
+        # it matches wherever that generator does
+        extra = [G[rng.randrange(len(G))].scale(helpers.random_unit(rng, ring))]
+        extra += [helpers.random_unital_poly(rng, algebra, max_deg=2, max_terms=3)
+                  for _ in range(rng.randint(0, 2))]
+        bigger = GenSet(G.gens + tuple(extra), algebra)
+        for sp in s_polynomials(G):
+            trace = divide(sp.value, G)
+            if trace.remainder.is_zero():
+                assert divide(sp.value, bigger).steps == trace.steps
+                checked += len(trace.steps) > 0
+    assert checked > 200
+
+
+def test_complete_divides_only_new_and_failed_pairs(monkeypatch):
+    # perturbed sl2 PBW over Q completes in two rounds at degree 3; the
+    # round-wise loop divides 16 s-polynomials, the incremental one 10
+    import ugb.spolys as spolys_module
+
+    calls = []
+    real_divide = spolys_module.divide
+
+    def counting_divide(*args, **kwargs):
+        calls.append(1)
+        return real_divide(*args, **kwargs)
+
+    monkeypatch.setattr(spolys_module, "divide", counting_divide)
+    G = pbw_generators(helpers.perturbed_sl2(QQ))
+    result = complete(G, max_degree=3)
+    incremental = len(calls)
+    calls.clear()
+    reference = _complete_reference(G, 3, 8)
+    assert reference.gens == result.gens
+    assert (incremental, len(calls)) == (10, 16)

@@ -128,6 +128,8 @@ def test_parse_problem_diagnostics_carry_line_numbers():
         ("ring Z\nbasis e f\n\nrank 3\n", 2, "basis has 2 names for rank 3"),
         ("ring Z\nrank 2\nbasis e 1f\n", 3, "bad symbol name '1f'"),
         ("ring Z\n\nbasis e f\n", 3, "lie block needs a rank line"),
+        ("ring Z\nrank 2\nbasis e f\nalphabet x\ngen x\n", 4, "cannot share a file"),
+        ("ring Z\nalphabet x\ngen x\n\nrank 2\nbracket 2 1 : 0 0\n", 5, "cannot share a file"),
     ]
     for text, line, needle in cases:
         with pytest.raises(ParseError) as err:
