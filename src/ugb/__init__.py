@@ -75,7 +75,7 @@ from .spolys import (
     s_polynomials,
     telescope,
 )
-from .textio import Problem, load_problem, parse_poly, parse_problem
+from .textio import load_problem, parse_poly, parse_problem
 from .words import EMPTY, Alphabet, Overlap, factorizations, overlaps
 
 __version__ = "0.1.0"

@@ -1,9 +1,13 @@
 """Command-line frontend.
 
-Every subcommand reads a problem file and maps onto one library
-operation.  Exit codes: 0 for a mathematical "yes", 1 for a mathematical
-"no" (including rejected preconditions such as non-unital input), 2 for
-usage or parse errors.
+Each subcommand is declared once, in ``_COMMANDS``: its help text, the
+input its problem file must declare (a ``GenSet``, or a ``LieAlgebra``
+for ``pbw``), its options, and a handler that maps the input onto one
+library operation and returns ``(record, text layout, exit code)``.
+The parser is built from that table once, at import.  Exit codes: 0 for
+a mathematical "yes", 1 for a mathematical "no" (including rejected
+preconditions such as non-unital input), 2 for usage or parse errors
+and for a division that runs past its step budget.
 """
 
 from __future__ import annotations
@@ -11,44 +15,106 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
 
 from . import textio
-from .division import GBVerdict, divide, parse_strategy
+from .division import GBVerdict, GenSet, divide, parse_strategy
 from .errors import (
     BoundTooSmall,
+    BudgetExceeded,
     CompletionFailure,
     NotAGroebnerBasis,
     NotUnital,
     ParseError,
 )
 from .membership import build_truncation, is_member
-from .pbw import verify_pbw
+from .pbw import LieAlgebra, verify_pbw
 from .quotient import decompose, enumerate_basis
 from .spolys import check_groebner, complete, s_polynomials
 
 
-def _add_common(parser, poly=False, max_deg=False, strict=False, strategy=False):
-    parser.add_argument("file", help="problem file")
-    parser.add_argument(
-        "--format",
-        choices=("text", "records"),
-        default="text",
-        help="output as canonical text or one JSON document",
-    )
-    if poly:
-        parser.add_argument("--poly", required=True, help="polynomial in text form")
-    if max_deg:
-        parser.add_argument("--max-deg", type=int, required=True, dest="max_deg")
-    if strict:
-        group = parser.add_mutually_exclusive_group()
-        group.add_argument("--strict", dest="strict", action="store_true", default=True)
-        group.add_argument("--no-strict", dest="strict", action="store_false")
-    if strategy:
-        parser.add_argument(
-            "--strategy",
-            default="first",
-            help="divisor selection: first or seeded:<n>",
-        )
+def _check_unital(args, G):
+    return textio.record_unital(G), textio.format_unital, 0 if G.is_unital else 1
+
+
+def _spolys(args, G):
+    return textio.record_spolys(s_polynomials(G), G.algebra), textio.format_spolys, 0
+
+
+def _check_gb(args, G):
+    report = check_groebner(G)
+    code = 0 if report.verdict is GBVerdict.IS_GROEBNER else 1
+    return textio.record_gb_report(report, G.algebra), textio.format_gb_report, code
+
+
+def _complete(args, G):
+    result = complete(G, args.max_deg, args.max_rounds)
+    return textio.record_completion(G, result), textio.format_completion, 0
+
+
+def _normal_form(args, G):
+    f = textio.parse_poly(G.algebra, args.poly, "--poly")
+    strategy = parse_strategy(args.strategy)
+    if args.strict:
+        G.require_groebner()
+    return textio.record_trace(divide(f, G, strategy)), textio.format_trace, 0
+
+
+def _quotient_basis(args, G):
+    basis = enumerate_basis(G, args.max_deg, strict=args.strict)
+    return textio.record_quotient(basis), textio.format_quotient, 0
+
+
+def _decompose(args, G):
+    f = textio.parse_poly(G.algebra, args.poly, "--poly")
+    return textio.record_split(*decompose(f, G, strict=args.strict)), textio.format_split, 0
+
+
+def _pbw(args, L):
+    report = verify_pbw(L, args.max_deg)
+    return textio.record_pbw_report(report), textio.format_pbw_report, 0 if report.ok else 1
+
+
+def _member(args, G):
+    f = textio.parse_poly(G.algebra, args.poly, "--poly")
+    result = is_member(f, build_truncation(G, args.max_deg))
+    return textio.record_membership(result, G.algebra), textio.format_membership, 0 if result.member else 1
+
+
+# kind: what the problem file must parse to; options: keys of _OPTIONS,
+# in --help order; run: (args, GenSet or LieAlgebra) -> (record, layout, exit code)
+_Command = namedtuple("_Command", "help kind options run")
+
+
+_OPTIONS = {
+    "--poly": dict(required=True, help="polynomial in text form"),
+    "--max-deg": dict(type=int, required=True),
+    "--max-rounds": dict(type=int, default=8),
+    "--strategy": dict(default="first", help="divisor selection: first or seeded:<n>"),
+    "--strict": None,  # with --no-strict, a mutually exclusive pair
+}
+
+_COMMANDS = {
+    "check-unital": _Command("report unit leading coefficients", GenSet, (), _check_unital),
+    "spolys": _Command("list all critical-pair s-polynomials", GenSet, (), _spolys),
+    "check-gb": _Command("run the Buchberger criterion", GenSet, (), _check_gb),
+    "complete": _Command("adjoin reduced s-polynomials until the check passes", GenSet,
+                         ("--max-deg", "--max-rounds"), _complete),
+    "normal-form": _Command("divide a polynomial and print the trace", GenSet,
+                            ("--poly", "--strict", "--strategy"), _normal_form),
+    "quotient-basis": _Command("enumerate normal words per degree", GenSet,
+                               ("--max-deg", "--strict"), _quotient_basis),
+    "decompose": _Command("split into ideal part plus normal part", GenSet,
+                          ("--poly", "--strict"), _decompose),
+    "pbw": _Command("verify enveloping-algebra basis claims", LieAlgebra, ("--max-deg",), _pbw),
+    "member": _Command("brute-force ideal membership at a degree bound", GenSet,
+                       ("--poly", "--max-deg"), _member),
+}
+
+_MISSING = {
+    GenSet: "problem file has no generators (alphabet/gen lines)",
+    LieAlgebra: "problem file has no lie block (rank/bracket lines)",
+}
 
 
 def build_parser():
@@ -60,134 +126,42 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    _add_common(sub.add_parser("check-unital", help="report unit leading coefficients"))
-    _add_common(sub.add_parser("spolys", help="list all critical-pair s-polynomials"))
-    _add_common(sub.add_parser("check-gb", help="run the Buchberger criterion"))
-    p = sub.add_parser("complete", help="adjoin reduced s-polynomials until the check passes")
-    _add_common(p, max_deg=True)
-    p.add_argument("--max-rounds", type=int, default=8, dest="max_rounds")
-    p = sub.add_parser("normal-form", help="divide a polynomial and print the trace")
-    _add_common(p, poly=True, strict=True, strategy=True)
-    p = sub.add_parser("quotient-basis", help="enumerate normal words per degree")
-    _add_common(p, max_deg=True, strict=True)
-    p = sub.add_parser("decompose", help="split into ideal part plus normal part")
-    _add_common(p, poly=True, strict=True)
-    p = sub.add_parser("pbw", help="verify enveloping-algebra basis claims")
-    _add_common(p, max_deg=True)
-    p = sub.add_parser("member", help="brute-force ideal membership at a degree bound")
-    _add_common(p, poly=True, max_deg=True)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("file", help="problem file")
+        p.add_argument(
+            "--format",
+            choices=("text", "records"),
+            default="text",
+            help="output as canonical text or one JSON document",
+        )
+        for option in command.options:
+            if option == "--strict":
+                group = p.add_mutually_exclusive_group()
+                group.add_argument("--strict", action="store_true", default=True)
+                group.add_argument("--no-strict", dest="strict", action="store_false")
+            else:
+                p.add_argument(option, **_OPTIONS[option])
     return parser
 
 
-def _require_gens(problem):
-    if problem.gens is None:
-        raise ParseError("problem file has no generators (alphabet/gen lines)", problem.filename)
-    return problem.gens
-
-
-def _require_lie(problem):
-    if problem.lie is None:
-        raise ParseError("problem file has no lie block (rank/bracket lines)", problem.filename)
-    return problem.lie
-
-
-def _emit(args, record, layout):
-    if args.format == "records":
-        print(json.dumps(record, indent=2, sort_keys=True))
-    else:
-        print(layout(record))
-
-
-def _cmd_check_unital(args, problem):
-    G = _require_gens(problem)
-    _emit(args, textio.record_unital(G), textio.format_unital)
-    return 0 if G.is_unital else 1
-
-
-def _cmd_spolys(args, problem):
-    G = _require_gens(problem)
-    _emit(args, textio.record_spolys(s_polynomials(G), G.algebra), textio.format_spolys)
-    return 0
-
-
-def _cmd_check_gb(args, problem):
-    G = _require_gens(problem)
-    report = check_groebner(G)
-    _emit(args, textio.record_gb_report(report, G.algebra), textio.format_gb_report)
-    return 0 if report.verdict is GBVerdict.IS_GROEBNER else 1
-
-
-def _cmd_complete(args, problem):
-    G = _require_gens(problem)
-    result = complete(G, args.max_deg, args.max_rounds)
-    _emit(args, textio.record_completion(G, result), textio.format_completion)
-    return 0
-
-
-def _cmd_normal_form(args, problem):
-    G = _require_gens(problem)
-    f = textio.parse_poly(problem.algebra, args.poly, "--poly")
-    strategy = parse_strategy(args.strategy)
-    if args.strict:
-        G.require_groebner()
-    _emit(args, textio.record_trace(divide(f, G, strategy)), textio.format_trace)
-    return 0
-
-
-def _cmd_quotient_basis(args, problem):
-    G = _require_gens(problem)
-    basis = enumerate_basis(G, args.max_deg, strict=args.strict)
-    _emit(args, textio.record_quotient(basis), textio.format_quotient)
-    return 0
-
-
-def _cmd_decompose(args, problem):
-    G = _require_gens(problem)
-    f = textio.parse_poly(problem.algebra, args.poly, "--poly")
-    _emit(args, textio.record_split(*decompose(f, G, strict=args.strict)), textio.format_split)
-    return 0
-
-
-def _cmd_pbw(args, problem):
-    L = _require_lie(problem)
-    report = verify_pbw(L, args.max_deg)
-    _emit(args, textio.record_pbw_report(report), textio.format_pbw_report)
-    return 0 if report.ok else 1
-
-
-def _cmd_member(args, problem):
-    G = _require_gens(problem)
-    f = textio.parse_poly(problem.algebra, args.poly, "--poly")
-    module = build_truncation(G, args.max_deg)
-    result = is_member(f, module)
-    _emit(args, textio.record_membership(result, G.algebra), textio.format_membership)
-    return 0 if result.member else 1
-
-
-_COMMANDS = {
-    "check-unital": _cmd_check_unital,
-    "spolys": _cmd_spolys,
-    "check-gb": _cmd_check_gb,
-    "complete": _cmd_complete,
-    "normal-form": _cmd_normal_form,
-    "quotient-basis": _cmd_quotient_basis,
-    "decompose": _cmd_decompose,
-    "pbw": _cmd_pbw,
-    "member": _cmd_member,
-}
+_PARSER = build_parser()
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
         problem = textio.load_problem(args.file)
-        return _COMMANDS[args.command](args, problem)
-    except (ParseError, BoundTooSmall, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        if not isinstance(problem, command.kind):
+            raise ParseError(_MISSING[command.kind], args.file)
+        record, layout, code = command.run(args, problem)
+        if args.format == "records":
+            print(json.dumps(record, indent=2, sort_keys=True))
+        else:
+            print(layout(record))
+        return code
+    except (ParseError, BoundTooSmall, BudgetExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NotUnital, NotAGroebnerBasis, CompletionFailure) as exc:

@@ -263,9 +263,6 @@ class Poly:
     def lm(self):
         return self.leading()[1]
 
-    def degree(self):
-        return len(self.lm())
-
     def _check_same(self, other):
         ensure_same_algebra(self.algebra, other.algebra)
 

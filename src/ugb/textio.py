@@ -30,7 +30,6 @@ graded lex), so outputs are diffable and parse back exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .division import GenSet
 from .errors import BasisViolation, ParseError
@@ -122,34 +121,25 @@ def parse_poly(algebra, text, filename=None, line=None):
         fail(str(exc))
 
 
-@dataclass
-class Problem:
-    """Parsed problem file: an algebra plus generators and/or a Lie block."""
-
-    ring: object
-    oracle: object
-    algebra: object
-    gens: object          # GenSet or None
-    lie: object           # LieAlgebra or None
-    filename: str
-
-
 # Each directive of the two kinds of problem file; one file holds one kind.
 _BLOCKS = {"alphabet": "gens", "gen": "gens", "rank": "lie", "basis": "lie", "bracket": "lie"}
+# Directives a file may hold at most once.
+_ONCE = {"ring", "oracle", "alphabet", "rank", "basis"}
 
 
 def parse_problem(text, filename="<input>"):
+    """The ``GenSet`` of an alphabet/gen file, the ``LieAlgebra`` of a Lie
+    block, or ``None`` for a file with only ``ring``/``oracle`` lines."""
     ring = None
     oracle = None
-    oracle_line = None
     alphabet = None
     algebra = None
     gen_polys = []
     rank = None
     basis_names = None
-    basis_line = None
     brackets = {}
     block = None
+    once = {}  # directive -> line number
 
     def fail(message, line):
         raise ParseError(message, filename, line)
@@ -165,26 +155,23 @@ def parse_problem(text, filename="<input>"):
             if block is not None and kind != block:
                 fail("a lie block and alphabet or gen lines cannot share a file", lineno)
             block = kind
+        if directive in _ONCE:
+            if directive in once:
+                fail(f"duplicate {directive} line", lineno)
+            once[directive] = lineno
         if directive == "ring":
-            if ring is not None:
-                fail("duplicate ring line", lineno)
             try:
                 ring = ring_from_name(rest)
             except ValueError as exc:
                 fail(str(exc), lineno)
         elif directive == "oracle":
-            if oracle is not None:
-                fail("duplicate oracle line", lineno)
             if algebra is not None:
                 fail("oracle must be declared before generators", lineno)
             try:
                 oracle = oracle_from_name(rest)
             except ValueError as exc:
                 fail(str(exc), lineno)
-            oracle_line = lineno
         elif directive == "alphabet":
-            if alphabet is not None:
-                fail("duplicate alphabet line", lineno)
             try:
                 alphabet = Alphabet(rest.split())
             except ValueError as exc:
@@ -201,16 +188,11 @@ def parse_problem(text, filename="<input>"):
                 fail("generator is zero", lineno)
             gen_polys.append(p)
         elif directive == "rank":
-            if rank is not None:
-                fail("duplicate rank line", lineno)
             if not rest.isdigit() or int(rest) < 1:
                 fail(f"bad rank {rest!r}", lineno)
             rank = int(rest)
         elif directive == "basis":
-            if basis_names is not None:
-                fail("duplicate basis line", lineno)
             basis_names = tuple(rest.split())
-            basis_line = lineno
         elif directive == "bracket":
             if ring is None:
                 fail("ring must be declared before brackets", lineno)
@@ -240,27 +222,20 @@ def parse_problem(text, filename="<input>"):
 
     if ring is None:
         fail("missing ring line", 1)
-    lie = None
     if rank is not None:
         if oracle not in (None, FREE):
-            fail("a lie block is read in the free algebra; its oracle must be free", oracle_line)
+            fail("a lie block is read in the free algebra; its oracle must be free", once["oracle"])
         if basis_names is not None and len(basis_names) != rank:
-            fail(f"basis has {len(basis_names)} names for rank {rank}", basis_line)
+            fail(f"basis has {len(basis_names)} names for rank {rank}", once["basis"])
         try:
-            lie = LieAlgebra(ring, rank, brackets, basis_names)
+            return LieAlgebra(ring, rank, brackets, basis_names)
         except ValueError as exc:  # the rest was checked line by line above
-            fail(str(exc), basis_line)
-    elif basis_names is not None:  # a bracket line before any rank already failed
-        fail("lie block needs a rank line", basis_line)
-
-    gens = None
-    if alphabet is not None:
-        if algebra is None:
-            algebra = Algebra(ring, alphabet, oracle or FREE)
-        gens = GenSet(gen_polys, algebra)
-    elif lie is not None:
-        algebra = Algebra(ring, Alphabet(lie.names), FREE)
-    return Problem(ring, oracle or FREE, algebra, gens, lie, filename)
+            fail(str(exc), once.get("basis"))
+    if basis_names is not None:  # a bracket line before any rank already failed
+        fail("lie block needs a rank line", once["basis"])
+    if alphabet is None:
+        return None
+    return GenSet(gen_polys, algebra or Algebra(ring, alphabet, oracle or FREE))
 
 
 def load_problem(path):

@@ -1,9 +1,13 @@
+import functools
 import json
+import re
 
 import pytest
 
+import ugb.cli
 from conftest import FIXTURES, GOLDEN
 from ugb.cli import main
+from ugb.division import divide
 
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
 
@@ -134,3 +138,70 @@ def test_quotient_no_strict_labels_output(capsys):
     assert main(["quotient-basis", path, "--max-deg", "2", "--no-strict"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("basis: G-normal words")
+
+
+def test_no_strict_then_strict_on_one_parser(capsys):
+    # the parser is built once per process; a flag from one call must not
+    # leak into the next
+    path = str(FIXTURES / "not_gb.gb")
+    assert main(["normal-form", path, "--poly", "x x x", "--no-strict"]) == 0
+    capsys.readouterr()
+    assert main(["normal-form", path, "--poly", "x x x"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("NotAGroebnerBasis: ")
+
+
+def test_complete_max_rounds(capsys):
+    path = str(FIXTURES / "not_gb.gb")
+    assert main(["complete", path, "--max-deg", "3", "--max-rounds", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "RoundsExceeded: no Groebner basis after 1 rounds\n"
+
+
+def test_division_over_its_step_budget_is_an_error(tmp_path, capsys, monkeypatch):
+    # c rewrites to b + a, so c^21 takes far more than 50 steps
+    path = tmp_path / "sum.gb"
+    path.write_text("ring Z\nalphabet a b c\ngen c - b - a\n")
+    monkeypatch.setattr(ugb.cli, "divide", functools.partial(divide, step_budget=50))
+    assert main(["normal-form", str(path), "--poly", " ".join(["c"] * 21)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: division exceeded 50 steps\n"
+
+
+# The options each subcommand's --help lists, in order.
+OPTIONS = {
+    "check-unital": ["--help", "--format"],
+    "spolys": ["--help", "--format"],
+    "check-gb": ["--help", "--format"],
+    "complete": ["--help", "--format", "--max-deg", "--max-rounds"],
+    "normal-form": ["--help", "--format", "--poly", "--strict", "--no-strict", "--strategy"],
+    "quotient-basis": ["--help", "--format", "--max-deg", "--strict", "--no-strict"],
+    "decompose": ["--help", "--format", "--poly", "--strict", "--no-strict"],
+    "pbw": ["--help", "--format", "--max-deg"],
+    "member": ["--help", "--format", "--poly", "--max-deg"],
+}
+
+
+def _help(capsys, argv):
+    with pytest.raises(SystemExit) as done:
+        main(argv)
+    assert done.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_cli_surface(capsys):
+    commands = re.search(r"\{([a-z,-]+)\}", _help(capsys, ["--help"])).group(1)
+    assert commands.split(",") == list(OPTIONS)
+    for command, expected in OPTIONS.items():
+        text = _help(capsys, [command, "--help"])
+        section = text.split("\noptions:\n", 1)[1]
+        listed = [
+            flag
+            for line in section.splitlines()
+            if line.startswith("  -")
+            for flag in re.findall(r"--[a-z-]+", line)
+        ]
+        assert listed == expected, command

@@ -10,6 +10,8 @@ from ugb import (
     QQ,
     ZZ,
     Algebra,
+    GenSet,
+    LieAlgebra,
     ParseError,
     Zmod,
     load_problem,
@@ -81,23 +83,27 @@ def test_parse_problem_generators():
         """,
         "demo.gb",
     )
-    assert problem.ring == ZZ
-    assert problem.oracle is FREE
+    assert isinstance(problem, GenSet)
+    assert problem.algebra.ring == ZZ
+    assert problem.algebra.oracle is FREE
     assert len(problem.gens) == 2
-    assert problem.lie is None
     assert str(problem.gens[0]) == "x x - y"
 
 
 def test_parse_problem_lie_block():
     problem = load_problem(FIXTURES / "sl2.lie")
-    assert problem.lie == helpers.sl2(ZZ)
-    assert problem.gens is None
-    assert problem.algebra.alphabet.names == ("e", "f", "h")
+    assert isinstance(problem, LieAlgebra)
+    assert problem == helpers.sl2(ZZ)
+    assert problem.names == ("e", "f", "h")
 
 
 def test_parse_problem_heisenberg_mod4():
     problem = load_problem(FIXTURES / "heisenberg_z4.lie")
-    assert problem.lie == helpers.heisenberg(Zmod(4))
+    assert problem == helpers.heisenberg(Zmod(4))
+
+
+def test_parse_problem_without_a_block_is_none():
+    assert parse_problem("ring Q\noracle commutative\n") is None
 
 
 def test_parse_problem_diagnostics_carry_line_numbers():
