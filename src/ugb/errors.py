@@ -34,8 +34,9 @@ class BudgetExceeded(UGBError):
 
 
 class EngineInvariantBroken(UGBError):
-    """A leading term failed to cancel or to decrease; a real exception,
-    not an assert, so the soundness check still runs under ``python -O``."""
+    """A leading term failed to cancel or to decrease, or a membership
+    witness failed to expand to its query; a real exception, not an
+    assert, so the soundness check still runs under ``python -O``."""
 
 
 class NotAGroebnerBasis(UGBError):

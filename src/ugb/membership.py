@@ -6,9 +6,13 @@ those rows in a single sparse row echelon.  Its pivot is a row's lowest
 column, the leading word, and the ring supplies only an exact-quotient
 rule: plain division over Q, and over Z the quotient when it exists,
 with an xgcd row operation otherwise (no division by non-units
-anywhere).  Z/n is still solved by lifting to Z with the congruence
-rows n * e_k adjoined.  Witnesses come back in the same (coeff, left,
-gen, right) shape as division steps and reconstruct the query exactly.
+anywhere).  Over Z/n the same elimination runs on residues: each pivot
+entry is normalised to a divisor of n, so the Z quotient rule still
+applies, and each non-unit pivot brings its annihilator row, which
+keeps the echelon a Howell basis and the greedy solve exact.  Witnesses
+come back in the same (coeff, left, gen, right) shape as division
+steps, and each one is expanded and checked against the query before
+it is returned.
 
 This module is deliberately independent of the reduction engine so the
 two can cross-check each other.
@@ -20,7 +24,7 @@ import operator
 from dataclasses import dataclass
 
 from .division import DivisionStep
-from .errors import BoundTooSmall, UnsupportedRing
+from .errors import BoundTooSmall, EngineInvariantBroken, UnsupportedRing
 from .poly import ensure_same_algebra
 from .rings import IntegerRing, ModularRing, RationalField
 from .words import _deglex
@@ -44,19 +48,30 @@ def _divide_exactly(a, b):
     return a // b if a % b == 0 else None
 
 
-def _add_scaled(dst, src, c):
+def _add_scaled(dst, src, c, n):
     """dst += c * src on a (row, combination) pair of sparse dicts,
-    dropping the entries that cancel."""
+    entries taken mod n when n is nonzero, dropping the entries that
+    cancel."""
     for d, s in zip(dst, src):
-        for t, v in s.items():
-            v = d.get(t, 0) + c * v
-            if v:
-                d[t] = v
-            else:
-                d.pop(t, None)
+        if n:  # tested once per dict, so Z and Q entries do not pay for it
+            for t, v in s.items():
+                v = (d.get(t, 0) + c * v) % n
+                if v:
+                    d[t] = v
+                else:
+                    d.pop(t, None)
+        else:
+            for t, v in s.items():
+                v = d.get(t, 0) + c * v
+                if v:
+                    d[t] = v
+                else:
+                    d.pop(t, None)
 
 
-def _scaled(pair, c):
+def _scaled(pair, c, n):
+    if n:
+        return tuple({t: w for t, v in s.items() if (w := c * v % n)} for s in pair)
     return tuple({t: c * v for t, v in s.items()} for s in pair)
 
 
@@ -66,52 +81,85 @@ class _Echelon:
     Rows and combinations are ``{index: nonzero}`` dicts, kept together
     as (row, combination) pairs.  A row's pivot is its lowest column,
     and a stored pivot row has a positive pivot entry.  The ring enters
-    only through ``quotient(a, b)``, the exact quotient a / b or None
-    when there is none.  On insert a missing quotient is met by an xgcd
-    row operation, which replaces the pivot by the gcd row and carries
-    on with the cancelled remainder (no division by non-units anywhere);
-    on solve it means the target is not in the row span.
+    through ``quotient(a, b)``, the exact quotient a / b or None when
+    there is none, and ``modulus``: 0 over Z and Q, n over Z/n, where
+    every entry is a residue reduced as it is formed.  On insert a
+    missing quotient is met by an xgcd row operation, which replaces the
+    pivot by the gcd row and carries on with the cancelled remainder (no
+    division by non-units anywhere); on solve it means the target is not
+    in the row span.
+
+    Over Z/n a row that lands on an empty column with entry a is scaled
+    by the xgcd cofactor to the entry g = gcd(a, n), and what that
+    leaves of the row goes on, so every pivot entry divides n and
+    integer divisibility is the exact quotient on residues.  Each time a
+    pivot entry becomes a non-unit g, the annihilator (n / g) * pivot is
+    inserted too.  That keeps the rows a Howell basis (Howell 1986): a
+    span element that vanishes up to a column is spanned by the pivots
+    beyond it, so the greedy solve is exact.  Over Z/p every pivot entry
+    is 1 and no annihilator arises.
     """
 
-    def __init__(self, rows, quotient):
+    def __init__(self, rows, quotient, modulus):
         self.quotient = quotient
+        self.modulus = modulus
         self.pivots = {}
         for r, row in enumerate(rows):
-            self._reduce((dict(row), {r: 1}), insert=True)
+            todo = [(dict(row), {r: 1})]
+            while todo:
+                self._reduce(todo.pop(), todo)
 
-    def _reduce(self, pair, insert):
+    def _set_pivot(self, col, pair, g, todo):
+        self.pivots[col] = pair
+        if self.modulus and g != 1:
+            todo.append(_scaled(pair, self.modulus // g, self.modulus))
+
+    def _reduce(self, pair, todo=None):
         """Cancel the row of the pair against the pivots, lowest column
-        first, and return what is left of it.  Insert stores a nonzero
-        remainder as a new pivot; solve stops at the first column it
-        cannot cancel."""
+        first, and return what is left of it.  Insert (with a todo list
+        for the annihilator rows) stores what it cannot cancel as a
+        pivot; solve stops at the first column it cannot cancel."""
+        n = self.modulus
         vec = pair[0]
         while vec:
             col = min(vec)
             a = vec[col]
             piv = self.pivots.get(col)
             if piv is None:
-                if insert:
-                    self.pivots[col] = _scaled(pair, -1) if a < 0 else pair
-                return vec
-            b = piv[0][col]
-            q = self.quotient(a, b)
-            if q is not None:
-                _add_scaled(pair, piv, -q)
-            elif not insert:
-                return vec
-            else:
-                g, x, y = _xgcd(b, a)
-                self.pivots[col] = _scaled(pair, y)
-                _add_scaled(self.pivots[col], piv, x)
-                pair = _scaled(pair, -(b // g))
-                _add_scaled(pair, piv, a // g)
+                if todo is None:
+                    return vec
+                if not n:
+                    self.pivots[col] = _scaled(pair, -1, n) if a < 0 else pair
+                    return vec
+                g, x, y = _xgcd(a, n)
+                self._set_pivot(col, pair if x == 1 else _scaled(pair, x, n), g, todo)
+                # pair - (a / g) * pivot is c * pair, as x * a + y * n = g
+                c = y * (n // g) % n
+                if not c:
+                    return {}
+                pair = _scaled(pair, c, n)
                 vec = pair[0]
+            else:
+                b = piv[0][col]
+                q = self.quotient(a, b)
+                if q is not None:
+                    _add_scaled(pair, piv, -q, n)
+                elif todo is None:
+                    return vec
+                else:
+                    g, x, y = _xgcd(b, a)
+                    new = _scaled(pair, y, n)
+                    _add_scaled(new, piv, x, n)
+                    self._set_pivot(col, new, g, todo)
+                    pair = _scaled(pair, -(b // g), n)
+                    _add_scaled(pair, piv, a // g, n)
+                    vec = pair[0]
         return vec  # fully cancelled: a dependent row, or a member
 
     def solve(self, target):
         """Combination of the rows equal to target, or None."""
         pair = (dict(target), {})
-        if self._reduce(pair, insert=False):
+        if self._reduce(pair):
             return None
         return {r: -c for r, c in pair[1].items()}
 
@@ -150,20 +198,22 @@ class TruncatedModule:
         return {self.col_index[w]: c for c, w in poly.terms}
 
     def _get_solver(self):
-        """Z/n is lifted to Z with the congruence rows n * e_k appended
-        after the real rows, so their indices never reach a witness."""
+        """The echelon of the rows, built on first use.  Over Z/n it
+        works on residues, every pivot entry divides n, and the
+        annihilator rows it adds are combinations of module rows, so
+        every index of a solution is a module row."""
         if self._solver is None:
             ring = self.genset.algebra.ring
-            vectors = [self._vector(p) for p in self.rows]
             if isinstance(ring, RationalField):
-                quotient = operator.truediv
-            elif isinstance(ring, (IntegerRing, ModularRing)):
-                quotient = _divide_exactly
+                quotient, modulus = operator.truediv, 0
+            elif isinstance(ring, IntegerRing):
+                quotient, modulus = _divide_exactly, 0
+            elif isinstance(ring, ModularRing):
+                quotient, modulus = _divide_exactly, ring.modulus
             else:
                 raise UnsupportedRing(f"no exact solver for {ring}")
-            if isinstance(ring, ModularRing):
-                vectors += [{k: ring.modulus} for k in range(len(self.columns))]
-            self._solver = _Echelon(vectors, quotient)
+            vectors = [self._vector(p) for p in self.rows]
+            self._solver = _Echelon(vectors, quotient, modulus)
         return self._solver
 
 
@@ -227,14 +277,12 @@ def is_member(f, T):
         return MembershipResult(False, None, T.bound)
     witness = []
     for r in sorted(sol):
-        if r >= len(T.rows):
-            break  # congruence rows of Z/n
-        coeff = ring.coerce(sol[r])
-        if ring.is_zero(coeff):
-            continue
         i, u, v = T.provenance[r]
-        witness.append(DivisionStep(coeff, u, i, v))
-    return MembershipResult(True, tuple(witness), T.bound)
+        witness.append(DivisionStep(ring.coerce(sol[r]), u, i, v))
+    witness = tuple(witness)
+    if expand_witness(G, witness) != f:
+        raise EngineInvariantBroken("membership witness does not expand to the query")
+    return MembershipResult(True, witness, T.bound)
 
 
 def expand_witness(G, witness):

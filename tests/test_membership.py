@@ -3,19 +3,27 @@ import random
 import pytest
 
 import helpers
+from conftest import FIXTURES
 from ugb import (
+    COMMUTATIVE,
+    FREE,
     QQ,
     ZZ,
     Algebra,
     BoundTooSmall,
     DivisionStep,
+    EngineInvariantBroken,
     GenSet,
     Zmod,
     build_truncation,
     expand_witness,
     is_member,
+    load_problem,
     normal_form,
+    parse_poly,
+    pbw_generators,
 )
+from ugb.membership import _divide_exactly, _Echelon
 
 AZ1 = Algebra(ZZ, ["x"])
 AZ = Algebra(ZZ, ["x", "y"])
@@ -101,8 +109,8 @@ def test_member_mod_n():
     # 3 * 2x = 6x = 2x mod 4
     r = is_member(A4.poly([(2, (0,))]), T)
     assert expand_witness(G, r.witness) == A4.poly([(2, (0,))])
-    # congruence rows act across columns: 2 * (2x + y) = 2y mod 4, but y
-    # would need the 2x column cancelled by a unit multiple of 2
+    # 2 * (2x + y) = 2y mod 4, but y would need c * (2x + y) with c = 1
+    # at y and 2c = 0 at x, and no residue c mod 4 is both
     A4 = Algebra(Zmod(4), ["x", "y"])
     G = GenSet([A4.poly([(2, (0,)), (1, (1,))])])
     T = build_truncation(G, 1)
@@ -110,6 +118,15 @@ def test_member_mod_n():
     assert r.member
     assert r.witness == (DivisionStep(2, (), 0, ()),)
     assert not is_member(A4.poly([(1, (1,))]), T).member
+
+
+def test_member_witness_is_checked_against_the_query(monkeypatch):
+    G = GenSet([AZ1.poly([(2, (0,))])])
+    T = build_truncation(G, 2)
+    # a solver answer whose combination does not expand to the query
+    monkeypatch.setattr(T._get_solver(), "solve", lambda target: {0: 3})
+    with pytest.raises(EngineInvariantBroken):
+        is_member(AZ1.poly([(4, (0,))]), T)
 
 
 def test_member_bound_checked():
@@ -146,7 +163,9 @@ def test_commutative_oracle_membership(example1_q):
 
 def test_oracle_agrees_with_reduction_engine(sl2_z, example1_q):
     rng = random.Random(52)
-    for G, bound in ((sl2_z, 3), (example1_q, 3)):
+    heis_z4 = pbw_generators(load_problem(FIXTURES / "heisenberg_z4.lie"))
+    sl2_z5 = pbw_generators(helpers.sl2(Zmod(5)))
+    for G, bound in ((sl2_z, 3), (example1_q, 3), (heis_z4, 4), (sl2_z5, 3)):
         T = build_truncation(G, bound)
         corpus = []
         for _ in range(15):
@@ -158,3 +177,59 @@ def test_oracle_agrees_with_reduction_engine(sl2_z, example1_q):
             by_division = normal_form(f, G).is_zero()
             by_oracle = is_member(f, T).member
             assert by_division == by_oracle
+
+
+def _lift_reference(T):
+    """The congruence-row lift that solved Z/n before the residue
+    echelon: the module rows over Z with n * e_k appended for every
+    column k.  Returns the membership verdict as a function of the
+    query."""
+    n = T.genset.algebra.ring.modulus
+    rows = [T._vector(p) for p in T.rows] + [{k: n} for k in range(len(T.columns))]
+    echelon = _Echelon(rows, _divide_exactly, 0)
+    return lambda f: echelon.solve(T._vector(f)) is not None
+
+
+@pytest.mark.parametrize("oracle", [FREE, COMMUTATIVE], ids=["free", "commutative"])
+@pytest.mark.parametrize("modulus", [4, 6, 8, 9, 10, 12, 5])
+def test_residue_echelon_agrees_with_the_lift(modulus, oracle):
+    rng = random.Random(53 * modulus + (oracle is COMMUTATIVE))
+    algebra = Algebra(Zmod(modulus), ["x", "y", "z"], oracle)
+    bound = 3
+    verdicts = set()
+    for _ in range(20):
+        # any coefficients, non-unit leading ones included
+        gens = [
+            helpers.random_poly(rng, algebra, max_deg=2, max_terms=3, nonzero=True)
+            for _ in range(rng.randint(1, 3))
+        ]
+        G = GenSet(gens, algebra)
+        T = build_truncation(G, bound)
+        lifted = _lift_reference(T)
+        for k in range(10):
+            if k % 2:
+                f = helpers.random_poly(rng, algebra, max_deg=bound)
+            else:
+                f = helpers.random_ideal_combo(rng, G, max_context=1, parts=2)
+                if any(len(w) > bound for _, w in f.terms):
+                    continue
+            r = is_member(f, T)
+            assert r.member == lifted(f)
+            if r.member:
+                assert expand_witness(G, r.witness) == f
+            verdicts.add(r.member)
+    assert verdicts == {True, False}
+
+
+def test_gl2_over_z4_at_bound_5():
+    # 1878 rows by 1365 columns: a lift to Z with a congruence row per
+    # column runs for minutes here, the residue echelon well under a second
+    G = load_problem(FIXTURES / "gl2_z4.gb")
+    T = build_truncation(G, 5)
+    f = parse_poly(G.algebra, "2*e22 e21 e12 e11 e11 + 2*e22 e21 e11 e12 e11 + 2*e22 e21 e12 e11")
+    f = f + G[4].scale(3, (0,), (3, 3))
+    r = is_member(f, T)
+    assert r.member
+    assert expand_witness(G, r.witness) == f
+    # plus a non-decreasing word, which is a basis element of the quotient
+    assert not is_member(f + parse_poly(G.algebra, "e11 e12 e21 e22 e22"), T).member
