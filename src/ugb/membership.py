@@ -53,20 +53,14 @@ def _add_scaled(dst, src, c, n):
     entries taken mod n when n is nonzero, dropping the entries that
     cancel."""
     for d, s in zip(dst, src):
-        if n:  # tested once per dict, so Z and Q entries do not pay for it
-            for t, v in s.items():
-                v = (d.get(t, 0) + c * v) % n
-                if v:
-                    d[t] = v
-                else:
-                    d.pop(t, None)
-        else:
-            for t, v in s.items():
-                v = d.get(t, 0) + c * v
-                if v:
-                    d[t] = v
-                else:
-                    d.pop(t, None)
+        for t, v in s.items():
+            v = d.get(t, 0) + c * v
+            if n:
+                v %= n
+            if v:
+                d[t] = v
+            else:
+                d.pop(t, None)
 
 
 def _scaled(pair, c, n):
@@ -128,11 +122,11 @@ class _Echelon:
             if piv is None:
                 if todo is None:
                     return vec
-                if not n:
-                    self.pivots[col] = _scaled(pair, -1, n) if a < 0 else pair
-                    return vec
+                # over Z and Q (n = 0) this only makes the pivot entry positive
                 g, x, y = _xgcd(a, n)
                 self._set_pivot(col, pair if x == 1 else _scaled(pair, x, n), g, todo)
+                if not n:
+                    return vec
                 # pair - (a / g) * pivot is c * pair, as x * a + y * n = g
                 c = y * (n // g) % n
                 if not c:
