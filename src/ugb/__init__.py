@@ -39,7 +39,6 @@ from .errors import (
     RingMismatch,
     RoundsExceeded,
     UGBError,
-    UnsupportedRing,
     ZeroPolynomial,
 )
 from .membership import (

@@ -65,10 +65,6 @@ class BoundTooSmall(UGBError):
     pass
 
 
-class UnsupportedRing(UGBError):
-    pass
-
-
 class ParseError(UGBError):
     """Problem-file or polynomial text could not be parsed."""
 

@@ -4,9 +4,9 @@ The truncated module spans every context product u * g * v whose words
 stay inside the bound, and each query is one exact linear solve against
 those rows in a single sparse row echelon.  Its pivot is a row's lowest
 column, the leading word, and the ring supplies only an exact-quotient
-rule: plain division over Q, and over Z the quotient when it exists,
-with an xgcd row operation otherwise (no division by non-units
-anywhere).  Over Z/n the same elimination runs on residues: each pivot
+rule: the exact rational quotient over Q, and over Z the quotient when
+it exists, with an xgcd row operation otherwise (no division by
+non-units anywhere).  Over Z/n the same elimination runs on residues: each pivot
 entry is normalised to a divisor of n, so the Z quotient rule still
 applies, and each non-unit pivot brings its annihilator row, which
 keeps the echelon a Howell basis and the greedy solve exact.  Witnesses
@@ -20,13 +20,11 @@ two can cross-check each other.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .division import DivisionStep
-from .errors import BoundTooSmall, EngineInvariantBroken, UnsupportedRing
+from .errors import BoundTooSmall, EngineInvariantBroken
 from .poly import ensure_same_algebra
-from .rings import IntegerRing, ModularRing, RationalField
 from .words import _deglex
 
 
@@ -41,11 +39,6 @@ def _xgcd(a, b):
     if a < 0:
         return -a, -x0, -y0
     return a, x0, y0
-
-
-def _divide_exactly(a, b):
-    """Exact quotient over Z, or None when b does not divide a."""
-    return a // b if a % b == 0 else None
 
 
 def _add_scaled(dst, src, c, n):
@@ -192,22 +185,15 @@ class TruncatedModule:
         return {self.col_index[w]: c for c, w in poly.terms}
 
     def _get_solver(self):
-        """The echelon of the rows, built on first use.  Over Z/n it
-        works on residues, every pivot entry divides n, and the
-        annihilator rows it adds are combinations of module rows, so
-        every index of a solution is a module row."""
+        """The echelon of the rows, built on first use, on the ring's
+        exact quotient and modulus.  Over Z/n it works on residues,
+        every pivot entry divides n, and the annihilator rows it adds
+        are combinations of module rows, so every index of a solution
+        is a module row."""
         if self._solver is None:
             ring = self.genset.algebra.ring
-            if isinstance(ring, RationalField):
-                quotient, modulus = operator.truediv, 0
-            elif isinstance(ring, IntegerRing):
-                quotient, modulus = _divide_exactly, 0
-            elif isinstance(ring, ModularRing):
-                quotient, modulus = _divide_exactly, ring.modulus
-            else:
-                raise UnsupportedRing(f"no exact solver for {ring}")
             vectors = [self._vector(p) for p in self.rows]
-            self._solver = _Echelon(vectors, quotient, modulus)
+            self._solver = _Echelon(vectors, ring.quotient, ring.modulus)
         return self._solver
 
 

@@ -1,10 +1,11 @@
 """Exact coefficient arithmetic: integers, residues mod n, rationals.
 
-Ring objects operate on plain Python values (``int`` for Z and Z/n,
-``Fraction`` for Q).  The interface is deliberately small: add, neg, mul,
-zero/one, zero test, equality, unit recognition and unit inversion.  The
-reduction engine never divides by anything else, so no general division
-is offered.
+Ring objects operate on plain Python values: ``int`` for Z and Z/n, and
+for Q an ``int`` when integral and a ``Fraction`` otherwise, never a
+``float``.  The interface is deliberately small: add, neg, mul, zero/one,
+zero test, equality, unit recognition and unit inversion.  The reduction
+engine never divides by anything else; only the membership echelon asks
+for ``quotient``, exact division by its pivot entries, and ``modulus``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,11 @@ from .errors import NotAUnit
 
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 _RAT_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
+
+
+def _rational(x):
+    """The canonical Q value of an int or Fraction: int when integral."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
 
 
 class Ring:
@@ -76,6 +82,8 @@ class Ring:
 class _NativeRing(Ring):
     """Arithmetic by Python's own operators on ``int`` or ``Fraction``."""
 
+    modulus = 0
+
     def add(self, a, b):
         return a + b
 
@@ -115,6 +123,10 @@ class IntegerRing(_NativeRing):
             return a
         raise NotAUnit(f"{a} is not a unit in Z")
 
+    def quotient(self, a, b):
+        """Exact quotient a / b, or None when b does not divide a."""
+        return a // b if a % b == 0 else None
+
     def parse(self, text):
         if not _INT_RE.match(text):
             raise ValueError(f"not an integer: {text!r}")
@@ -133,13 +145,25 @@ class RationalField(_NativeRing):
     def coerce(self, x):
         if isinstance(x, float):
             raise TypeError("floats are not exact; use Fraction or str")
-        return Fraction(x)
+        return x if type(x) is int else _rational(Fraction(x))
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
+
+    def add(self, a, b):
+        c = a + b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
+
+    def sub(self, a, b):
+        c = a - b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
+
+    def mul(self, a, b):
+        c = a * b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def is_unit(self, a):
         return a != 0
@@ -147,13 +171,17 @@ class RationalField(_NativeRing):
     def inv_unit(self, a):
         if a == 0:
             raise NotAUnit("0 is not a unit in Q")
-        return 1 / a
+        return _rational(Fraction(1, a))
+
+    def quotient(self, a, b):
+        """Exact quotient a / b (b nonzero)."""
+        return self.mul(a, self.inv_unit(b))
 
     def parse(self, text):
         if not _RAT_RE.match(text):
             raise ValueError(f"not a rational: {text!r}")
         try:
-            return Fraction(text)
+            return _rational(Fraction(text))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
 
@@ -206,6 +234,10 @@ class ModularRing(Ring):
             return pow(a, -1, self.modulus)
         except ValueError:
             raise NotAUnit(f"{a} is not a unit in {self.name}") from None
+
+    # the membership echelon divides residues only by divisors of n, and
+    # for those integer divisibility is divisibility in Z/n
+    quotient = IntegerRing.quotient
 
     def parse(self, text):
         if not _INT_RE.match(text):

@@ -23,7 +23,7 @@ from ugb import (
     parse_poly,
     pbw_generators,
 )
-from ugb.membership import _divide_exactly, _Echelon
+from ugb.membership import _Echelon
 
 AZ1 = Algebra(ZZ, ["x"])
 AZ = Algebra(ZZ, ["x", "y"])
@@ -186,7 +186,7 @@ def _lift_reference(T):
     query."""
     n = T.genset.algebra.ring.modulus
     rows = [T._vector(p) for p in T.rows] + [{k: n} for k in range(len(T.columns))]
-    echelon = _Echelon(rows, _divide_exactly, 0)
+    echelon = _Echelon(rows, ZZ.quotient, ZZ.modulus)
     return lambda f: echelon.solve(T._vector(f)) is not None
 
 
@@ -233,3 +233,26 @@ def test_gl2_over_z4_at_bound_5():
     assert expand_witness(G, r.witness) == f
     # plus a non-decreasing word, which is a basis element of the quotient
     assert not is_member(f + parse_poly(G.algebra, "e11 e12 e21 e22 e22"), T).member
+
+
+def test_gl2_over_q_at_bound_5():
+    # the Q twin of the Z/4 case: integral rationals stay ints in the
+    # echelon, which answers in well under a second
+    G = load_problem(FIXTURES / "gl2_q.gb")
+    T = build_truncation(G, 5)
+    f = parse_poly(G.algebra, GL2_Q_MEMBER)
+    g = f + parse_poly(G.algebra, "1/3*e11 e12 e21 e22 e22")
+    # gl2 PBW is a Groebner basis, so membership is a zero normal form
+    for query, member in ((f, True), (g, False)):
+        r = is_member(query, T)
+        assert r.member is member
+        assert normal_form(query, G).is_zero() is member
+    assert expand_witness(G, is_member(f, T).witness) == f
+
+
+# -1/2 * e11 * (gen 4) * e22 e22 plus 2 * e22 e22 * (gen 2) * e12
+GL2_Q_MEMBER = (
+    "2*e22 e22 e21 e12 e12 - 2*e22 e22 e12 e21 e12 - 1/2*e11 e22 e12 e22 e22"
+    " + 1/2*e11 e12 e22 e22 e22 - 2*e22 e22 e22 e12 + 2*e22 e22 e11 e12"
+    " - 1/2*e11 e12 e22 e22"
+)

@@ -35,6 +35,41 @@ def test_rational_examples():
     assert not QQ.is_unit(QQ.zero())
     assert QQ.is_unit(Fraction(3, 4))
     assert QQ.inv_unit(Fraction(2, 3)) == Fraction(3, 2)
+    with pytest.raises(NotAUnit):
+        QQ.inv_unit(QQ.zero())
+
+
+def _same(value, expected):
+    return value == expected and type(value) is type(expected)
+
+
+# int, integral Fraction and non-integral Fraction inputs; exact results
+# come back as int when integral and as Fraction otherwise
+@pytest.mark.parametrize("a,inverse", [
+    (2, Fraction(1, 2)),
+    (-1, -1),
+    (1, 1),
+    (Fraction(4, 2), Fraction(1, 2)),
+    (Fraction(-3, 1), Fraction(-1, 3)),
+    (Fraction(-1, 3), -3),
+    (Fraction(2, 3), Fraction(3, 2)),
+])
+def test_rational_inv_unit_is_exact(a, inverse):
+    assert _same(QQ.inv_unit(a), inverse)
+
+
+@pytest.mark.parametrize("a,b,quotient", [
+    (6, 3, 2),
+    (3, 6, Fraction(1, 2)),
+    (0, 7, 0),
+    (Fraction(6, 1), Fraction(-3, 1), -2),
+    (Fraction(4, 2), 3, Fraction(2, 3)),
+    (Fraction(3, 4), Fraction(1, 4), 3),
+    (Fraction(1, 2), 3, Fraction(1, 6)),
+    (5, Fraction(5, 2), 2),
+])
+def test_rational_quotient_is_exact(a, b, quotient):
+    assert _same(QQ.quotient(a, b), quotient)
 
 
 @pytest.mark.parametrize("ring,sample", [
