@@ -3,16 +3,15 @@
 The truncated module spans every context product u * g * v whose words
 stay inside the bound, and each query is one exact linear solve against
 those rows in a single sparse row echelon.  Its pivot is a row's lowest
-column, the leading word, and the ring supplies only an exact-quotient
-rule: the exact rational quotient over Q, and over Z the quotient when
-it exists, with an xgcd row operation otherwise (no division by
-non-units anywhere).  Over Z/n the same elimination runs on residues: each pivot
-entry is normalised to a divisor of n, so the Z quotient rule still
-applies, and each non-unit pivot brings its annihilator row, which
-keeps the echelon a Howell basis and the greedy solve exact.  Witnesses
-come back in the same (coeff, left, gen, right) shape as division
-steps, and each one is expanded and checked against the query before
-it is returned.
+column, the leading word, and the ring supplies only an exact quotient:
+the rational one over Q, and over Z the quotient when it exists, with
+an xgcd row operation otherwise (no division by non-units anywhere).
+Over Z/n the same elimination runs on residues: each pivot entry is
+normalised to a divisor of n, so the Z quotient rule still applies, and
+each non-unit pivot brings its annihilator row, which keeps the echelon
+a Howell basis and the greedy solve exact.  Witnesses come back in the
+same (coeff, left, gen, right) shape as division steps, and each one is
+expanded and checked against the query before it is returned.
 
 This module is deliberately independent of the reduction engine so the
 two can cross-check each other.

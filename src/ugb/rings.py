@@ -153,6 +153,7 @@ class RationalField(_NativeRing):
     def one(self):
         return 1
 
+    # _rational inlined: these run on every term of every division step
     def add(self, a, b):
         c = a + b
         return c if type(c) is int or c.denominator != 1 else c.numerator

@@ -12,8 +12,8 @@ import pytest
 
 import helpers
 from ugb import (
-    FREE,
     COMMUTATIVE,
+    FREE,
     QQ,
     Algebra,
     GenSet,
@@ -37,12 +37,8 @@ class Seen:
 
     def __call__(self, *values):
         for c in values:
-            if type(c) is int:
-                pass
-            elif type(c) is Fraction:
-                assert c.denominator != 1, f"integral value {c!r} kept as a Fraction"
-            else:
-                raise AssertionError(f"{c!r} is a {type(c).__name__}, not int or Fraction")
+            assert type(c) in (int, Fraction), f"{c!r} is a {type(c).__name__}"
+            assert type(c) is int or c.denominator != 1, f"integral {c!r} kept as a Fraction"
             self.types.add(type(c))
 
     def poly(self, p):
