@@ -75,6 +75,6 @@ from .spolys import (
     telescope,
 )
 from .textio import load_problem, parse_poly, parse_problem
-from .words import EMPTY, Alphabet, Overlap, factorizations, overlaps
+from .words import EMPTY, Alphabet, Overlap
 
 __version__ = "0.1.0"

@@ -14,8 +14,9 @@ order-preserving and collision-free, and it makes the leading
 coefficient of ``u * g * v`` equal to the leading coefficient of ``g``,
 which turns divisibility into a test on leading words alone.  Each
 oracle owns that test (``lead_index``) and the critical pairs it implies
-(``critical_overlaps``), so division, the Buchberger check and normal
-words share one notion of divisibility.
+(``critical_pairs``, whose inclusions are the matches of the same index),
+so division, the Buchberger check and normal words share one notion of
+divisibility.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     RingMismatch,
     ZeroPolynomial,
 )
-from .words import EMPTY, Alphabet, FactorIndex, Overlap, overlaps
+from .words import EMPTY, Alphabet, FactorIndex, Overlap
 
 
 class FreeConcat:
@@ -51,17 +52,39 @@ class FreeConcat:
         """Divisibility is containment as a contiguous factor."""
         return FactorIndex(lead_words)
 
-    def critical_overlaps(self, w, w2, same_gen):
-        """Proper overlaps and inclusions (the diamond-lemma family);
-        disjoint placements always reduce to zero for unital pairs and are
-        covered by the property suite instead of being enumerated.  An
-        empty leading word (a constant generator) is included in the other
-        word at every cut."""
-        out = overlaps(w, w2)
-        if w == w2 and not same_gen:
-            # distinct generators collide at the word itself; overlaps()
-            # drops it, as it is trivial for a generator against itself
-            out.insert(0, Overlap(EMPTY, EMPTY, EMPTY, EMPTY, w))
+    def critical_pairs(self, lead_words, first_new):
+        """(i, j, overlap) for i <= j, j >= first_new: the diamond-lemma
+        family of proper overlaps (a suffix table probed with prefixes) and
+        inclusions (the division index).  Equal lead words meet once, at the
+        word itself, and overlap one way only; no generator includes itself,
+        and an empty lead word is included at every cut.  Disjoint placements
+        always reduce to zero for unital pairs and are not enumerated."""
+        ends_in = {}
+        for a, w in enumerate(lead_words):
+            for t in range(1, len(w)):
+                ends_in.setdefault(w[len(w) - t:], []).append(a)
+        index = self.lead_index(lead_words)
+        out = []
+        for b, w in enumerate(lead_words):
+            # a suffix of lead_words[a] is the prefix w[:t]
+            for t in range(1, len(w)):
+                for a in ends_in.get(w[:t], ()):
+                    wa = lead_words[a]
+                    if max(a, b) < first_new or (a > b and wa == w):
+                        continue
+                    left, right = wa[:len(wa) - t], w[t:]
+                    if a <= b:
+                        out.append((a, b, Overlap(EMPTY, right, left, EMPTY, wa + right)))
+                    else:
+                        out.append((b, a, Overlap(left, EMPTY, EMPTY, right, wa + right)))
+            # lead_words[a] is a factor of w; an equal word is met only from below
+            for a, u, v in index.matches(w):
+                if max(a, b) < first_new or (a >= b and len(lead_words[a]) == len(w)):
+                    continue
+                if a < b:
+                    out.append((a, b, Overlap(u, v, EMPTY, EMPTY, w)))
+                else:
+                    out.append((b, a, Overlap(EMPTY, EMPTY, u, v, w)))
         return out
 
     def __repr__(self):
@@ -86,15 +109,21 @@ class CommutativeMerge:
         """Divisibility is multiset inclusion of letter counts."""
         return MultisetIndex(lead_words)
 
-    def critical_overlaps(self, w, w2, same_gen):
-        """One placement per pair of distinct generators, at the least
-        common multiple of the leading words (the letterwise max); both
-        divide it, and their cofactors are the two contexts."""
-        if same_gen:
-            return []
-        ambiguity = tuple(sorted((Counter(w) | Counter(w2)).elements()))
-        (_, u, v), (_, u2, v2) = MultisetIndex((w, w2)).matches(ambiguity)
-        return [Overlap(u, v, u2, v2, ambiguity)]
+    def critical_pairs(self, lead_words, first_new):
+        """(i, j, overlap) for i < j, j >= first_new: one placement per
+        pair of distinct generators, at the least common multiple of the
+        leading words (the letterwise max); both divide it, and their
+        cofactors are the two contexts."""
+        counts = [Counter(w) for w in lead_words]
+        out = []
+        for j in range(first_new, len(lead_words)):
+            for i in range(j):
+                lcm = counts[i] | counts[j]
+                u, u2, ambiguity = (
+                    tuple(sorted(c.elements())) for c in (lcm - counts[i], lcm - counts[j], lcm)
+                )
+                out.append((i, j, Overlap(u, EMPTY, u2, EMPTY, ambiguity)))
+        return out
 
     def __repr__(self):
         return self.name
@@ -340,7 +369,7 @@ class Poly:
                 head = " - " if negative else " + "
             if not w:
                 body = ring.format(magnitude)
-            elif ring.equals(magnitude, one):
+            elif magnitude == one:
                 body = alphabet.word_text(w)
             else:
                 body = f"{ring.format(magnitude)}*{alphabet.word_text(w)}"

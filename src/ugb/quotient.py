@@ -35,9 +35,6 @@ class QuotientBasis:
     verified: bool
     algebra: object = field(compare=False)
 
-    def count(self, degree):
-        return len(self.by_degree[degree])
-
     def counts(self):
         return tuple(len(self.by_degree[d]) for d in range(self.max_degree + 1))
 

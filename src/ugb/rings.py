@@ -56,9 +56,6 @@ class Ring:
     def is_zero(self, a):
         return a == self.zero()
 
-    def equals(self, a, b):
-        return a == b
-
     def is_unit(self, a):
         raise NotImplementedError
 

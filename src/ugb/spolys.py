@@ -6,9 +6,10 @@ generators whose leading terms meet at one ambiguity word; the scaling
 divides by the (unit) leading coefficients, so coefficients stay small
 and nothing outside the unit group is ever inverted.
 
-Pair enumeration belongs to the oracle (``critical_overlaps``).  Free
-concatenation: proper overlaps in both directions, inclusions in both
-directions and self-overlaps, following the classical diamond-lemma
+The oracle owns the whole pair family (``critical_pairs``).  Free
+concatenation: proper overlaps in both directions and self-overlaps,
+found through a suffix table, and inclusions, found by the oracle's
+division index (``lead_index``), following the classical diamond-lemma
 family.  Commutative merge: one pair per unordered pair of generators,
 built at the least common multiple of the leading words, since sorted
 words can share letters without sharing a contiguous factor.
@@ -55,20 +56,17 @@ def _make_spoly(G, i, j, overlap):
 
 
 def _pair_order(sp):
-    return (_deglex(sp.overlap.ambiguity), sp.i, sp.j)
+    """Ambiguity word, then generators, then placement: a total order on
+    the pair family, so the list does not depend on emission order."""
+    ov = sp.overlap
+    return (_deglex(ov.ambiguity), sp.i, sp.j, len(ov.u), len(ov.u2))
 
 
 def _spolys(G, first_new):
     """s-polynomials of the pairs (i, j), i <= j, with j >= first_new,
     unsorted."""
-    critical_overlaps = G.algebra.oracle.critical_overlaps
-    lead_words = G.lead_words
-    out = []
-    for j in range(first_new, len(G)):
-        for i in range(j + 1):
-            for ov in critical_overlaps(lead_words[i], lead_words[j], i == j):
-                out.append(_make_spoly(G, i, j, ov))
-    return out
+    pairs = G.algebra.oracle.critical_pairs(G.lead_words, first_new)
+    return [_make_spoly(G, i, j, ov) for i, j, ov in pairs]
 
 
 def s_polynomials(G):

@@ -1,5 +1,5 @@
 """Words over an indexed alphabet, the graded-lex order, factor search and
-overlap enumeration.
+the overlap record of a critical pair.
 
 A word is a plain tuple of letter indices; the empty tuple is the
 monomial 1.  The monomial order is fixed: graded lex, length first and
@@ -77,26 +77,13 @@ def _deglex(word):
     return (len(word), word)
 
 
-def factorizations(needle, haystack):
-    """All (u, v) with u + needle + v == haystack, left to right.
-
-    The empty needle occurs at every cut, giving len(haystack) + 1 pairs.
-    """
-    n = len(needle)
-    m = len(haystack)
-    out = []
-    for i in range(m - n + 1):
-        if haystack[i:i + n] == needle:
-            out.append((haystack[:i], haystack[i + n:]))
-    return out
-
-
 class FactorIndex:
     """Leading words found as contiguous factors: one hash table per length.
 
     ``matches`` lists the placements ``(gen, left, right)`` with
     ``left + lead_words[gen] + right == word`` by lowest generator index,
     then leftmost position; ``first`` is the head of that list, or None.
+    The free oracle finds divisors and inclusion pairs with it.
     """
 
     __slots__ = ("_tables",)
@@ -144,32 +131,3 @@ class Overlap:
     u2: tuple
     v2: tuple
     ambiguity: tuple
-
-
-def overlaps(w, w2):
-    """Proper overlaps and inclusions of two words, both directions.
-
-    Disjoint placements are not enumerated.  The trivial placement of a
-    word on itself is excluded, and for w == w2 only one of each mirrored
-    placement pair is kept.  An empty word has no proper overlaps; it is
-    included in the other word at every cut.
-    """
-    same = w == w2
-    out = []
-    # suffix of w meets prefix of w2: ambiguity is w followed by the rest of w2
-    for t in range(1, min(len(w), len(w2))):
-        if w[len(w) - t:] == w2[:t]:
-            out.append(Overlap(EMPTY, w2[t:], w[:len(w) - t], EMPTY, w + w2[t:]))
-    if same:
-        return out
-    # suffix of w2 meets prefix of w
-    for t in range(1, min(len(w), len(w2))):
-        if w2[len(w2) - t:] == w[:t]:
-            out.append(Overlap(w2[:len(w2) - t], EMPTY, EMPTY, w[t:], w2 + w[t:]))
-    # w2 inside w
-    for u2, v2 in factorizations(w2, w):
-        out.append(Overlap(EMPTY, EMPTY, u2, v2, w))
-    # w inside w2
-    for u, v in factorizations(w, w2):
-        out.append(Overlap(u, v, EMPTY, EMPTY, w2))
-    return out

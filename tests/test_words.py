@@ -4,7 +4,8 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from ugb import EMPTY, Alphabet, Overlap, factorizations, overlaps
+from ugb import EMPTY, FREE, Alphabet, Overlap
+from ugb.spolys import SPoly, _pair_order
 from ugb.words import FactorIndex, _deglex
 
 words = st.lists(st.integers(0, 2), max_size=6).map(tuple)
@@ -71,26 +72,30 @@ def test_order_is_total_and_ranked():
             assert chain <= len(all_words)
 
 
-def test_factorizations_examples():
+def test_factor_index_matches_examples():
     x, y = 0, 1
-    assert factorizations((x,), (x, y, x)) == [((), (y, x)), ((x, y), ())]
-    assert factorizations((x, y), (y, x)) == []
-    # sliding-window oracle: xx occurs in xxx at offsets 0 and 1
-    assert factorizations((x, x), (x, x, x)) == [((), (x,)), ((x,), ())]
-    assert factorizations(EMPTY, (x, y)) == [((), (x, y)), ((x,), (y,)), ((x, y), ())]
+    assert FactorIndex([(x,)]).matches((x, y, x)) == [(0, (), (y, x)), (0, (x, y), ())]
+    assert FactorIndex([(x, y)]).matches((y, x)) == []
+    # sliding window: x x occurs in x x x at offsets 0 and 1
+    assert FactorIndex([(x, x)]).matches((x, x, x)) == [(0, (), (x,)), (0, (x,), ())]
+    assert FactorIndex([EMPTY]).matches((x, y)) == [
+        (0, (), (x, y)), (0, (x,), (y,)), (0, (x, y), ()),
+    ]
 
 
 @given(words, words)
-def test_factorization_count_matches_brute_force(needle, haystack):
-    count = sum(
-        1
+def test_factor_index_finds_every_position(needle, haystack):
+    positions = [
+        i
         for i in range(len(haystack) - len(needle) + 1)
         if haystack[i:i + len(needle)] == needle
-    )
-    outs = factorizations(needle, haystack)
-    assert len(outs) == count
-    assert (FactorIndex([needle]).first(haystack) is not None) == (count > 0)
-    for u, v in outs:
+    ]
+    index = FactorIndex([needle])
+    outs = index.matches(haystack)
+    assert [len(u) for _, u, _ in outs] == positions
+    assert (index.first(haystack) is not None) == bool(positions)
+    for gen, u, v in outs:
+        assert gen == 0
         assert u + needle + v == haystack
 
 
@@ -100,39 +105,70 @@ def test_factor_index_first_is_head_of_matches(leads, word):
     assert index.first(word) == (index.matches(word) or [None])[0]
 
 
+def pairs(*lead_words):
+    """The free oracle's critical pairs of the lead words, in pair order."""
+    out = FREE.critical_pairs(lead_words, 0)
+    return sorted(out, key=lambda p: _pair_order(SPoly(*p, None)))
+
+
 def test_overlap_examples():
     x, y = 0, 1
-    got = overlaps((x, y), (y, x))
-    assert got == [
-        Overlap((), (x,), (x,), (), (x, y, x)),
-        Overlap((y,), (), (), (y,), (y, x, y)),
+    assert pairs((x, y), (y, x)) == [
+        (0, 1, Overlap((), (x,), (x,), (), (x, y, x))),
+        (0, 1, Overlap((y,), (), (), (y,), (y, x, y))),
     ]
-    assert overlaps((x, x), (x, x)) == [Overlap((), (x,), (x,), (), (x, x, x))]
-    assert overlaps((x, y, x), (y,)) == [Overlap((), (), (x,), (x,), (x, y, x))]
+    # a word overlaps itself one way only
+    assert pairs((x, x)) == [(0, 0, Overlap((), (x,), (x,), (), (x, x, x)))]
+    assert pairs((x, y, x), (y,)) == [
+        (0, 1, Overlap((), (), (x,), (x,), (x, y, x))),
+        (0, 0, Overlap((), (y, x), (x, y), (), (x, y, x, y, x))),
+    ]
+    # x x lies in x x x twice, and the two overlap both ways at x x x x,
+    # where the left context of the lower generator breaks the tie
+    xx, xxx, xxxx = (x, x), (x, x, x), (x, x, x, x)
+    assert pairs(xx, xxx) == [
+        (0, 0, Overlap((), (x,), (x,), (), xxx)),
+        (0, 1, Overlap((), (x,), (), (), xxx)),
+        (0, 1, Overlap((x,), (), (), (), xxx)),
+        (0, 1, Overlap((), xx, (x,), (), xxxx)),
+        (0, 1, Overlap(xx, (), (), (x,), xxxx)),
+        (1, 1, Overlap((), (x,), (x,), (), xxxx)),
+        (1, 1, Overlap((), xx, xx, (), xxxx + (x,))),
+    ]
+    # two generators with one lead word meet once at it, and overlap one way
+    assert pairs((x, x), (x, x)) == [
+        (0, 1, Overlap((), (), (), (), (x, x))),
+        (0, 0, Overlap((), (x,), (x,), (), (x, x, x))),
+        (0, 1, Overlap((), (x,), (x,), (), (x, x, x))),
+        (1, 1, Overlap((), (x,), (x,), (), (x, x, x))),
+    ]
 
 
 def test_overlaps_with_empty_word():
     # the empty word is included in the other word at every cut
     x, y = 0, 1
-    assert overlaps((), (x, y)) == [
-        Overlap((), (x, y), (), (), (x, y)),
-        Overlap((x,), (y,), (), (), (x, y)),
-        Overlap((x, y), (), (), (), (x, y)),
+    assert pairs((), (x, y)) == [
+        (0, 1, Overlap((), (x, y), (), (), (x, y))),
+        (0, 1, Overlap((x,), (y,), (), (), (x, y))),
+        (0, 1, Overlap((x, y), (), (), (), (x, y))),
     ]
-    assert overlaps((x,), ()) == [
-        Overlap((), (), (), (x,), (x,)),
-        Overlap((), (), (x,), (), (x,)),
+    assert pairs((x,), ()) == [
+        (0, 1, Overlap((), (), (), (x,), (x,))),
+        (0, 1, Overlap((), (), (x,), (), (x,))),
     ]
-    assert overlaps((), ()) == []
+    assert pairs(()) == []
+    assert pairs((), ()) == [(0, 1, Overlap((), (), (), (), ()))]
 
 
 @given(nonempty_words, nonempty_words)
 def test_overlaps_are_verbatim_placements(w, w2):
+    leads = (w, w2)
     seen = set()
-    for o in overlaps(w, w2):
-        assert o.u + w + o.v == o.ambiguity
-        assert o.u2 + w2 + o.v2 == o.ambiguity
-        placement = (o.u, o.v, o.u2, o.v2, o.ambiguity)
+    for i, j, o in pairs(w, w2):
+        assert i <= j
+        assert o.u + leads[i] + o.v == o.ambiguity
+        assert o.u2 + leads[j] + o.v2 == o.ambiguity
+        placement = (i, j, o.u, o.v, o.u2, o.v2, o.ambiguity)
         assert placement not in seen
         seen.add(placement)
         proper = bool(o.u or o.v) and bool(o.u2 or o.v2)
@@ -142,12 +178,13 @@ def test_overlaps_are_verbatim_placements(w, w2):
 
 @given(nonempty_words, nonempty_words)
 def test_overlaps_exclude_disjoint_and_trivial(w, w2):
-    for o in overlaps(w, w2):
+    leads = (w, w2)
+    for i, j, o in pairs(w, w2):
         # the two copies must touch: their index ranges intersect
         start1 = len(o.u)
-        end1 = start1 + len(w)
+        end1 = start1 + len(leads[i])
         start2 = len(o.u2)
-        end2 = start2 + len(w2)
+        end2 = start2 + len(leads[j])
         assert start1 < end2 and start2 < end1
-        if w == w2:
+        if i == j:
             assert (o.u, o.v) != (o.u2, o.v2)
