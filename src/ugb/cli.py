@@ -13,7 +13,6 @@ and for a division that runs past its step budget.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import namedtuple
 
@@ -157,7 +156,7 @@ def main(argv=None):
             raise ParseError(_MISSING[command.kind], args.file)
         record, layout, code = command.run(args, problem)
         if args.format == "records":
-            print(json.dumps(record, indent=2, sort_keys=True))
+            print(textio.format_record(record))
         else:
             print(layout(record))
         return code

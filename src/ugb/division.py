@@ -87,11 +87,15 @@ class GenSet:
     Carries a per-generator record of which leading coefficients are
     units; operations that invert leading coefficients insist on all of
     them being units.  ``leads`` is the oracle's divisibility index over
-    the leading words.  The Groebner verdict for the set is computed on
-    demand and cached (the set itself is immutable).
+    the leading words, and ``gen_terms`` the generators' term tuples, which
+    every division step reads.  The Groebner verdict for the set is
+    computed on demand and cached (the set itself is immutable).
     """
 
-    __slots__ = ("algebra", "gens", "unit_leads", "lead_words", "leads", "_inv_leads", "_report")
+    __slots__ = (
+        "algebra", "gens", "gen_terms", "unit_leads", "is_unital", "lead_words", "leads",
+        "_inv_leads", "_report",
+    )
 
     def __init__(self, gens, algebra=None):
         gens = tuple(gens)
@@ -105,8 +109,10 @@ class GenSet:
                 raise ValueError("zero polynomial in generating set")
         self.algebra = algebra
         self.gens = gens
+        self.gen_terms = tuple(g.terms for g in gens)
         ring = algebra.ring
         self.unit_leads = tuple(ring.is_unit(g.lc()) for g in gens)
+        self.is_unital = all(self.unit_leads)
         self.lead_words = tuple(g.lm() for g in gens)
         self.leads = algebra.oracle.lead_index(self.lead_words)
         self._inv_leads = tuple(
@@ -114,10 +120,6 @@ class GenSet:
             for g, unit in zip(gens, self.unit_leads)
         )
         self._report = None
-
-    @property
-    def is_unital(self):
-        return all(self.unit_leads)
 
     def require_unital(self):
         if not self.is_unital:
@@ -182,15 +184,6 @@ class DivisionTrace:
     steps: tuple
     remainder: Poly
 
-    def ideal_part(self):
-        gens = self.gens
-        scaled = (gens[s.gen].scale(s.coeff, s.left, s.right) for s in self.steps)
-        terms = [t for p in scaled for t in p.terms]
-        return gens.algebra.poly(terms)
-
-    def reconstruct(self):
-        return self.ideal_part() + self.remainder
-
 
 def divide(f, G, strategy=FIRST_MATCH, step_budget=DEFAULT_STEP_BUDGET):
     """Run the rewriting loop until the working polynomial is exhausted.
@@ -210,7 +203,7 @@ def divide(f, G, strategy=FIRST_MATCH, step_budget=DEFAULT_STEP_BUDGET):
     mul_words = algebra.oracle.mul_words
     leads = G.leads
     inv_leads = G._inv_leads
-    gen_terms = tuple(g.terms for g in G.gens)
+    gen_terms = G.gen_terms
 
     working = {w: c for c, w in f.terms}
     # Max-heap of the words entering ``working``: each entry is one flat

@@ -80,13 +80,15 @@ def enumerate_basis(G, max_degree, strict=True):
 def decompose(f, G, strict=True):
     """Split f into (ideal_part, normal_part) along the generating set.
 
-    The ideal part is rebuilt from the division steps, the normal part is
-    the remainder; their sum reconstructs f exactly.  Strict mode demands
-    a verified Groebner basis, which makes the split the projection pair
-    of the direct sum.
+    The normal part is the remainder of f and the ideal part is f minus
+    it, which is the sum of the division steps, so the two add up to f
+    exactly.  Strict mode demands a verified Groebner basis: then the
+    normal words are a free basis of the quotient, the algebra is the
+    ideal plus their span as a direct sum, and the split is its
+    projection pair.
     """
     ensure_same_algebra(f.algebra, G.algebra)
     if strict:
         G.require_groebner()
-    trace = divide(f, G, FIRST_MATCH)
-    return trace.ideal_part(), trace.remainder
+    remainder = divide(f, G, FIRST_MATCH).remainder
+    return f - remainder, remainder

@@ -30,6 +30,7 @@ graded lex), so outputs are diffable and parse back exactly.
 from __future__ import annotations
 
 import re
+from json.encoder import encode_basestring_ascii as _quote
 
 from .division import GenSet
 from .errors import BasisViolation, ParseError
@@ -245,7 +246,51 @@ def load_problem(path):
 
 # ---------------------------------------------------------------------------
 # CLI results: each ``record_*`` turns engine values into the JSON document
-# of ``--format records``; each ``format_*`` lays that record out as text.
+# of ``--format records``; ``format_record`` writes that document, and each
+# other ``format_*`` lays a record out as text.
+
+
+def format_record(record):
+    """The ``--format records`` document: the same text as
+    ``json.dumps(record, indent=2, sort_keys=True)``.
+
+    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder; this
+    writer quotes strings with the C-accelerated quoter of the ``json``
+    module and lays out the rest itself.  Records hold only dicts with
+    ``str`` keys, lists, tuples, ``str``, ``int``, ``bool`` and ``None``;
+    any other value or key type raises ``TypeError``.
+    """
+    return _json(record, "\n")
+
+
+def _json(value, newline):
+    """``value`` as indented JSON; ``newline`` is a line break followed by
+    the indent of the line the value starts on."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key in sorted(value):  # _quote raises TypeError on a non-str key
+            item = value[key]
+            items.append(f"{_quote(key)}: {_quote(item) if type(item) is str else _json(item, inner)}")
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_quote(item) if type(item) is str else _json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def record_steps(steps, algebra):

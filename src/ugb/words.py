@@ -59,7 +59,7 @@ class Alphabet:
         """Space-separated symbol names; the empty word prints as "1"."""
         if not word:
             return "1"
-        return " ".join(self.names[i] for i in word)
+        return " ".join([self.names[i] for i in word])
 
     def __eq__(self, other):
         return isinstance(other, Alphabet) and other.names == self.names

@@ -101,6 +101,20 @@ def random_ideal_combo(rng, G, max_context=2, parts=3):
     return total
 
 
+def ideal_part(trace):
+    """Sum of the recorded division steps, coeff * (left * gen * right)
+    each: the step expansion of a division trace, formed independently of
+    its remainder."""
+    G = trace.gens
+    scaled = (G[s.gen].scale(s.coeff, s.left, s.right) for s in trace.steps)
+    return G.algebra.poly([t for p in scaled for t in p.terms])
+
+
+def reconstruct(trace):
+    """The dividend as the trace records it: steps plus remainder."""
+    return ideal_part(trace) + trace.remainder
+
+
 # ---------------------------------------------------------------------------
 # named corpora
 

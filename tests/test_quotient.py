@@ -4,11 +4,16 @@ import pytest
 
 import helpers
 from ugb import (
+    COMMUTATIVE,
+    FREE,
+    QQ,
     ZZ,
     Algebra,
     GenSet,
     NotAGroebnerBasis,
+    Zmod,
     decompose,
+    divide,
     enumerate_basis,
     is_normal,
     normal_form,
@@ -123,12 +128,30 @@ def test_decompose_reconstruction_idempotence_linearity(gb_corpora):
             g = helpers.random_poly(rng, G.algebra, max_deg=4)
             fi, fn = decompose(f, G)
             assert fi + fn == f, name
+            assert fi == helpers.ideal_part(divide(f, G)), name
             # idempotence: the normal part is a fixed point
             ni, nn = decompose(fn, G)
             assert ni.is_zero() and nn == fn, name
             # linearity of the normal projection
             si, sn = decompose(f + g, G)
             assert sn == fn + decompose(g, G)[1], name
+
+
+@pytest.mark.parametrize("oracle", [FREE, COMMUTATIVE], ids=["free", "commutative"])
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(4), Zmod(6)], ids=str)
+def test_decompose_ideal_part_is_the_step_expansion(ring, oracle):
+    # f - NF(f) against the steps' own sum, on sets that are mostly not
+    # Groebner bases and inputs with long, cancelling divisions
+    rng = random.Random(34)
+    algebra = Algebra(ring, ["x", "y", "z"], oracle)
+    not_groebner = 0
+    for _ in range(25):
+        G = GenSet([helpers.random_unital_poly(rng, algebra) for _ in range(rng.randint(1, 4))], algebra)
+        f = helpers.random_ideal_combo(rng, G) + helpers.random_poly(rng, algebra, max_deg=5, max_terms=6)
+        trace = divide(f, G)
+        assert decompose(f, G, strict=False) == (helpers.ideal_part(trace), trace.remainder)
+        not_groebner += not G.is_groebner()
+    assert not_groebner > 0
 
 
 def test_normal_part_is_normal(gb_corpora):

@@ -1,6 +1,8 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from conftest import FIXTURES
@@ -18,6 +20,7 @@ from ugb import (
     parse_poly,
     parse_problem,
 )
+from ugb.textio import format_record
 
 
 AZ = Algebra(ZZ, ["x", "y"])
@@ -163,3 +166,33 @@ def test_problem_file_round_trip_through_genset():
     )
     again = parse_problem(text)
     assert list(again.gens) == list(problem.gens)
+
+
+# Record values: text with non-ASCII, control, quote and backslash
+# characters, ints past 64 bits, bools and None, nested in dicts, lists
+# and tuples, any of which may be empty at any depth.
+_TEXT = st.text() | st.text(alphabet='"\\/\x00\x1f\x7f\n\t é€\u2028\U0001f600ab')
+_SCALARS = _TEXT | st.integers() | st.integers(-(10 ** 40), 10 ** 40) | st.booleans() | st.none()
+_RECORDS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_RECORDS)
+def test_format_record_is_json_dumps(value):
+    assert format_record(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, {"a": 0.0}, [1, {2, 3}], {"a": frozenset()}, {1: "a"}, {"a": [{2: "c"}]}, {"b": 1, 2: "c"}],
+    ids=["float", "nested-float", "set", "frozenset", "int-key", "nested-int-key", "mixed-keys"],
+)
+def test_format_record_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        format_record(value)
