@@ -246,7 +246,7 @@ def divide(f, G, strategy=FIRST_MATCH, step_budget=DEFAULT_STEP_BUDGET):
             delta = ring.mul(lam, tc)
             cur = working.get(w)
             nc = ring.neg(delta) if cur is None else ring.sub(cur, delta)
-            if ring.is_zero(nc):
+            if not nc:
                 working.pop(w, None)
             else:
                 working[w] = nc

@@ -218,7 +218,6 @@ def build_truncation(G, bound):
     for d in range(bound + 1):
         columns.extend(oracle.basis_words(n, d))
     columns.sort(key=_deglex, reverse=True)
-    one = algebra.ring.one()
     rows = []
     provenance = []
     seen = set()
@@ -229,7 +228,7 @@ def build_truncation(G, bound):
                 b = s - a
                 for u in oracle.basis_words(n, a):
                     for v in oracle.basis_words(n, b):
-                        p = g.scale(one, u, v)
+                        p = g.scale(1, u, v)
                         if p.terms in seen:
                             continue
                         seen.add(p.terms)

@@ -21,7 +21,7 @@ from itertools import combinations, permutations
 from math import comb
 
 from .division import GBVerdict, GenSet
-from .poly import FREE, Algebra
+from .poly import COMMUTATIVE, FREE, Algebra
 from .quotient import QuotientBasis, enumerate_basis
 from .words import Alphabet
 
@@ -48,7 +48,7 @@ class LieAlgebra:
             vec = tuple(ring.coerce(c) for c in vec)
             if len(vec) != rank:
                 raise ValueError(f"bracket ({i}, {j}) needs {rank} coefficients")
-            if any(not ring.is_zero(c) for c in vec):
+            if any(vec):
                 stored[(i, j)] = vec
         self.ring = ring
         self.rank = rank
@@ -57,16 +57,14 @@ class LieAlgebra:
 
     def bracket_vector(self, i, j):
         """Coefficients of [x_i, x_j] over the basis, any index order."""
-        ring = self.ring
-        zero = ring.zero()
         if i == j:
-            return (zero,) * self.rank
+            return (0,) * self.rank
         if i > j:
-            return self.brackets.get((i, j), (zero,) * self.rank)
+            return self.brackets.get((i, j), (0,) * self.rank)
         vec = self.brackets.get((j, i))
         if vec is None:
-            return (zero,) * self.rank
-        return tuple(ring.neg(c) for c in vec)
+            return (0,) * self.rank
+        return tuple(self.ring.neg(c) for c in vec)
 
     def __eq__(self, other):
         return (
@@ -105,22 +103,21 @@ def validate_lie(L):
     the sign of the permutation.
     """
     ring = L.ring
-    zero = ring.zero()
     # (m, k) -> nonzero (t, c) of [x_m, x_k], for both orders of the pair
     table = {}
     for (i, j), vec in L.brackets.items():
-        nonzero = [(t, c) for t, c in enumerate(vec) if not ring.is_zero(c)]
+        nonzero = [(t, c) for t, c in enumerate(vec) if c]
         table[(i, j)] = nonzero
         table[(j, i)] = [(t, ring.neg(c)) for t, c in nonzero]
     sums = {}
     for i, j, k in combinations(range(L.rank), 3):
         # [[x_i, x_j], x_k] + [[x_j, x_k], x_i] + [[x_k, x_i], x_j]
-        total = [zero] * L.rank
+        total = [0] * L.rank
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             for m, u in table.get((a, b), ()):
                 for t, v in table.get((m, c), ()):
                     total[t] = ring.add(total[t], ring.mul(u, v))
-        if any(not ring.is_zero(x) for x in total):
+        if any(total):
             sums[(i, j, k)] = tuple(total)
     violations = []
     for i, j, k in permutations(range(L.rank), 3):
@@ -141,13 +138,12 @@ def pbw_generators(L):
     """
     algebra = Algebra(L.ring, Alphabet(L.names), FREE)
     ring = L.ring
-    one = ring.one()
     gens = []
     for i in range(L.rank):
         for j in range(i):
-            terms = [(one, (i, j)), (ring.neg(one), (j, i))]
+            terms = [(1, (i, j)), (ring.neg(1), (j, i))]
             for k, c in enumerate(L.bracket_vector(i, j)):
-                if not ring.is_zero(c):
+                if c:
                     terms.append((ring.neg(c), (k,)))
             gens.append(algebra.poly(terms))
     return GenSet(gens, algebra)
@@ -188,7 +184,5 @@ def verify_pbw(L, max_degree):
     basis = enumerate_basis(G, max_degree, strict=False)
     counts = basis.counts()
     expected = tuple(comb(L.rank + d - 1, d) for d in range(max_degree + 1))
-    non_decreasing = all(
-        all(w[t] <= w[t + 1] for t in range(len(w) - 1)) for w in basis.words()
-    )
+    non_decreasing = all(map(COMMUTATIVE.is_basis_word, basis.words()))
     return PBWReport(lie_report, gb_report, basis, counts, expected, non_decreasing)

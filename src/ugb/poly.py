@@ -226,7 +226,7 @@ class Algebra:
             word = tuple(word)
             self.check_word(word)
             c = ring.coerce(coeff)
-            if not ring.is_zero(c):
+            if c:
                 checked.append((c, word))
         return self._sum(checked)
 
@@ -236,12 +236,11 @@ class Algebra:
         place a zero can arise; words come out strictly descending in
         graded lex, by C-level tuple comparison, then stably by length."""
         add = self.ring.add
-        is_zero = self.ring.is_zero
         acc = {}
         for c, w in terms:
             if w in acc:
                 c = add(acc[w], c)
-                if is_zero(c):
+                if not c:
                     del acc[w]
                     continue
             acc[w] = c
@@ -252,15 +251,13 @@ class Algebra:
         return Poly(self, ())
 
     def one(self):
-        return Poly(self, ((self.ring.one(), EMPTY),))
+        return Poly(self, ((1, EMPTY),))
 
     def gen(self, i):
         """The generator x_i as a polynomial."""
         return self.monomial((i,))
 
-    def monomial(self, word, coeff=None):
-        if coeff is None:
-            coeff = self.ring.one()
+    def monomial(self, word, coeff=1):
         return self.poly([(coeff, tuple(word))])
 
 
@@ -323,7 +320,7 @@ class Poly:
         out = []
         for tc, tw in self.terms:
             nc = ring.mul(c, tc)
-            if ring.is_zero(nc):
+            if not nc:
                 continue
             out.append((nc, mul_words(left, mul_words(tw, right))))
         return Poly(self.algebra, tuple(out))
@@ -342,7 +339,7 @@ class Poly:
             for cb, wb in other.terms
         )
         # over Z/n a product of two nonzero coefficients can be zero
-        return self.algebra._sum(t for t in products if not ring.is_zero(t[0]))
+        return self.algebra._sum(t for t in products if t[0])
 
     def __eq__(self, other):
         return (
@@ -359,7 +356,6 @@ class Poly:
             return "0"
         ring = self.algebra.ring
         alphabet = self.algebra.alphabet
-        one = ring.one()
         parts = []
         for k, (c, w) in enumerate(self.terms):
             negative, magnitude = ring.split_sign(c)
@@ -369,7 +365,7 @@ class Poly:
                 head = " - " if negative else " + "
             if not w:
                 body = ring.format(magnitude)
-            elif magnitude == one:
+            elif magnitude == 1:
                 body = alphabet.word_text(w)
             else:
                 body = f"{ring.format(magnitude)}*{alphabet.word_text(w)}"

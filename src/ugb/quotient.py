@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .division import FIRST_MATCH, GBVerdict, divide
+from .division import GBVerdict, normal_form
 from .poly import ensure_same_algebra
 from .words import EMPTY
 
@@ -88,7 +88,5 @@ def decompose(f, G, strict=True):
     projection pair.
     """
     ensure_same_algebra(f.algebra, G.algebra)
-    if strict:
-        G.require_groebner()
-    remainder = divide(f, G, FIRST_MATCH).remainder
+    remainder = normal_form(f, G, strict)
     return f - remainder, remainder

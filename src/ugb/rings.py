@@ -2,10 +2,12 @@
 
 Ring objects operate on plain Python values: ``int`` for Z and Z/n, and
 for Q an ``int`` when integral and a ``Fraction`` otherwise, never a
-``float``.  The interface is deliberately small: add, neg, mul, zero/one,
-zero test, equality, unit recognition and unit inversion.  The reduction
-engine never divides by anything else; only the membership echelon asks
-for ``quotient``, exact division by its pivot entries, and ``modulus``.
+``float``.  So zero is ``0``, one is ``1`` and the zero test is
+truthiness in every ring.  The interface is deliberately small: add,
+neg, sub, mul, equality, unit recognition and unit inversion.  The
+reduction engine never divides by anything else; only the membership
+echelon asks for ``quotient``, exact division by its pivot entries, and
+``modulus``.
 """
 
 from __future__ import annotations
@@ -27,43 +29,15 @@ def _rational(x):
 
 
 class Ring:
-    """A commutative ring with unity, acting on raw element values."""
+    """A commutative ring with unity, acting on raw element values.
+
+    Elements are canonical Python numbers, so every ring's zero is ``0``,
+    its one is ``1``, and an element is zero exactly when it is falsy.
+    Subclasses supply ``coerce``, ``parse``, ``add``, ``neg``, ``sub``,
+    ``mul``, ``is_unit``, ``inv_unit``, ``quotient`` and ``modulus``.
+    """
 
     name = "?"
-
-    def coerce(self, x):
-        """Canonical element from user input; raises on junk."""
-        raise NotImplementedError
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def is_zero(self, a):
-        return a == self.zero()
-
-    def is_unit(self, a):
-        raise NotImplementedError
-
-    def inv_unit(self, a):
-        raise NotImplementedError
-
-    def parse(self, text):
-        raise NotImplementedError
 
     def format(self, a):
         return str(a)
@@ -93,9 +67,6 @@ class _NativeRing(Ring):
     def mul(self, a, b):
         return a * b
 
-    def is_zero(self, a):
-        return a == 0
-
     def split_sign(self, a):
         return (a < 0, -a if a < 0 else a)
 
@@ -105,12 +76,6 @@ class IntegerRing(_NativeRing):
 
     def coerce(self, x):
         return operator.index(x)
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
 
     def is_unit(self, a):
         return a == 1 or a == -1
@@ -143,12 +108,6 @@ class RationalField(_NativeRing):
         if isinstance(x, float):
             raise TypeError("floats are not exact; use Fraction or str")
         return x if type(x) is int else _rational(Fraction(x))
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
 
     # _rational inlined: these run on every term of every division step
     def add(self, a, b):
@@ -203,12 +162,6 @@ class ModularRing(Ring):
     def coerce(self, x):
         return operator.index(x) % self.modulus
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
     def add(self, a, b):
         return (a + b) % self.modulus
 
@@ -220,9 +173,6 @@ class ModularRing(Ring):
 
     def mul(self, a, b):
         return (a * b) % self.modulus
-
-    def is_zero(self, a):
-        return a == 0
 
     def is_unit(self, a):
         return gcd(a, self.modulus) == 1
@@ -263,7 +213,7 @@ def ring_from_name(text):
         return QQ
     if text.startswith("Z/"):
         tail = text[2:]
-        if not tail.isdigit():
+        if not tail.isdecimal():
             raise ValueError(f"bad modulus in ring name {text!r}")
         return ModularRing(int(tail))
     raise ValueError(f"unknown ring {text!r} (expected Z, Q or Z/<n>)")

@@ -98,9 +98,8 @@ def telescope(fs, cs):
         ensure_same_algebra(algebra, f.algebra)
         if f.is_zero():
             raise PreconditionViolated("zero polynomial in telescope input")
-    for c in cs:
-        if ring.is_zero(c):
-            raise PreconditionViolated("zero coefficient in telescope input")
+    if not all(cs):
+        raise PreconditionViolated("zero coefficient in telescope input")
     lm0 = fs[0].lm()
     if any(f.lm() != lm0 for f in fs):
         raise PreconditionViolated("leading monomials differ")
@@ -110,14 +109,14 @@ def telescope(fs, cs):
             raise PreconditionViolated(
                 f"leading coefficient {ring.format(a)} is not a unit"
             )
-    weighted = ring.zero()
+    weighted = 0
     for c, a in zip(cs, lcs):
         weighted = ring.add(weighted, ring.mul(c, a))
-    if not ring.is_zero(weighted):
+    if weighted:
         raise PreconditionViolated("weighted coefficient sum does not vanish")
     scaled = [f.scale(ring.inv_unit(a)) for f, a in zip(fs, lcs)]
     out = []
-    d = ring.zero()
+    d = 0
     for k in range(len(fs) - 1):
         d = ring.add(d, ring.mul(cs[k], lcs[k]))
         out.append((d, scaled[k] - scaled[k + 1]))

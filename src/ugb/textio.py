@@ -80,7 +80,7 @@ def parse_poly(algebra, text, filename=None, line=None):
 
         token = tokens[pos]
         pos += 1
-        coeff = ring.one()
+        coeff = 1
         letters = []
         constant = False
         if "*" in token:
@@ -189,7 +189,7 @@ def parse_problem(text, filename="<input>"):
                 fail("generator is zero", lineno)
             gen_polys.append(p)
         elif directive == "rank":
-            if not rest.isdigit() or int(rest) < 1:
+            if not rest.isdecimal() or int(rest) < 1:
                 fail(f"bad rank {rest!r}", lineno)
             rank = int(rest)
         elif directive == "basis":
@@ -203,7 +203,7 @@ def parse_problem(text, filename="<input>"):
             if not sep:
                 fail("bracket line needs ':' between indices and coefficients", lineno)
             parts = head.split()
-            if len(parts) != 2 or not all(p.isdigit() for p in parts):
+            if len(parts) != 2 or not all(p.isdecimal() for p in parts):
                 fail("bracket line needs two 1-based generator indices", lineno)
             i, j = int(parts[0]) - 1, int(parts[1]) - 1
             if not (0 <= j < i < rank):

@@ -80,11 +80,11 @@ def random_telescope_instance(rng, algebra, size):
         leads.append(lead)
     while True:
         cs = [random_nonzero(rng, ring) for _ in range(size - 1)]
-        weighted = ring.zero()
+        weighted = 0
         for c, a in zip(cs, leads):
             weighted = ring.add(weighted, ring.mul(c, a))
         last = ring.neg(ring.mul(weighted, ring.inv_unit(leads[-1])))
-        if not ring.is_zero(last):
+        if last:
             return fs, cs + [last]
 
 

@@ -156,8 +156,8 @@ def _max_scan_divide(f, G, strategy):
         steps.append(DivisionStep(lam, u, i, v))
         for tc, tw in G[i].terms:
             w = mul_words(u, mul_words(tw, v))
-            c = ring.sub(working.get(w, ring.zero()), ring.mul(lam, tc))
-            if ring.is_zero(c):
+            c = ring.sub(working.get(w, 0), ring.mul(lam, tc))
+            if not c:
                 working.pop(w, None)
             else:
                 working[w] = c

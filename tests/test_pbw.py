@@ -38,9 +38,9 @@ def _dense_jacobi_violations(L):
     ring = L.ring
 
     def bracket_with_gen(vec, k):
-        out = [ring.zero()] * L.rank
+        out = [0] * L.rank
         for m, c in enumerate(vec):
-            if ring.is_zero(c):
+            if not c:
                 continue
             bm = L.bracket_vector(m, k)
             for t in range(L.rank):
@@ -55,7 +55,7 @@ def _dense_jacobi_violations(L):
                 v2 = bracket_with_gen(L.bracket_vector(j, k), i)
                 v3 = bracket_with_gen(L.bracket_vector(k, i), j)
                 total = tuple(ring.add(ring.add(a, b), c) for a, b, c in zip(v1, v2, v3))
-                if any(not ring.is_zero(c) for c in total):
+                if any(total):
                     violations.append(((i, j, k), total))
     return violations
 
@@ -215,7 +215,7 @@ def test_jacobi_iff_buchberger_randomized():
                 assert gb.pairs_checked == comb(rank, 3)
                 remainders = {}
                 for sp, trace in gb.witnesses:
-                    vec = [ring.zero()] * rank
+                    vec = [0] * rank
                     for c, w in trace.remainder.terms:
                         assert len(w) == 1
                         vec[w[0]] = c

@@ -139,6 +139,10 @@ def test_parse_problem_diagnostics_carry_line_numbers():
         ("ring Z\n\nbasis e f\n", 3, "lie block needs a rank line"),
         ("ring Z\nrank 2\nbasis e f\nalphabet x\ngen x\n", 4, "cannot share a file"),
         ("ring Z\nalphabet x\ngen x\n\nrank 2\nbracket 2 1 : 0 0\n", 5, "cannot share a file"),
+        # str.isdigit accepts superscript digits that int() rejects
+        ("ring Z\nrank \u00b2\n", 2, "bad rank"),
+        ("ring Z\nrank 2\nbracket \u00b2 1 : 0 0\n", 3, "indices"),
+        ("ring Z/\u00b2\n", 1, "bad modulus"),
     ]
     for text, line, needle in cases:
         with pytest.raises(ParseError) as err:
