@@ -199,7 +199,7 @@ def divide(f, G, strategy=FIRST_MATCH, step_budget=DEFAULT_STEP_BUDGET):
     rng = random.Random(strategy.seed) if isinstance(strategy, Seeded) else None
 
     algebra = G.algebra
-    ring = algebra.ring
+    coerce = algebra.ring.coerce
     mul_words = algebra.oracle.mul_words
     leads = G.leads
     inv_leads = G._inv_leads
@@ -239,18 +239,17 @@ def divide(f, G, strategy=FIRST_MATCH, step_budget=DEFAULT_STEP_BUDGET):
             del working[lm_f]
             continue
         i, u, v = match
-        lam = ring.mul(lc_f, inv_leads[i])
+        lam = coerce(lc_f * inv_leads[i])
         steps.append(DivisionStep(lam, u, i, v))
         for tc, tw in gen_terms[i]:
             w = mul_words(u, mul_words(tw, v))
-            delta = ring.mul(lam, tc)
-            cur = working.get(w)
-            nc = ring.neg(delta) if cur is None else ring.sub(cur, delta)
+            cur = working.get(w, 0)  # 0 only when absent: no stored zeros
+            nc = coerce(cur - lam * tc)
             if not nc:
                 working.pop(w, None)
             else:
                 working[w] = nc
-                if cur is None:
+                if not cur:
                     heappush(heap, (-len(w), *map(neg, w), w))
         if lm_f in working:
             raise EngineInvariantBroken("leading term failed to cancel")

@@ -64,7 +64,8 @@ class LieAlgebra:
         vec = self.brackets.get((j, i))
         if vec is None:
             return (0,) * self.rank
-        return tuple(self.ring.neg(c) for c in vec)
+        coerce = self.ring.coerce
+        return tuple(coerce(-c) for c in vec)
 
     def __eq__(self, other):
         return (
@@ -102,13 +103,14 @@ def validate_lie(L):
     bracket coefficients only; the other orders of a set reuse it with
     the sign of the permutation.
     """
-    ring = L.ring
-    # (m, k) -> nonzero (t, c) of [x_m, x_k], for both orders of the pair
+    coerce = L.ring.coerce
+    # (m, k) -> nonzero (t, c) of [x_m, x_k], for both orders of the pair;
+    # entries may be raw negatives, since each sum is coerced once
     table = {}
     for (i, j), vec in L.brackets.items():
         nonzero = [(t, c) for t, c in enumerate(vec) if c]
         table[(i, j)] = nonzero
-        table[(j, i)] = [(t, ring.neg(c)) for t, c in nonzero]
+        table[(j, i)] = [(t, -c) for t, c in nonzero]
     sums = {}
     for i, j, k in combinations(range(L.rank), 3):
         # [[x_i, x_j], x_k] + [[x_j, x_k], x_i] + [[x_k, x_i], x_j]
@@ -116,16 +118,17 @@ def validate_lie(L):
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             for m, u in table.get((a, b), ()):
                 for t, v in table.get((m, c), ()):
-                    total[t] = ring.add(total[t], ring.mul(u, v))
+                    total[t] += u * v
+        total = tuple(map(coerce, total))
         if any(total):
-            sums[(i, j, k)] = tuple(total)
+            sums[(i, j, k)] = total
     violations = []
     for i, j, k in permutations(range(L.rank), 3):
         total = sums.get(tuple(sorted((i, j, k))))
         if total is None:
             continue
         if ((i > j) + (i > k) + (j > k)) % 2:  # odd permutation
-            total = tuple(ring.neg(x) for x in total)
+            total = tuple(coerce(-x) for x in total)
         violations.append(JacobiViolation((i, j, k), total))
     return LieReport(not violations, tuple(violations))
 
@@ -137,14 +140,13 @@ def pbw_generators(L):
     from invalid tables to compare the two verdicts.
     """
     algebra = Algebra(L.ring, Alphabet(L.names), FREE)
-    ring = L.ring
     gens = []
     for i in range(L.rank):
         for j in range(i):
-            terms = [(1, (i, j)), (ring.neg(1), (j, i))]
+            terms = [(1, (i, j)), (-1, (j, i))]
             for k, c in enumerate(L.bracket_vector(i, j)):
                 if c:
-                    terms.append((ring.neg(c), (k,)))
+                    terms.append((-c, (k,)))
             gens.append(algebra.poly(terms))
     return GenSet(gens, algebra)
 

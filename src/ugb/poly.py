@@ -235,11 +235,11 @@ class Algebra:
         word) pairs.  Like terms merge and drop when they cancel, the only
         place a zero can arise; words come out strictly descending in
         graded lex, by C-level tuple comparison, then stably by length."""
-        add = self.ring.add
+        coerce = self.ring.coerce
         acc = {}
         for c, w in terms:
             if w in acc:
-                c = add(acc[w], c)
+                c = coerce(acc[w] + c)
                 if not c:
                     del acc[w]
                     continue
@@ -289,16 +289,13 @@ class Poly:
     def lm(self):
         return self.leading()[1]
 
-    def _check_same(self, other):
-        ensure_same_algebra(self.algebra, other.algebra)
-
     def __add__(self, other):
-        self._check_same(other)
+        ensure_same_algebra(self.algebra, other.algebra)
         return self.algebra._sum(self.terms + other.terms)
 
     def __neg__(self):
-        neg = self.algebra.ring.neg
-        return Poly(self.algebra, tuple((neg(c), w) for c, w in self.terms))
+        coerce = self.algebra.ring.coerce
+        return Poly(self.algebra, tuple((coerce(-c), w) for c, w in self.terms))
 
     def __sub__(self, other):
         return self.__add__(-other)
@@ -310,16 +307,16 @@ class Poly:
         is injective and order-preserving, so no re-sort is needed.  Over
         rings with zero divisors individual coefficients may still die.
         """
-        ring = self.algebra.ring
+        coerce = self.algebra.ring.coerce
         mul_words = self.algebra.oracle.mul_words
         left = tuple(left)
         right = tuple(right)
         self.algebra.check_word(left)
         self.algebra.check_word(right)
-        c = ring.coerce(coeff)
+        c = coerce(coeff)
         out = []
         for tc, tw in self.terms:
-            nc = ring.mul(c, tc)
+            nc = coerce(c * tc)
             if not nc:
                 continue
             out.append((nc, mul_words(left, mul_words(tw, right))))
@@ -330,11 +327,11 @@ class Poly:
         return self.scale(self.algebra.ring.inv_unit(self.lc()))
 
     def __mul__(self, other):
-        self._check_same(other)
-        ring = self.algebra.ring
+        ensure_same_algebra(self.algebra, other.algebra)
+        coerce = self.algebra.ring.coerce
         mul_words = self.algebra.oracle.mul_words
         products = (
-            (ring.mul(ca, cb), mul_words(wa, wb))
+            (coerce(ca * cb), mul_words(wa, wb))
             for ca, wa in self.terms
             for cb, wb in other.terms
         )

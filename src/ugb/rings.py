@@ -1,13 +1,15 @@
 """Exact coefficient arithmetic: integers, residues mod n, rationals.
 
-Ring objects operate on plain Python values: ``int`` for Z and Z/n, and
-for Q an ``int`` when integral and a ``Fraction`` otherwise, never a
+Coefficients are plain Python values: ``int`` for Z and Z/n, and for Q
+an ``int`` when integral and a ``Fraction`` otherwise, never a
 ``float``.  So zero is ``0``, one is ``1`` and the zero test is
-truthiness in every ring.  The interface is deliberately small: add,
-neg, sub, mul, equality, unit recognition and unit inversion.  The
-reduction engine never divides by anything else; only the membership
-echelon asks for ``quotient``, exact division by its pivot entries, and
-``modulus``.
+truthiness in every ring.  The engine adds, negates, subtracts and
+multiplies with Python's own operators and passes each result through
+the ring's one normaliser, ``coerce``.  Beyond that a ring supplies
+only what differs between rings: parsing, unit recognition and unit
+inversion.  The reduction engine never divides by anything but a unit;
+only the membership echelon asks for ``quotient``, exact division by
+its pivot entries, and ``modulus``.
 """
 
 from __future__ import annotations
@@ -23,59 +25,35 @@ _INT_RE = re.compile(r"[+-]?\d+\Z")
 _RAT_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
 
 
-def _rational(x):
-    """The canonical Q value of an int or Fraction: int when integral."""
-    return x if type(x) is int or x.denominator != 1 else x.numerator
-
-
 class Ring:
     """A commutative ring with unity, acting on raw element values.
 
     Elements are canonical Python numbers, so every ring's zero is ``0``,
     its one is ``1``, and an element is zero exactly when it is falsy.
-    Subclasses supply ``coerce``, ``parse``, ``add``, ``neg``, ``sub``,
-    ``mul``, ``is_unit``, ``inv_unit``, ``quotient`` and ``modulus``.
+    ``coerce`` maps any exact number to its canonical element, so the
+    sum, difference or product of two elements is ``coerce`` of Python's
+    ``+``, ``-`` or ``*``.  Subclasses supply ``coerce``, ``parse``,
+    ``is_unit``, ``inv_unit`` and ``quotient``.
     """
 
     name = "?"
+    modulus = 0
 
     def format(self, a):
         return str(a)
 
     def split_sign(self, a):
-        """(is_negative, magnitude) for printing; identity by default."""
-        return False, a
+        """(is_negative, magnitude) for printing."""
+        return (a < 0, -a if a < 0 else a)
 
     def __repr__(self):
         return self.name
 
 
-class _NativeRing(Ring):
-    """Arithmetic by Python's own operators on ``int`` or ``Fraction``."""
-
-    modulus = 0
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def split_sign(self, a):
-        return (a < 0, -a if a < 0 else a)
-
-
-class IntegerRing(_NativeRing):
+class IntegerRing(Ring):
     name = "Z"
 
-    def coerce(self, x):
-        return operator.index(x)
+    coerce = staticmethod(operator.index)
 
     def is_unit(self, a):
         return a == 1 or a == -1
@@ -101,26 +79,18 @@ class IntegerRing(_NativeRing):
         return hash("Z")
 
 
-class RationalField(_NativeRing):
+class RationalField(Ring):
     name = "Q"
 
     def coerce(self, x):
+        """The canonical value of x: an int when integral, else a Fraction."""
+        if type(x) is int:
+            return x
+        if type(x) is Fraction:
+            return x if x.denominator != 1 else x.numerator
         if isinstance(x, float):
             raise TypeError("floats are not exact; use Fraction or str")
-        return x if type(x) is int else _rational(Fraction(x))
-
-    # _rational inlined: these run on every term of every division step
-    def add(self, a, b):
-        c = a + b
-        return c if type(c) is int or c.denominator != 1 else c.numerator
-
-    def sub(self, a, b):
-        c = a - b
-        return c if type(c) is int or c.denominator != 1 else c.numerator
-
-    def mul(self, a, b):
-        c = a * b
-        return c if type(c) is int or c.denominator != 1 else c.numerator
+        return self.coerce(Fraction(x))
 
     def is_unit(self, a):
         return a != 0
@@ -128,17 +98,17 @@ class RationalField(_NativeRing):
     def inv_unit(self, a):
         if a == 0:
             raise NotAUnit("0 is not a unit in Q")
-        return _rational(Fraction(1, a))
+        return self.coerce(Fraction(1, a))
 
     def quotient(self, a, b):
         """Exact quotient a / b (b nonzero)."""
-        return self.mul(a, self.inv_unit(b))
+        return self.coerce(a * self.inv_unit(b))
 
     def parse(self, text):
         if not _RAT_RE.match(text):
             raise ValueError(f"not a rational: {text!r}")
         try:
-            return _rational(Fraction(text))
+            return self.coerce(Fraction(text))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
 
@@ -162,17 +132,9 @@ class ModularRing(Ring):
     def coerce(self, x):
         return operator.index(x) % self.modulus
 
-    def add(self, a, b):
-        return (a + b) % self.modulus
-
-    def neg(self, a):
-        return (-a) % self.modulus
-
-    def sub(self, a, b):
-        return (a - b) % self.modulus
-
-    def mul(self, a, b):
-        return (a * b) % self.modulus
+    def split_sign(self, a):
+        """Residues print unsigned."""
+        return False, a
 
     def is_unit(self, a):
         return gcd(a, self.modulus) == 1

@@ -109,16 +109,13 @@ def telescope(fs, cs):
             raise PreconditionViolated(
                 f"leading coefficient {ring.format(a)} is not a unit"
             )
-    weighted = 0
-    for c, a in zip(cs, lcs):
-        weighted = ring.add(weighted, ring.mul(c, a))
-    if weighted:
+    if ring.coerce(sum(c * a for c, a in zip(cs, lcs))):
         raise PreconditionViolated("weighted coefficient sum does not vanish")
     scaled = [f.scale(ring.inv_unit(a)) for f, a in zip(fs, lcs)]
     out = []
     d = 0
     for k in range(len(fs) - 1):
-        d = ring.add(d, ring.mul(cs[k], lcs[k]))
+        d = ring.coerce(d + cs[k] * lcs[k])
         out.append((d, scaled[k] - scaled[k + 1]))
     return out
 

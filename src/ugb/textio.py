@@ -114,7 +114,7 @@ def parse_poly(algebra, text, filename=None, line=None):
                 coefficient(token)
                 fail(f"misplaced coefficient {token!r}; write a term as c*w")
         if negative:
-            coeff = ring.neg(coeff)
+            coeff = -coeff
         terms.append((coeff, tuple(letters)))
     try:
         return algebra.poly(terms)

@@ -15,6 +15,18 @@ def random_word(rng, n_letters, max_len, oracle=FREE, min_len=0):
     return tuple(letters)
 
 
+def canonical(ring, c):
+    """The canonical element of ring equal to the exact number c, by the
+    element contract and not by the ring object: c mod n over Z/n, an
+    int for an integral value over Q, and c itself over Z."""
+    if isinstance(ring, ModularRing):
+        return c % ring.modulus
+    if isinstance(ring, RationalField):
+        c = Fraction(c)
+        return c.numerator if c.denominator == 1 else c
+    return c
+
+
 def random_nonzero(rng, ring):
     if isinstance(ring, IntegerRing):
         c = 0
@@ -61,7 +73,7 @@ def random_unital_poly(rng, algebra, max_deg=3, max_terms=3):
         if algebra.ring.is_unit(lc):
             return p
         unit = random_unit(rng, algebra.ring)
-        q = p + algebra.monomial(lm, algebra.ring.sub(unit, lc))
+        q = p + algebra.monomial(lm, unit - lc)
         if not q.is_zero() and q.lm() == lm:
             return q
 
@@ -80,10 +92,8 @@ def random_telescope_instance(rng, algebra, size):
         leads.append(lead)
     while True:
         cs = [random_nonzero(rng, ring) for _ in range(size - 1)]
-        weighted = 0
-        for c, a in zip(cs, leads):
-            weighted = ring.add(weighted, ring.mul(c, a))
-        last = ring.neg(ring.mul(weighted, ring.inv_unit(leads[-1])))
+        weighted = sum(c * a for c, a in zip(cs, leads))
+        last = canonical(ring, -weighted * ring.inv_unit(leads[-1]))
         if last:
             return fs, cs + [last]
 

@@ -152,11 +152,11 @@ def _max_scan_divide(f, G, strategy):
             del working[lm]
             continue
         i, u, v = matches[0] if rng is None else rng.choice(matches)
-        lam = ring.mul(lc, ring.inv_unit(G[i].lc()))
+        lam = helpers.canonical(ring, lc * ring.inv_unit(G[i].lc()))
         steps.append(DivisionStep(lam, u, i, v))
         for tc, tw in G[i].terms:
             w = mul_words(u, mul_words(tw, v))
-            c = ring.sub(working.get(w, 0), ring.mul(lam, tc))
+            c = helpers.canonical(ring, working.get(w, 0) - lam * tc)
             if not c:
                 working.pop(w, None)
             else:

@@ -44,7 +44,7 @@ def _dense_jacobi_violations(L):
                 continue
             bm = L.bracket_vector(m, k)
             for t in range(L.rank):
-                out[t] = ring.add(out[t], ring.mul(c, bm[t]))
+                out[t] += c * bm[t]
         return out
 
     violations = []
@@ -54,7 +54,7 @@ def _dense_jacobi_violations(L):
                 v1 = bracket_with_gen(L.bracket_vector(i, j), k)
                 v2 = bracket_with_gen(L.bracket_vector(j, k), i)
                 v3 = bracket_with_gen(L.bracket_vector(k, i), j)
-                total = tuple(ring.add(ring.add(a, b), c) for a, b, c in zip(v1, v2, v3))
+                total = tuple(helpers.canonical(ring, a + b + c) for a, b, c in zip(v1, v2, v3))
                 if any(total):
                     violations.append(((i, j, k), total))
     return violations

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -8,9 +9,12 @@ import helpers
 from ugb import QQ, ZZ, NotAUnit, Zmod, ring_from_name
 
 
+# A sum, difference or product of two ring elements is ``coerce`` of
+# Python's own operator on them.
+
 def test_integer_examples():
-    assert ZZ.add(2, -2) == 0
-    assert ZZ.mul(3, 0) == 0
+    assert ZZ.coerce(2 + -2) == 0
+    assert ZZ.coerce(3 * 0) == 0
     assert ZZ.is_unit(1) and ZZ.is_unit(-1)
     assert not ZZ.is_unit(2)
     assert ZZ.inv_unit(-1) == -1
@@ -18,8 +22,8 @@ def test_integer_examples():
 
 def test_modular_examples():
     R = Zmod(6)
-    assert R.add(4, 5) == 3
-    assert R.mul(2, 3) == 0
+    assert R.coerce(4 + 5) == 3
+    assert R.coerce(2 * 3) == 0
     # exhaustive search confirms 5 is self-inverse mod 6
     inverses = [b for b in range(6) if (5 * b) % 6 == 1]
     assert inverses == [5]
@@ -30,8 +34,14 @@ def test_modular_examples():
 
 
 def test_rational_examples():
-    assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
-    assert QQ.mul(Fraction(2, 3), Fraction(3, 2)) == 1
+    assert _same(QQ.coerce(Fraction(1, 2) + Fraction(1, 3)), Fraction(5, 6))
+    assert _same(QQ.coerce(Fraction(2, 3) * Fraction(3, 2)), 1)
+    # an int is kept, an integral Fraction becomes its int, and any other
+    # exact input goes through Fraction
+    assert _same(QQ.coerce(7), 7)
+    assert _same(QQ.coerce(Fraction(-6, 3)), -2)
+    assert _same(QQ.coerce(True), 1)
+    assert _same(QQ.coerce("3/4"), Fraction(3, 4))
     assert not QQ.is_unit(0)
     assert QQ.is_unit(Fraction(3, 4))
     assert QQ.inv_unit(Fraction(2, 3)) == Fraction(3, 2)
@@ -73,15 +83,14 @@ def test_rational_quotient_is_exact(a, b, quotient):
 
 
 def _assert_zero_is_falsy(ring, a, b):
-    # the element contract the engine relies on: zero is 0, and a result
-    # is falsy exactly when it equals 0
-    a, b = ring.coerce(a), ring.coerce(b)
-    results = [
-        ring.coerce(a), ring.add(a, b), ring.sub(a, b), ring.mul(a, b),
-        ring.neg(a), ring.add(a, ring.neg(a)), ring.sub(a, a),
-    ]
+    # the element contract the engine relies on: zero is 0, a result is
+    # falsy exactly when it equals 0, and coerce leaves an element as it is
+    co = ring.coerce
+    a, b = co(a), co(b)
+    results = [co(a), co(a + b), co(a - b), co(a * b), co(-a), co(a + co(-a)), co(a - a)]
     for x in results:
         assert (not x) == (x == 0), (ring, a, b, x)
+        assert _same(co(x), x), (ring, a, b, x)
 
 
 @pytest.mark.parametrize("ring,a,b,zero", [
@@ -95,15 +104,15 @@ def _assert_zero_is_falsy(ring, a, b):
 def test_zero_results_are_falsy(ring, a, b, zero):
     # pinned samples whose named result is a zero reached by cancellation,
     # a zero divisor or reduction mod n
-    value = ring.coerce(a) if zero == "coerce" else getattr(ring, zero)(a, b)
+    value = ring.coerce(a if zero == "coerce" else getattr(operator, zero)(a, b))
     assert value == 0 and not value
     _assert_zero_is_falsy(ring, a, b)
 
 
 @pytest.mark.parametrize("ring,sample", [
     (ZZ, st.integers(-50, 50)),
-    (Zmod(6), st.integers(0, 5)),
-    (Zmod(7), st.integers(0, 6)),
+    (Zmod(6), st.integers(-13, 13)),
+    (Zmod(7), st.integers(-15, 15)),
     (QQ, st.integers(1, 20).flatmap(
         lambda d: st.builds(Fraction, st.integers(-20 * d, 20 * d), st.just(d))
     )),
@@ -111,18 +120,24 @@ def test_zero_results_are_falsy(ring, a, b, zero):
 class TestRingAxioms:
     @given(data=st.data())
     def test_axioms(self, ring, sample, data):
-        a = data.draw(sample)
-        b = data.draw(sample)
-        c = data.draw(sample)
-        assert ring.add(a, b) == ring.add(b, a)
-        assert ring.add(ring.add(a, b), c) == ring.add(a, ring.add(b, c))
-        assert ring.mul(a, b) == ring.mul(b, a)
-        assert ring.mul(ring.mul(a, b), c) == ring.mul(a, ring.mul(b, c))
-        assert ring.mul(a, ring.add(b, c)) == ring.add(ring.mul(a, b), ring.mul(a, c))
-        assert ring.add(a, 0) == ring.coerce(a)
-        assert ring.mul(a, 1) == ring.coerce(a)
-        assert ring.add(a, ring.neg(a)) == 0
-        _assert_zero_is_falsy(ring, a, b)
+        # raw draws, so over Z/n coerce also meets non-canonical integers
+        x = data.draw(sample)
+        y = data.draw(sample)
+        z = data.draw(sample)
+        co = ring.coerce
+        for raw in (x, y, z):
+            assert _same(co(co(raw)), co(raw))
+        a, b, c = co(x), co(y), co(z)
+        assert co(a + b) == co(b + a)
+        assert co(co(a + b) + c) == co(a + co(b + c))
+        assert co(a * b) == co(b * a)
+        assert co(co(a * b) * c) == co(a * co(b * c))
+        assert co(a * co(b + c)) == co(co(a * b) + co(a * c))
+        assert co(a + 0) == a
+        assert co(a * 1) == a
+        assert co(a + co(-a)) == 0
+        assert co(a - b) == co(a + co(-b))
+        _assert_zero_is_falsy(ring, x, y)
 
     def test_unit_inverse(self, ring, sample):
         rng = random.Random(5)
@@ -132,7 +147,7 @@ class TestRingAxioms:
             if not ring.is_unit(a):
                 continue
             units += 1
-            assert ring.mul(a, ring.inv_unit(a)) == 1
+            assert ring.coerce(a * ring.inv_unit(a)) == 1
 
 
 def test_modular_units_match_brute_force():
@@ -147,9 +162,11 @@ def test_modular_units_match_brute_force():
 def test_modular_canonical_residues():
     R = Zmod(5)
     assert R.coerce(-1) == 4
-    assert R.neg(0) == 0
+    assert R.coerce(-0) == 0
+    assert R.coerce(-4) == 1
+    assert R.coerce(12) == 2
     assert R.parse("-3") == 2
-    assert R.sub(1, 3) == 3
+    assert R.coerce(1 - 3) == 3
 
 
 def test_parse_format_round_trip():
@@ -190,4 +207,9 @@ def test_coerce_rejects_floats():
     with pytest.raises(TypeError):
         QQ.coerce(0.5)
     with pytest.raises(TypeError):
-        ZZ.coerce(1.0)
+        QQ.coerce(2.0)
+    # Z and Z/n take only integers
+    for ring in (ZZ, Zmod(5)):
+        for value in (1.0, Fraction(1, 2), Fraction(4, 2), "3"):
+            with pytest.raises(TypeError):
+                ring.coerce(value)
