@@ -12,7 +12,6 @@ engine at bounded degree.
 
 from .division import (
     FIRST_MATCH,
-    DivisionStep,
     DivisionTrace,
     FirstMatch,
     GBReport,

@@ -162,21 +162,13 @@ class GenSet:
 
 
 @dataclass(frozen=True)
-class DivisionStep:
-    """One rewrite: subtract coeff * (left * gens[gen] * right)."""
-
-    coeff: object
-    left: tuple
-    gen: int
-    right: tuple
-
-
-@dataclass(frozen=True)
 class DivisionTrace:
     """Full record of one division run.
 
-    Invariant: dividend == remainder + sum of the recorded steps, and no
-    leading word of the set divides a remainder word.
+    Each step is the plain tuple (coeff, left, gen, right), one rewrite
+    that subtracts coeff * (left * gens[gen] * right).  Invariant:
+    dividend == remainder + sum of the recorded steps, and no leading word
+    of the set divides a remainder word.
     """
 
     dividend: Poly
@@ -240,7 +232,7 @@ def divide(f, G, strategy=FIRST_MATCH, step_budget=DEFAULT_STEP_BUDGET):
             continue
         i, u, v = match
         lam = coerce(lc_f * inv_leads[i])
-        steps.append(DivisionStep(lam, u, i, v))
+        steps.append((lam, u, i, v))
         for tc, tw in gen_terms[i]:
             w = mul_words(u, mul_words(tw, v))
             cur = working.get(w, 0)  # 0 only when absent: no stored zeros

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .division import DivisionStep
 from .errors import BoundTooSmall, EngineInvariantBroken
 from .poly import ensure_same_algebra
 from .words import _deglex
@@ -240,8 +239,8 @@ def build_truncation(G, bound):
 def is_member(f, T):
     """Exact solvability of f against the truncated module rows.
 
-    Member results carry a witness of (coeff, left, gen, right) entries
-    whose expansion reconstructs f.
+    Member results carry a witness of plain (coeff, left, gen, right)
+    tuples, the shape of division steps, whose expansion reconstructs f.
     """
     G = T.genset
     ensure_same_algebra(f.algebra, G.algebra)
@@ -256,7 +255,7 @@ def is_member(f, T):
     witness = []
     for r in sorted(sol):
         i, u, v = T.provenance[r]
-        witness.append(DivisionStep(ring.coerce(sol[r]), u, i, v))
+        witness.append((ring.coerce(sol[r]), u, i, v))
     witness = tuple(witness)
     if expand_witness(G, witness) != f:
         raise EngineInvariantBroken("membership witness does not expand to the query")
@@ -265,6 +264,6 @@ def is_member(f, T):
 
 def expand_witness(G, witness):
     """Sum of the witness context products; equals the queried element."""
-    scaled = (G[s.gen].scale(s.coeff, s.left, s.right) for s in witness)
+    scaled = (G[gen].scale(coeff, left, right) for coeff, left, gen, right in witness)
     terms = [t for p in scaled for t in p.terms]
     return G.algebra.poly(terms)

@@ -45,11 +45,19 @@ class SPoly:
 
 
 def _make_spoly(G, i, j, overlap):
-    gi = G.gens[i]
-    gj = G.gens[j]
-    left = gi.scale(G._inv_leads[i], overlap.u, overlap.v)
-    right = gj.scale(G._inv_leads[j], overlap.u2, overlap.v2)
-    value = left - right
+    """Both scaled context products in one merge, the second scaled by the
+    negated inverse; the oracle's context words are not re-checked."""
+    algebra = G.algebra
+    coerce = algebra.ring.coerce
+    mul_words = algebra.oracle.mul_words
+    terms = []
+    for c, k, u, v in ((G._inv_leads[i], i, overlap.u, overlap.v),
+                       (coerce(-G._inv_leads[j]), j, overlap.u2, overlap.v2)):
+        for tc, tw in G.gen_terms[k]:
+            nc = coerce(c * tc)
+            if nc:  # _sum trusts its terms to be nonzero
+                terms.append((nc, mul_words(u, mul_words(tw, v))))
+    value = algebra._sum(terms)
     if not (value.is_zero() or _deglex(value.lm()) < _deglex(overlap.ambiguity)):
         raise EngineInvariantBroken("s-polynomial leading terms failed to cancel")
     return SPoly(i, j, overlap, value)

@@ -298,12 +298,12 @@ def record_steps(steps, algebra):
     alphabet = algebra.alphabet
     return [
         {
-            "coeff": ring.format(s.coeff),
-            "left": alphabet.word_text(s.left),
-            "gen": s.gen,
-            "right": alphabet.word_text(s.right),
+            "coeff": ring.format(coeff),
+            "left": alphabet.word_text(left),
+            "gen": gen,
+            "right": alphabet.word_text(right),
         }
-        for s in steps
+        for coeff, left, gen, right in steps
     ]
 
 

@@ -1,5 +1,8 @@
 """Shared corpus builders and random generators for the test suite."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 from ugb import COMMUTATIVE, FREE, QQ, ZZ, Algebra, GenSet, LieAlgebra
@@ -116,13 +119,35 @@ def ideal_part(trace):
     each: the step expansion of a division trace, formed independently of
     its remainder."""
     G = trace.gens
-    scaled = (G[s.gen].scale(s.coeff, s.left, s.right) for s in trace.steps)
+    scaled = (G[gen].scale(coeff, left, right) for coeff, left, gen, right in trace.steps)
     return G.algebra.poly([t for p in scaled for t in p.terms])
 
 
 def reconstruct(trace):
     """The dividend as the trace records it: steps plus remainder."""
     return ideal_part(trace) + trace.remainder
+
+
+def reference_spoly(G, i, j, overlap):
+    """The s-polynomial of generators i and j at one overlap placement,
+    built as two checked ``scale`` calls and a subtraction:
+    inv(a_i) * (u * g_i * v) - inv(a_j) * (u2 * g_j * v2)."""
+    ring = G.algebra.ring
+    gi, gj = G[i], G[j]
+    return (gi.scale(ring.inv_unit(gi.lc()), overlap.u, overlap.v)
+            - gj.scale(ring.inv_unit(gj.lc()), overlap.u2, overlap.v2))
+
+
+def run_optimized(source):
+    """Standard output of source run by this interpreter under ``-O``,
+    which strips assert statements; soundness checks must survive it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", source],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,4 @@
-import os
 import random
-import subprocess
-import sys
 import textwrap
 
 import pytest
@@ -16,7 +13,6 @@ from ugb import (
     ZZ,
     Algebra,
     BudgetExceeded,
-    DivisionStep,
     EngineInvariantBroken,
     GenSet,
     NotAGroebnerBasis,
@@ -40,8 +36,8 @@ def _gset(algebra, *term_lists):
 
 
 def _first_step(f, G):
-    s = divide(f, G).steps[0]
-    return s.gen, s.left, s.right, s.coeff
+    coeff, left, gen, right = divide(f, G).steps[0]
+    return gen, left, right, coeff
 
 
 def test_divide_first_step_examples():
@@ -77,8 +73,7 @@ def test_divide_self_reduction():
     trace = divide(g, G)
     assert trace.remainder.is_zero()
     assert len(trace.steps) == 1
-    s = trace.steps[0]
-    assert (s.coeff, s.left, s.gen, s.right) == (1, (), 0, ())
+    assert trace.steps[0] == (1, (), 0, ())
 
 
 def test_divide_zero_dividend():
@@ -153,7 +148,7 @@ def _max_scan_divide(f, G, strategy):
             continue
         i, u, v = matches[0] if rng is None else rng.choice(matches)
         lam = helpers.canonical(ring, lc * ring.inv_unit(G[i].lc()))
-        steps.append(DivisionStep(lam, u, i, v))
+        steps.append((lam, u, i, v))
         for tc, tw in G[i].terms:
             w = mul_words(u, mul_words(tw, v))
             c = helpers.canonical(ring, working.get(w, 0) - lam * tc)
@@ -181,6 +176,8 @@ def test_divide_matches_max_scan_reference(seed, ring, oracle, strategy):
     trace = divide(f, G, strategy)
     steps, peeled = _max_scan_divide(f, G, strategy)
     assert trace.steps == steps
+    # a step is a plain 4-tuple, not a per-step object that compares equal
+    assert all(type(s) is tuple and len(s) == 4 for s in trace.steps)
     assert trace.remainder.terms == peeled
 
 
@@ -289,11 +286,29 @@ def test_broken_lead_inverse_raises_engine_invariant():
     G._inv_leads = (2,)
     with pytest.raises(EngineInvariantBroken, match="failed to cancel"):
         divide(AZ.poly([(1, (X, Y, X))]), G)
-    # python -O strips assert statements; the check must survive it
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    run = subprocess.run(
-        [sys.executable, "-O", "-c", _BROKEN_INVERSE],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "leading term failed to cancel\n"
+    assert helpers.run_optimized(_BROKEN_INVERSE) == "leading term failed to cancel\n"
+
+
+_BROKEN_TAIL = textwrap.dedent("""
+    from ugb import QQ, Algebra, EngineInvariantBroken, GenSet, divide
+
+    A = Algebra(QQ, ["x", "y"])
+    G = GenSet([A.poly([(1, (0, 1)), (-1, ())])], A)
+    G.gen_terms = (((1, (0, 1)), (-1, (1, 1, 1))),)  # a tail above the lead
+    try:
+        divide(A.poly([(1, (0, 1))]), G)
+    except EngineInvariantBroken as exc:
+        print(exc)
+""")
+
+
+def test_broken_generator_tail_raises_engine_invariant():
+    # a corrupted tail word yyy above the lead xy: the step that cancels
+    # xy puts yyy into the working set, and popping it next breaks the
+    # strict decrease of the leading monomial (unchecked, yyy would be
+    # peeled into the remainder)
+    G = _gset(AZ, [(1, (X, Y)), (-1, ())])
+    G.gen_terms = (((1, (X, Y)), (-1, (Y, Y, Y))),)
+    with pytest.raises(EngineInvariantBroken, match="failed to decrease"):
+        divide(AZ.poly([(1, (X, Y))]), G)
+    assert helpers.run_optimized(_BROKEN_TAIL) == "leading monomial failed to decrease\n"

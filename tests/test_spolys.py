@@ -1,7 +1,10 @@
 import random
+import textwrap
+from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from ugb import (
@@ -10,6 +13,7 @@ from ugb import (
     QQ,
     ZZ,
     Algebra,
+    EngineInvariantBroken,
     GBVerdict,
     GenSet,
     NonUnitalRemainder,
@@ -104,6 +108,72 @@ def test_spoly_leading_terms_cancel_below_ambiguity():
             G = GenSet(gens, algebra)
             for sp in s_polynomials(G):
                 assert sp.value.is_zero() or _deglex(sp.value.lm()) < _deglex(sp.ambiguity)
+
+
+def _led_by(rng, algebra, word):
+    """A random unit times word plus a random tail of lower words."""
+    tail = helpers.random_poly(rng, algebra, max_deg=len(word), max_terms=3)
+    tail = algebra.poly([(c, w) for c, w in tail.terms if _deglex(w) < _deglex(word)])
+    return algebra.monomial(word, helpers.random_unit(rng, algebra.ring)) + tail
+
+
+def _typed(p):
+    return [(type(c), c, w) for c, w in p.terms]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ring=st.sampled_from([ZZ, QQ, Zmod(4), Zmod(6)]),
+    oracle=st.sampled_from([FREE, COMMUTATIVE]),
+)
+def test_spolys_match_scale_and_subtract_reference(seed, ring, oracle):
+    # generator 0 has a self-overlapping lead word (aa or aba), generator 1
+    # a lead word that includes it, and up to two random generators follow
+    rng = random.Random(seed)
+    algebra = Algebra(ring, ["x", "y"], oracle)
+    a = rng.randrange(2)
+    word = rng.choice([(a, a), (a, 1 - a, a)])
+    extra = helpers.random_word(rng, 2, 2, min_len=1)
+    cut = rng.randint(0, len(extra))
+    outer = extra[:cut] + word + extra[cut:]
+    if oracle is COMMUTATIVE:
+        word, outer = tuple(sorted(word)), tuple(sorted(outer))
+    gens = [_led_by(rng, algebra, word), _led_by(rng, algebra, outer)]
+    gens += [helpers.random_unital_poly(rng, algebra) for _ in range(rng.randint(0, 2))]
+    G = GenSet(gens, algebra)
+    sps = s_polynomials(G)
+    pairs = algebra.oracle.critical_pairs(G.lead_words, 0)
+    assert Counter((sp.i, sp.j, sp.overlap) for sp in sps) == Counter(pairs)
+    assert any(sp.i == 0 and sp.j == 1 and sp.ambiguity == outer for sp in sps)
+    if oracle is FREE:
+        assert any(sp.i == sp.j == 0 for sp in sps)
+    for sp in sps:
+        assert _typed(sp.value) == _typed(helpers.reference_spoly(G, sp.i, sp.j, sp.overlap))
+
+
+_BROKEN_SPOLY_INVERSE = textwrap.dedent("""
+    from ugb import QQ, Algebra, EngineInvariantBroken, GenSet, s_polynomials
+
+    A = Algebra(QQ, ["x", "y"])
+    G = GenSet([A.poly([(1, (0, 1)), (-1, ())]), A.poly([(1, (1, 0)), (-1, ())])], A)
+    G._inv_leads = (QQ.coerce(2), QQ.coerce(1))  # the true inverses are 1 and 1
+    try:
+        s_polynomials(G)
+    except EngineInvariantBroken as exc:
+        print(exc)
+""")
+
+
+def test_broken_lead_inverse_breaks_spoly_cancellation():
+    # {xy - 1, yx - 1} meet at xyx; with 2 in place of the first inverse
+    # the s-polynomial is 2(xyx - x) - (xyx - x), led by the ambiguity word
+    G = _gset(AZ, [(1, (X, Y)), (-1, ())], [(1, (Y, X)), (-1, ())])
+    G._inv_leads = (2, 1)
+    with pytest.raises(EngineInvariantBroken, match="s-polynomial leading terms failed to cancel"):
+        s_polynomials(G)
+    expected = "s-polynomial leading terms failed to cancel\n"
+    assert helpers.run_optimized(_BROKEN_SPOLY_INVERSE) == expected
 
 
 # ---------------------------------------------------------------------------
