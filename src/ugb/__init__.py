@@ -10,18 +10,7 @@ A separate linear-algebra membership oracle cross-checks the reduction
 engine at bounded degree.
 """
 
-from .division import (
-    FIRST_MATCH,
-    DivisionTrace,
-    FirstMatch,
-    GBReport,
-    GBVerdict,
-    GenSet,
-    Seeded,
-    divide,
-    normal_form,
-    parse_strategy,
-)
+from .division import DivisionTrace, GenSet, divide
 from .errors import (
     BasisViolation,
     BoundTooSmall,
@@ -64,12 +53,15 @@ from .poly import (
     Poly,
     oracle_from_name,
 )
-from .quotient import QuotientBasis, decompose, enumerate_basis, is_normal
+from .quotient import QuotientBasis, decompose, enumerate_basis, is_normal, normal_form
 from .rings import QQ, ZZ, ModularRing, Ring, Zmod, ring_from_name
 from .spolys import (
+    GBReport,
+    GBVerdict,
     SPoly,
     check_groebner,
     complete,
+    require_groebner,
     s_polynomials,
     telescope,
 )

@@ -17,7 +17,7 @@ import sys
 from collections import namedtuple
 
 from . import textio
-from .division import GBVerdict, GenSet, divide, parse_strategy
+from .division import GenSet, divide
 from .errors import (
     BoundTooSmall,
     BudgetExceeded,
@@ -29,7 +29,7 @@ from .errors import (
 from .membership import build_truncation, is_member
 from .pbw import LieAlgebra, verify_pbw
 from .quotient import decompose, enumerate_basis
-from .spolys import check_groebner, complete, s_polynomials
+from .spolys import GBVerdict, check_groebner, complete, require_groebner, s_polynomials
 
 
 def _check_unital(args, G):
@@ -51,12 +51,25 @@ def _complete(args, G):
     return textio.record_completion(G, result), textio.format_completion, 0
 
 
+def _seed(strategy):
+    """The divide seed for --strategy: None for "first", n for "seeded:<n>"."""
+    strategy = strategy.strip()
+    if strategy == "first":
+        return None
+    if strategy.startswith("seeded:"):
+        try:
+            return int(strategy[len("seeded:"):])
+        except ValueError:
+            raise ValueError(f"bad seed in strategy {strategy!r}") from None
+    raise ValueError(f"unknown strategy {strategy!r} (expected first or seeded:<n>)")
+
+
 def _normal_form(args, G):
     f = textio.parse_poly(G.algebra, args.poly, "--poly")
-    strategy = parse_strategy(args.strategy)
+    seed = _seed(args.strategy)
     if args.strict:
-        G.require_groebner()
-    return textio.record_trace(divide(f, G, strategy)), textio.format_trace, 0
+        require_groebner(G)
+    return textio.record_trace(divide(f, G, seed)), textio.format_trace, 0
 
 
 def _quotient_basis(args, G):

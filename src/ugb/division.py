@@ -6,7 +6,8 @@ combinatorial (it looks at leading words only, and the multiplication
 oracle defines it) and keeps every inversion legal over the ground ring.
 The remainder is "G-normal": no leading word of the set divides any of
 its words.  When the set is a verified Groebner basis this normal form
-is unique and independent of the divisor-selection strategy.
+is unique and independent of the divisor choice: the first match (lowest
+generator index, then leftmost factor) or a seeded random one.
 
 Termination is guaranteed because the working leading monomial strictly
 decreases in a well order; the step budget is a defensive guard against
@@ -15,70 +16,15 @@ engine bugs, not expected behavior.
 
 from __future__ import annotations
 
-import enum
 import random
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import neg
 
-from .errors import BudgetExceeded, EngineInvariantBroken, NotAGroebnerBasis, NotUnital
+from .errors import BudgetExceeded, EngineInvariantBroken, NotUnital
 from .poly import Poly, ensure_same_algebra
 
 DEFAULT_STEP_BUDGET = 10 ** 6
-
-
-class FirstMatch:
-    """Deterministic choice: lowest generator index, then leftmost factor."""
-
-    def __repr__(self):
-        return "first"
-
-
-@dataclass(frozen=True)
-class Seeded:
-    """Uniform random choice among all (generator, position) matches,
-    reproducible from the seed."""
-
-    seed: int
-
-    def __repr__(self):
-        return f"seeded:{self.seed}"
-
-
-FIRST_MATCH = FirstMatch()
-
-
-def parse_strategy(text):
-    """Strategy from CLI text: "first" or "seeded:<n>"."""
-    text = text.strip()
-    if text == "first":
-        return FIRST_MATCH
-    if text.startswith("seeded:"):
-        tail = text[len("seeded:"):]
-        try:
-            return Seeded(int(tail))
-        except ValueError:
-            raise ValueError(f"bad seed in strategy {text!r}") from None
-    raise ValueError(f"unknown strategy {text!r} (expected first or seeded:<n>)")
-
-
-class GBVerdict(enum.Enum):
-    IS_GROEBNER = "IsGroebner"
-    NOT_GROEBNER = "NotGroebner"
-
-
-@dataclass(frozen=True)
-class GBReport:
-    """Outcome of the Buchberger check.
-
-    witnesses holds one (s-polynomial, division trace) pair for every
-    nonzero remainder; it is empty exactly when the verdict is
-    IS_GROEBNER.
-    """
-
-    verdict: GBVerdict
-    pairs_checked: int
-    witnesses: tuple
 
 
 class GenSet:
@@ -88,8 +34,8 @@ class GenSet:
     units; operations that invert leading coefficients insist on all of
     them being units.  ``leads`` is the oracle's divisibility index over
     the leading words, and ``gen_terms`` the generators' term tuples, which
-    every division step reads.  The Groebner verdict for the set is
-    computed on demand and cached (the set itself is immutable).
+    every division step reads.  ``_report`` caches the set's Buchberger
+    verdict (the set itself is immutable); only ``spolys`` writes it.
     """
 
     __slots__ = (
@@ -129,25 +75,6 @@ class GenSet:
                 f"in {self.algebra.ring}"
             )
 
-    def groebner_report(self):
-        """Cached Buchberger verdict for this set."""
-        if self._report is None:
-            check_groebner(self)
-        return self._report
-
-    def is_groebner(self):
-        return self.groebner_report().verdict is GBVerdict.IS_GROEBNER
-
-    def require_groebner(self):
-        """Strict-mode gate: normal forms, quotient bases and the split
-        are canonical only for a verified Groebner basis."""
-        verdict = self.groebner_report().verdict
-        if verdict is not GBVerdict.IS_GROEBNER:
-            raise NotAGroebnerBasis(
-                f"generating set verdict is {verdict.value}; strict mode needs a "
-                "verified Groebner basis (non-strict mode gives G-normal results)"
-            )
-
     def __len__(self):
         return len(self.gens)
 
@@ -177,18 +104,20 @@ class DivisionTrace:
     remainder: Poly
 
 
-def divide(f, G, strategy=FIRST_MATCH, step_budget=DEFAULT_STEP_BUDGET):
+def divide(f, G, seed=None, step_budget=DEFAULT_STEP_BUDGET):
     """Run the rewriting loop until the working polynomial is exhausted.
 
     Each iteration either peels the leading term into the remainder (no
     divisor matches) or subtracts a scaled generator context product that
-    cancels it exactly.
+    cancels it exactly.  With ``seed=None`` the divisor is the first match
+    (lowest generator index, then leftmost factor); with an int it is a
+    uniform choice among all matches, reproducible from the seed.
     """
     G.require_unital()
     ensure_same_algebra(f.algebra, G.algebra)
     if step_budget <= 0:
         raise ValueError("step_budget must be positive")
-    rng = random.Random(strategy.seed) if isinstance(strategy, Seeded) else None
+    rng = None if seed is None else random.Random(seed)
 
     algebra = G.algebra
     coerce = algebra.ring.coerce
@@ -248,19 +177,3 @@ def divide(f, G, strategy=FIRST_MATCH, step_budget=DEFAULT_STEP_BUDGET):
     remainder = Poly(algebra, tuple(peeled))
     return DivisionTrace(f, G, tuple(steps), remainder)
 
-
-def normal_form(f, G, strict=True):
-    """The unique remainder of f modulo a verified Groebner basis.
-
-    With ``strict=False`` the division still runs, but the result is only
-    G-normal: reduced with respect to the given set, with no uniqueness
-    claim unless the set actually is a Groebner basis.
-    """
-    if strict:
-        G.require_groebner()
-    return divide(f, G, FIRST_MATCH).remainder
-
-
-# spolys builds on GenSet and divide above; importing it once they exist
-# lets GenSet.groebner_report run the check without a cyclic import.
-from .spolys import check_groebner  # noqa: E402

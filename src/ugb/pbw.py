@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb
 
-from .division import GBVerdict, GenSet
+from .division import GenSet
 from .poly import COMMUTATIVE, FREE, Algebra
-from .quotient import QuotientBasis, enumerate_basis
+from .quotient import enumerate_basis
+from .spolys import GBVerdict, check_groebner
 from .words import Alphabet
 
 
@@ -157,7 +158,6 @@ class PBWReport:
 
     lie: LieReport
     groebner: object
-    basis: QuotientBasis
     counts: tuple
     expected_counts: tuple
     non_decreasing: bool
@@ -182,9 +182,9 @@ def verify_pbw(L, max_degree):
     """
     lie_report = validate_lie(L)
     G = pbw_generators(L)
-    gb_report = G.groebner_report()
+    gb_report = check_groebner(G)
     basis = enumerate_basis(G, max_degree, strict=False)
     counts = basis.counts()
     expected = tuple(comb(L.rank + d - 1, d) for d in range(max_degree + 1))
     non_decreasing = all(map(COMMUTATIVE.is_basis_word, basis.words()))
-    return PBWReport(lie_report, gb_report, basis, counts, expected, non_decreasing)
+    return PBWReport(lie_report, gb_report, counts, expected, non_decreasing)

@@ -1,4 +1,5 @@
-"""Normal words, quotient-module bases and the direct-sum split.
+"""Normal forms, normal words, quotient-module bases and the direct-sum
+split.
 
 A word is normal for a generating set when no leading word of the set
 divides it, in the sense of divisibility that the multiplication oracle
@@ -11,9 +12,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .division import GBVerdict, normal_form
+from .division import divide
 from .poly import ensure_same_algebra
+from .spolys import require_groebner
 from .words import EMPTY
+
+
+def normal_form(f, G, strict=True):
+    """The unique remainder of f modulo a verified Groebner basis.
+
+    With ``strict=False`` the division still runs, but the result is only
+    G-normal: reduced with respect to the given set, with no uniqueness
+    claim unless the set actually is a Groebner basis.
+    """
+    if strict:
+        require_groebner(G)
+    return divide(f, G).remainder
 
 
 def is_normal(word, G):
@@ -25,9 +39,9 @@ def is_normal(word, G):
 class QuotientBasis:
     """Normal words of each degree up to a bound.
 
-    ``verified`` records whether the generating set passed the Buchberger
-    check; without it the listed words are only G-normal and span no
-    canonical quotient basis.
+    ``verified`` is true when enumeration went through the strict gate,
+    so the set passed the Buchberger check; otherwise the listed words are
+    only G-normal and span no canonical quotient basis.
     """
 
     by_degree: dict
@@ -58,8 +72,7 @@ def enumerate_basis(G, max_degree, strict=True):
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     if strict:
-        G.require_groebner()
-    verified = G._report is not None and G._report.verdict is GBVerdict.IS_GROEBNER
+        require_groebner(G)
     oracle = G.algebra.oracle
     first = G.leads.first
     n = G.algebra.alphabet.size
@@ -74,7 +87,7 @@ def enumerate_basis(G, max_degree, strict=True):
                     nxt.append(cand)
         by_degree[d] = nxt
         level = nxt
-    return QuotientBasis(by_degree, max_degree, verified, G.algebra)
+    return QuotientBasis(by_degree, max_degree, strict, G.algebra)
 
 
 def decompose(f, G, strict=True):

@@ -1,5 +1,5 @@
-"""Critical pairs: s-polynomials, telescoping, the Buchberger criterion
-and a bounded completion loop.
+"""Critical pairs: s-polynomials, telescoping, the Buchberger criterion,
+a bounded completion loop, and the verdict with its strict-mode gate.
 
 An s-polynomial is the difference of two scaled context products of
 generators whose leading terms meet at one ambiguity word; the scaling
@@ -17,12 +17,38 @@ words can share letters without sharing a contiguous factor.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 
-from .errors import EngineInvariantBroken, NonUnitalRemainder, PreconditionViolated, RoundsExceeded
-from .division import FIRST_MATCH, GBReport, GBVerdict, GenSet, divide
+from .division import GenSet, divide
+from .errors import (
+    EngineInvariantBroken,
+    NonUnitalRemainder,
+    NotAGroebnerBasis,
+    PreconditionViolated,
+    RoundsExceeded,
+)
 from .poly import Poly, ensure_same_algebra
 from .words import Overlap, _deglex
+
+
+class GBVerdict(enum.Enum):
+    IS_GROEBNER = "IsGroebner"
+    NOT_GROEBNER = "NotGroebner"
+
+
+@dataclass(frozen=True)
+class GBReport:
+    """Outcome of the Buchberger check.
+
+    witnesses holds one (s-polynomial, division trace) pair for every
+    nonzero remainder; it is empty exactly when the verdict is
+    IS_GROEBNER.
+    """
+
+    verdict: GBVerdict
+    pairs_checked: int
+    witnesses: tuple
 
 
 @dataclass(frozen=True)
@@ -129,11 +155,11 @@ def telescope(fs, cs):
 
 
 def _failures(spolys, G):
-    """(s-polynomial, FirstMatch trace) for each of spolys whose
+    """(s-polynomial, first-match trace) for each of spolys whose
     remainder against G is nonzero, in the order given."""
     out = []
     for sp in spolys:
-        trace = divide(sp.value, G, FIRST_MATCH)
+        trace = divide(sp.value, G)
         if not trace.remainder.is_zero():
             out.append((sp, trace))
     return out
@@ -141,16 +167,29 @@ def _failures(spolys, G):
 
 def check_groebner(G):
     """Buchberger criterion: the set is a Groebner basis iff every
-    s-polynomial divides to zero remainder (FirstMatch strategy).
+    s-polynomial divides to zero remainder (first-match division).
 
     The pair family is finite for both shipped oracles, so the verdict is
-    exact and unconditional.
+    exact and unconditional.  The report is cached on the set.
     """
     spolys = s_polynomials(G)
     witnesses = tuple(_failures(spolys, G))
     verdict = GBVerdict.IS_GROEBNER if not witnesses else GBVerdict.NOT_GROEBNER
     report = GBReport(verdict, len(spolys), witnesses)
     G._report = report
+    return report
+
+
+def require_groebner(G):
+    """Strict-mode gate: normal forms, quotient bases and the split are
+    canonical only for a verified Groebner basis.  Returns the set's
+    passing report, cached or from running the check."""
+    report = G._report or check_groebner(G)
+    if report.verdict is not GBVerdict.IS_GROEBNER:
+        raise NotAGroebnerBasis(
+            f"generating set verdict is {report.verdict.value}; strict mode needs a "
+            "verified Groebner basis (non-strict mode gives G-normal results)"
+        )
     return report
 
 
@@ -163,7 +202,7 @@ def complete(G, max_degree, max_rounds=8):
     round divides only the pairs that failed in the round before and the
     new pairs, those involving an adjoined generator.  A pair that divided
     to zero stays zero: adjoined generators come after the old ones and
-    FirstMatch picks the lowest generator index that divides, so the
+    the first match is the lowest generator index that divides, so the
     division that matched old generators at every step takes the same
     steps against the larger set.  The verdict, the adjoined generators
     and the exceptions are those of running the full check every round.

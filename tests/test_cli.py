@@ -133,6 +133,18 @@ def test_seeded_strategy_flag(capsys):
     assert len(remainders) == 2
 
 
+def test_bad_strategy_is_a_usage_error(capsys):
+    path = str(FIXTURES / "not_gb.gb")
+    for strategy, message in (
+        ("seeded:abc", "error: bad seed in strategy 'seeded:abc'"),
+        ("random", "error: unknown strategy 'random' (expected first or seeded:<n>)"),
+    ):
+        assert main(["normal-form", path, "--poly", "x x x", "--strategy", strategy]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
+
 def test_quotient_no_strict_labels_output(capsys):
     path = str(FIXTURES / "not_gb.gb")
     assert main(["quotient-basis", path, "--max-deg", "2", "--no-strict"]) == 0

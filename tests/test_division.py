@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 import helpers
 from ugb import (
     COMMUTATIVE,
-    FIRST_MATCH,
     FREE,
     QQ,
     ZZ,
@@ -17,12 +16,10 @@ from ugb import (
     GenSet,
     NotAGroebnerBasis,
     NotUnital,
-    Seeded,
     Zmod,
     divide,
     is_normal,
     normal_form,
-    parse_strategy,
     pbw_generators,
 )
 from ugb.words import _deglex
@@ -98,8 +95,8 @@ def test_reconstruction_and_normality(ring):
         gens = [helpers.random_unital_poly(rng, algebra) for _ in range(rng.randint(1, 3))]
         G = GenSet(gens, algebra)
         f = helpers.random_poly(rng, algebra, max_deg=4)
-        for strategy in (FIRST_MATCH, Seeded(rng.randrange(10**6))):
-            trace = divide(f, G, strategy)
+        for seed in (None, rng.randrange(10**6)):
+            trace = divide(f, G, seed)
             assert helpers.reconstruct(trace) == f
             for _, w in trace.remainder.terms:
                 assert is_normal(w, G)
@@ -120,21 +117,20 @@ def test_reconstruction_commutative_oracle():
 
 def test_remainder_uniqueness_on_groebner_corpora(gb_corpora):
     rng = random.Random(13)
-    seeds = [Seeded(s) for s in range(8)]
     for name, G in gb_corpora.items():
         for _ in range(40):
             f = helpers.random_poly(rng, G.algebra, max_deg=4)
-            base = divide(f, G, FIRST_MATCH).remainder
-            for s in seeds:
+            base = divide(f, G).remainder
+            for s in range(8):
                 assert divide(f, G, s).remainder == base, name
 
 
-def _max_scan_divide(f, G, strategy):
+def _max_scan_divide(f, G, seed):
     """Reference loop: each leading word is the maximum of a scan over the
-    whole working set, and FirstMatch is the head of ``matches``."""
+    whole working set, and the first match is the head of ``matches``."""
     ring = G.algebra.ring
     mul_words = G.algebra.oracle.mul_words
-    rng = random.Random(strategy.seed) if isinstance(strategy, Seeded) else None
+    rng = None if seed is None else random.Random(seed)
     working = {w: c for c, w in f.terms}
     steps = []
     peeled = []
@@ -164,7 +160,7 @@ def _max_scan_divide(f, G, strategy):
     seed=st.integers(0, 2**32 - 1),
     ring=st.sampled_from([ZZ, QQ, Zmod(4), Zmod(6)]),
     oracle=st.sampled_from([FREE, COMMUTATIVE]),
-    strategy=st.one_of(st.just(FIRST_MATCH), st.builds(Seeded, st.integers(0, 10**6))),
+    strategy=st.one_of(st.none(), st.integers(0, 10**6)),
 )
 def test_divide_matches_max_scan_reference(seed, ring, oracle, strategy):
     rng = random.Random(seed)
@@ -196,11 +192,11 @@ def test_strategy_sensitivity_negative_control():
     # right occurrence of x^2 strands different remainders (yx vs xy)
     G = _gset(AZ, [(1, (X, X)), (-1, (Y,))])
     f = AZ.poly([(1, (X, X, X))])
-    first = divide(f, G, FIRST_MATCH).remainder
+    first = divide(f, G).remainder
     assert first == AZ.poly([(1, (Y, X))])
     witness = None
     for seed in range(30):
-        r = divide(f, G, Seeded(seed)).remainder
+        r = divide(f, G, seed).remainder
         if r != first:
             witness = (seed, r)
             break
@@ -241,15 +237,6 @@ def test_normal_form_strict_rejects_non_groebner():
     with pytest.raises(NotAGroebnerBasis):
         normal_form(f, G)
     assert normal_form(f, G, strict=False) == AZ.poly([(1, (Y, X))])
-
-
-def test_parse_strategy():
-    assert parse_strategy("first") is FIRST_MATCH
-    assert parse_strategy("seeded:42") == Seeded(42)
-    with pytest.raises(ValueError):
-        parse_strategy("seeded:abc")
-    with pytest.raises(ValueError):
-        parse_strategy("random")
 
 
 def test_trace_serialization_shape(inverse_pair_q):
