@@ -9,9 +9,11 @@ an xgcd row operation otherwise (no division by non-units anywhere).
 Over Z/n the same elimination runs on residues: each pivot entry is
 normalised to a divisor of n, so the Z quotient rule still applies, and
 each non-unit pivot brings its annihilator row, which keeps the echelon
-a Howell basis and the greedy solve exact.  Witnesses come back in the
-same (coeff, left, gen, right) shape as division steps, and each one is
-expanded and checked against the query before it is returned.
+a Howell basis and the greedy solve exact.  Each pivot keeps a short
+recipe, which only a member solve expands into module rows.  Witnesses
+come back in the same (coeff, left, gen, right) shape as division
+steps, and each one is expanded and checked against the query before
+it is returned.
 
 This module is deliberately independent of the reduction engine so the
 two can cross-check each other.
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BoundTooSmall, EngineInvariantBroken
-from .poly import ensure_same_algebra
+from .poly import Poly, ensure_same_algebra
 from .words import _deglex
 
 
@@ -39,33 +41,36 @@ def _xgcd(a, b):
     return a, x0, y0
 
 
-def _add_scaled(dst, src, c, n):
-    """dst += c * src on a (row, combination) pair of sparse dicts,
-    entries taken mod n when n is nonzero, dropping the entries that
-    cancel."""
-    for d, s in zip(dst, src):
-        for t, v in s.items():
-            v = d.get(t, 0) + c * v
-            if n:
-                v %= n
-            if v:
-                d[t] = v
-            else:
-                d.pop(t, None)
+def _add_scaled(pair, pivot, c, n):
+    """pair += c * pivot: the pivot's row is merged into the pair's row,
+    entries taken mod n when n is nonzero and dropped when they cancel,
+    and (pivot atom, c) is appended to the pair's recipe."""
+    vec = pair[0]
+    for t, v in pivot[0].items():
+        v = vec.get(t, 0) + c * v
+        if n:
+            v %= n
+        if v:
+            vec[t] = v
+        else:
+            vec.pop(t, None)
+    pair[1].append((pivot[1], c))
 
 
 def _scaled(pair, c, n):
+    row, recipe = pair
     if n:
-        return tuple({t: w for t, v in s.items() if (w := c * v % n)} for s in pair)
-    return tuple({t: c * v for t, v in s.items()} for s in pair)
+        return ({t: w for t, v in row.items() if (w := c * v % n)},
+                [(i, w) for i, v in recipe if (w := c * v % n)])
+    return {t: c * v for t, v in row.items()}, [(i, c * v) for i, v in recipe]
 
 
 class _Echelon:
-    """Sparse incremental row echelon with row-combination tracking.
+    """Sparse incremental row echelon whose pivots keep short recipes.
 
-    Rows and combinations are ``{index: nonzero}`` dicts, kept together
-    as (row, combination) pairs.  A row's pivot is its lowest column,
-    and a stored pivot row has a positive pivot entry.  The ring enters
+    Rows are ``{index: nonzero}`` dicts, and a row in elimination is a
+    (row, recipe) pair.  A row's pivot is its lowest column, and a
+    stored pivot row has a positive pivot entry.  The ring enters
     through ``quotient(a, b)``, the exact quotient a / b or None when
     there is none, and ``modulus``: 0 over Z and Q, n over Z/n, where
     every entry is a residue reduced as it is formed.  On insert a
@@ -83,21 +88,33 @@ class _Echelon:
     span element that vanishes up to a column is spanned by the pivots
     beyond it, so the greedy solve is exact.  Over Z/p every pivot entry
     is 1 and no annihilator arises.
+
+    Witnesses are expanded on demand.  Each stored pivot is a (row,
+    atom) pair, the atom being its creation index offset past the input
+    row indices, and keeps a recipe: (index, coefficient) entries, over
+    input rows and older atoms, whose weighted sum is that pivot row.  A
+    row operation appends one entry to the working row's recipe; only a
+    member solve expands its recipe, in one pass over the atoms from
+    newest to oldest.
     """
 
     def __init__(self, rows, quotient, modulus):
         self.quotient = quotient
         self.modulus = modulus
         self.pivots = {}
+        self.recipes = []
+        self.first_atom = len(rows)
         for r, row in enumerate(rows):
-            todo = [(dict(row), {r: 1})]
+            todo = [(dict(row), [(r, 1)])]
             while todo:
                 self._reduce(todo.pop(), todo)
 
     def _set_pivot(self, col, pair, g, todo):
-        self.pivots[col] = pair
+        atom = self.first_atom + len(self.recipes)
+        self.recipes.append(pair[1])
+        self.pivots[col] = (pair[0], atom)
         if self.modulus and g != 1:
-            todo.append(_scaled(pair, self.modulus // g, self.modulus))
+            todo.append(_scaled((pair[0], [(atom, 1)]), self.modulus // g, self.modulus))
 
     def _reduce(self, pair, todo=None):
         """Cancel the row of the pair against the pivots, lowest column
@@ -142,11 +159,25 @@ class _Echelon:
         return vec  # fully cancelled: a dependent row, or a member
 
     def solve(self, target):
-        """Combination of the rows equal to target, or None."""
-        pair = (dict(target), {})
+        """Combination of the rows equal to target, or None.  Each atom,
+        newest first, is replaced by its recipe, which refers only to
+        input rows and older atoms, so one pass leaves only input rows."""
+        pair = (dict(target), [])
         if self._reduce(pair):
             return None
-        return {r: -c for r, c in pair[1].items()}
+        n = self.modulus
+        comb = {}
+        for i, c in pair[1]:
+            comb[i] = comb.get(i, 0) - c
+        first = self.first_atom
+        for atom in range(first + len(self.recipes) - 1, first - 1, -1):
+            c = comb.pop(atom, 0)
+            if n:
+                c %= n
+            if c:
+                for i, v in self.recipes[atom - first]:
+                    comb[i] = comb.get(i, 0) + c * v
+        return {r: w for r, c in comb.items() if (w := c % n if n else c)}
 
 
 @dataclass(frozen=True)
@@ -217,6 +248,7 @@ def build_truncation(G, bound):
     for d in range(bound + 1):
         columns.extend(oracle.basis_words(n, d))
     columns.sort(key=_deglex, reverse=True)
+    mul_words = oracle.mul_words
     rows = []
     provenance = []
     seen = set()
@@ -227,11 +259,13 @@ def build_truncation(G, bound):
                 b = s - a
                 for u in oracle.basis_words(n, a):
                     for v in oracle.basis_words(n, b):
-                        p = g.scale(1, u, v)
-                        if p.terms in seen:
+                        # u and v are basis words and the coefficients
+                        # stay g's own, so this is g.scale(1, u, v)
+                        terms = tuple([(tc, mul_words(u, mul_words(tw, v))) for tc, tw in g.terms])
+                        if terms in seen:
                             continue
-                        seen.add(p.terms)
-                        rows.append(p)
+                        seen.add(terms)
+                        rows.append(Poly(algebra, terms))
                         provenance.append((i, u, v))
     return TruncatedModule(G, bound, columns, rows, provenance)
 

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 from ugb import COMMUTATIVE, FREE, QQ, ZZ, Algebra, GenSet, LieAlgebra
+from ugb.membership import _xgcd
 from ugb.rings import IntegerRing, ModularRing, RationalField
 from ugb.words import _deglex
 
@@ -136,6 +137,129 @@ def reference_spoly(G, i, j, overlap):
     gi, gj = G[i], G[j]
     return (gi.scale(ring.inv_unit(gi.lc()), overlap.u, overlap.v)
             - gj.scale(ring.inv_unit(gj.lc()), overlap.u2, overlap.v2))
+
+
+def _eager_add_scaled(dst, src, c, n):
+    for d, s in zip(dst, src):
+        for t, v in s.items():
+            v = d.get(t, 0) + c * v
+            if n:
+                v %= n
+            if v:
+                d[t] = v
+            else:
+                d.pop(t, None)
+
+
+def _eager_scaled(pair, c, n):
+    if n:
+        return tuple({t: w for t, v in s.items() if (w := c * v % n)} for s in pair)
+    return tuple({t: c * v for t, v in s.items()} for s in pair)
+
+
+class EagerEchelon:
+    """The membership echelon with eager row-combination tracking, kept
+    as the reference for witnesses expanded on demand.  Every row is a
+    (row, combination) pair of sparse dicts, and each row operation
+    merges both, so every stored pivot carries its combination of the
+    input rows.  The elimination is the one of ``membership._Echelon``
+    step for step: the same quotient rule, xgcd pivot replacement, Z/n
+    gcd scaling and annihilator rows."""
+
+    def __init__(self, rows, quotient, modulus):
+        self.quotient = quotient
+        self.modulus = modulus
+        self.pivots = {}
+        for r, row in enumerate(rows):
+            todo = [(dict(row), {r: 1})]
+            while todo:
+                self._reduce(todo.pop(), todo)
+
+    def _set_pivot(self, col, pair, g, todo):
+        self.pivots[col] = pair
+        if self.modulus and g != 1:
+            todo.append(_eager_scaled(pair, self.modulus // g, self.modulus))
+
+    def _reduce(self, pair, todo=None):
+        n = self.modulus
+        vec = pair[0]
+        while vec:
+            col = min(vec)
+            a = vec[col]
+            piv = self.pivots.get(col)
+            if piv is None:
+                if todo is None:
+                    return vec
+                g, x, y = _xgcd(a, n)
+                self._set_pivot(col, pair if x == 1 else _eager_scaled(pair, x, n), g, todo)
+                if not n:
+                    return vec
+                c = y * (n // g) % n
+                if not c:
+                    return {}
+                pair = _eager_scaled(pair, c, n)
+                vec = pair[0]
+            else:
+                b = piv[0][col]
+                q = self.quotient(a, b)
+                if q is not None:
+                    _eager_add_scaled(pair, piv, -q, n)
+                elif todo is None:
+                    return vec
+                else:
+                    g, x, y = _xgcd(b, a)
+                    new = _eager_scaled(pair, y, n)
+                    _eager_add_scaled(new, piv, x, n)
+                    self._set_pivot(col, new, g, todo)
+                    pair = _eager_scaled(pair, -(b // g), n)
+                    _eager_add_scaled(pair, piv, a // g, n)
+                    vec = pair[0]
+        return vec
+
+    def solve(self, target):
+        pair = (dict(target), {})
+        if self._reduce(pair):
+            return None
+        return {r: -c for r, c in pair[1].items()}
+
+
+def eager_echelon(T):
+    ring = T.genset.algebra.ring
+    return EagerEchelon([T._vector(p) for p in T.rows], ring.quotient, ring.modulus)
+
+
+def eager_witness(T, echelon, f):
+    """The witness ``is_member`` gave with eager tracking, from the eager
+    echelon of T: None for a non-member, else (coeff, left, gen, right)
+    tuples by row index."""
+    ring = T.genset.algebra.ring
+    sol = echelon.solve(T._vector(f))
+    if sol is None:
+        return None
+    return tuple((ring.coerce(sol[r]), T.provenance[r][1], T.provenance[r][0], T.provenance[r][2])
+                 for r in sorted(sol))
+
+
+def reference_truncation(G, bound):
+    """Rows and provenance of the truncation built with the checked
+    ``g.scale(1, u, v)``, in ``build_truncation``'s order: generator,
+    context degree, left context degree, then the words; a repeated row
+    keeps its first provenance."""
+    algebra = G.algebra
+    n = algebra.alphabet.size
+    oracle = algebra.oracle
+    rows, provenance, seen = [], [], set()
+    for i, g in enumerate(G.gens):
+        for s in range(bound - len(G.lead_words[i]) + 1):
+            for a in range(s + 1):
+                for u in oracle.basis_words(n, a):
+                    for v in oracle.basis_words(n, s - a):
+                        p = g.scale(1, u, v)
+                        if p.terms not in seen:
+                            seen.add(p.terms)
+                            rows.append(p)
+                            provenance.append((i, u, v))
+    return rows, provenance
 
 
 def run_optimized(source):

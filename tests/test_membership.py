@@ -1,4 +1,5 @@
 import random
+import textwrap
 
 import pytest
 
@@ -27,6 +28,11 @@ from ugb.membership import _Echelon
 AZ1 = Algebra(ZZ, ["x"])
 AZ = Algebra(ZZ, ["x", "y"])
 AQ = Algebra(QQ, ["x", "y"])
+
+
+def _typed(witness):
+    """A witness with each coefficient's type beside it."""
+    return None if witness is None else [(type(c), c, u, i, v) for c, u, i, v in witness]
 
 
 def test_build_truncation_dedupes_rows():
@@ -126,6 +132,36 @@ def test_member_witness_is_checked_against_the_query(monkeypatch):
     monkeypatch.setattr(T._get_solver(), "solve", lambda target: {0: 3})
     with pytest.raises(EngineInvariantBroken):
         is_member(AZ1.poly([(4, (0,))]), T)
+
+
+_BROKEN_RECIPE = textwrap.dedent("""
+    from ugb import ZZ, Algebra, EngineInvariantBroken, GenSet, build_truncation, is_member
+
+    A = Algebra(ZZ, ["x"])
+    G = GenSet([A.poly([(2, (0,))])], A)
+    T = build_truncation(G, 2)
+    solver = T._get_solver()
+    # the pivot 2x is input row 0 once; its recipe now says twice
+    _, atom = solver.pivots[T.col_index[(0,)]]
+    recipe = solver.recipes[atom - solver.first_atom]
+    recipe[0] = (recipe[0][0], recipe[0][1] + 1)
+    try:
+        is_member(A.poly([(4, (0,))]), T)
+    except EngineInvariantBroken as exc:
+        print(exc)
+""")
+
+
+def test_corrupt_recipe_fails_the_witness_check():
+    G = GenSet([AZ1.poly([(2, (0,))])])
+    T = build_truncation(G, 2)
+    solver = T._get_solver()
+    _, atom = solver.pivots[T.col_index[(0,)]]
+    recipe = solver.recipes[atom - solver.first_atom]
+    recipe[0] = (recipe[0][0], recipe[0][1] + 1)
+    with pytest.raises(EngineInvariantBroken, match="witness does not expand"):
+        is_member(AZ1.poly([(4, (0,))]), T)
+    assert helpers.run_optimized(_BROKEN_RECIPE) == "membership witness does not expand to the query\n"
 
 
 def test_member_bound_checked():
@@ -230,6 +266,7 @@ def test_gl2_over_z4_at_bound_5():
     r = is_member(f, T)
     assert r.member
     assert expand_witness(G, r.witness) == f
+    assert _typed(r.witness) == _typed(helpers.eager_witness(T, helpers.eager_echelon(T), f))
     # plus a non-decreasing word, which is a basis element of the quotient
     assert not is_member(f + parse_poly(G.algebra, "e11 e12 e21 e22 e22"), T).member
 
@@ -253,4 +290,78 @@ def test_gl2_over_q_at_bound_5():
     r = is_member(f, T)
     assert r.member and normal_form(f, G).is_zero()
     assert expand_witness(G, r.witness) == f
+    assert _typed(r.witness) == _typed(helpers.eager_witness(T, helpers.eager_echelon(T), f))
     assert not is_member(g, T).member and not normal_form(g, G).is_zero()
+
+
+@pytest.mark.parametrize("oracle", [FREE, COMMUTATIVE], ids=["free", "commutative"])
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(4), Zmod(5), Zmod(6)], ids=str)
+def test_witnesses_equal_the_eager_reference(ring, oracle):
+    # the recipes expanded by one backward pass give the combination that
+    # eager tracking carried through every row operation, exactly
+    rng = random.Random(57)
+    algebra = Algebra(ring, ["x", "y", "z"], oracle)
+    bound = 3
+    verdicts, replaced, annihilated = set(), False, False
+    for _ in range(15):
+        # any coefficients, non-unit leading ones included
+        gens = [
+            helpers.random_poly(rng, algebra, max_deg=2, max_terms=3, nonzero=True)
+            for _ in range(rng.randint(1, 3))
+        ]
+        G = GenSet(gens, algebra)
+        T = build_truncation(G, bound)
+        solver = T._get_solver()
+        reference = helpers.eager_echelon(T)
+        # the same elimination: equal pivot rows, entry types included
+        assert {c: [(t, type(v), v) for t, v in row.items()] for c, (row, _) in solver.pivots.items()} == {
+            c: [(t, type(v), v) for t, v in pair[0].items()] for c, pair in reference.pivots.items()
+        }
+        replaced |= len(solver.recipes) > len(solver.pivots)
+        annihilated |= any(r and r[0][0] >= solver.first_atom for r in solver.recipes)
+        for k in range(8):
+            if k % 2:
+                f = helpers.random_poly(rng, algebra, max_deg=bound, nonzero=True)
+            else:
+                f = helpers.random_ideal_combo(rng, G, max_context=1, parts=3)
+                if f.is_zero() or any(len(w) > bound for _, w in f.terms):
+                    continue
+            r = is_member(f, T)
+            assert _typed(r.witness) == _typed(helpers.eager_witness(T, reference, f))
+            verdicts.add(r.member)
+    assert verdicts == {True, False}
+    # the xgcd pivot replacement ran wherever a leading entry can be a
+    # non-unit, and the annihilator rows wherever a nonzero one can
+    assert replaced == (ring in (ZZ, Zmod(4), Zmod(6)))
+    assert annihilated == (ring in (Zmod(4), Zmod(6)))
+
+
+def _typed_rows(rows):
+    return [[(type(c), c, w) for c, w in p.terms] for p in rows]
+
+
+@pytest.mark.parametrize("oracle", [FREE, COMMUTATIVE], ids=["free", "commutative"])
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(4), Zmod(6)], ids=str)
+def test_build_truncation_equals_the_scale_reference(ring, oracle):
+    rng = random.Random(58)
+    algebra = Algebra(ring, ["x", "y", "z"], oracle)
+    deduped = False
+    for _ in range(10):
+        gens = [
+            helpers.random_poly(rng, algebra, max_deg=2, max_terms=3, nonzero=True)
+            for _ in range(rng.randint(1, 3))
+        ]
+        G = GenSet(gens, algebra)
+        T = build_truncation(G, 3)
+        rows, provenance = helpers.reference_truncation(G, 3)
+        assert _typed_rows(T.rows) == _typed_rows(rows)
+        assert T.provenance == provenance
+        assert all(p.algebra == algebra for p in T.rows)
+        contexts = sum(
+            len(list(algebra.oracle.basis_words(3, a))) * len(list(algebra.oracle.basis_words(3, s - a)))
+            for w in G.lead_words for s in range(3 - len(w) + 1) for a in range(s + 1)
+        )
+        deduped |= len(T.rows) < contexts
+    # some contexts gave one row: u * g * v = v * g * u commutatively,
+    # and a monomial's contexts can meet in the free algebra
+    assert deduped
