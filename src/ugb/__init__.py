@@ -38,7 +38,6 @@ from .membership import (
 )
 from .pbw import (
     LieAlgebra,
-    LieReport,
     PBWReport,
     pbw_generators,
     validate_lie,
@@ -57,7 +56,6 @@ from .quotient import QuotientBasis, decompose, enumerate_basis, is_normal, norm
 from .rings import QQ, ZZ, ModularRing, Ring, Zmod, ring_from_name
 from .spolys import (
     GBReport,
-    GBVerdict,
     SPoly,
     check_groebner,
     complete,

@@ -29,7 +29,7 @@ from .errors import (
 from .membership import build_truncation, is_member
 from .pbw import LieAlgebra, verify_pbw
 from .quotient import decompose, enumerate_basis
-from .spolys import GBVerdict, check_groebner, complete, require_groebner, s_polynomials
+from .spolys import check_groebner, complete, require_groebner, s_polynomials
 
 
 def _check_unital(args, G):
@@ -42,7 +42,7 @@ def _spolys(args, G):
 
 def _check_gb(args, G):
     report = check_groebner(G)
-    code = 0 if report.verdict is GBVerdict.IS_GROEBNER else 1
+    code = 0 if report.is_groebner else 1
     return textio.record_gb_report(report, G.algebra), textio.format_gb_report, code
 
 
@@ -74,7 +74,7 @@ def _normal_form(args, G):
 
 def _quotient_basis(args, G):
     basis = enumerate_basis(G, args.max_deg, strict=args.strict)
-    return textio.record_quotient(basis), textio.format_quotient, 0
+    return textio.record_quotient(basis, G.algebra), textio.format_quotient, 0
 
 
 def _decompose(args, G):

@@ -30,17 +30,17 @@ DEFAULT_STEP_BUDGET = 10 ** 6
 class GenSet:
     """An ordered set of nonzero generators in one algebra.
 
-    Carries a per-generator record of which leading coefficients are
-    units; operations that invert leading coefficients insist on all of
-    them being units.  ``leads`` is the oracle's divisibility index over
-    the leading words, and ``gen_terms`` the generators' term tuples, which
-    every division step reads.  ``_report`` caches the set's Buchberger
-    verdict (the set itself is immutable); only ``spolys`` writes it.
+    ``inv_leads`` is the per-generator unit record: the inverse of each
+    leading coefficient, None where it is not a unit.  Operations that
+    invert leading coefficients insist on all of them being units.
+    ``leads`` is the oracle's divisibility index over the leading words,
+    and ``gen_terms`` the generators' term tuples, which every division
+    step reads.  ``_report`` caches the set's Buchberger report (the set
+    itself is immutable); only ``spolys`` writes it.
     """
 
     __slots__ = (
-        "algebra", "gens", "gen_terms", "unit_leads", "is_unital", "lead_words", "leads",
-        "_inv_leads", "_report",
+        "algebra", "gens", "gen_terms", "inv_leads", "is_unital", "lead_words", "leads", "_report",
     )
 
     def __init__(self, gens, algebra=None):
@@ -57,19 +57,17 @@ class GenSet:
         self.gens = gens
         self.gen_terms = tuple(g.terms for g in gens)
         ring = algebra.ring
-        self.unit_leads = tuple(ring.is_unit(g.lc()) for g in gens)
-        self.is_unital = all(self.unit_leads)
+        self.inv_leads = tuple(
+            ring.inv_unit(g.lc()) if ring.is_unit(g.lc()) else None for g in gens
+        )
+        self.is_unital = None not in self.inv_leads
         self.lead_words = tuple(g.lm() for g in gens)
         self.leads = algebra.oracle.lead_index(self.lead_words)
-        self._inv_leads = tuple(
-            ring.inv_unit(g.lc()) if unit else None
-            for g, unit in zip(gens, self.unit_leads)
-        )
         self._report = None
 
     def require_unital(self):
         if not self.is_unital:
-            bad = [i for i, unit in enumerate(self.unit_leads) if not unit]
+            bad = [i for i, inv in enumerate(self.inv_leads) if inv is None]
             raise NotUnital(
                 f"leading coefficients of generators {bad} are not units "
                 f"in {self.algebra.ring}"
@@ -123,7 +121,7 @@ def divide(f, G, seed=None, step_budget=DEFAULT_STEP_BUDGET):
     coerce = algebra.ring.coerce
     mul_words = algebra.oracle.mul_words
     leads = G.leads
-    inv_leads = G._inv_leads
+    inv_leads = G.inv_leads
     gen_terms = G.gen_terms
 
     working = {w: c for c, w in f.terms}

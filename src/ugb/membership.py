@@ -182,16 +182,20 @@ class _Echelon:
 
 @dataclass(frozen=True)
 class MembershipResult:
-    """Member with an explicit witness, or not provable at this bound.
+    """Member with an explicit witness, or not provable at this bound
+    (``witness`` is None).
 
     A negative answer certifies non-membership only relative to the
     truncation degree; for a verified Groebner basis it is decisive,
     because membership of a degree-d element is witnessed at degree d.
     """
 
-    member: bool
-    witness: tuple
+    witness: tuple | None
     bound: int
+
+    @property
+    def member(self):
+        return self.witness is not None
 
 
 class TruncatedModule:
@@ -206,9 +210,6 @@ class TruncatedModule:
         self.rows = rows
         self.provenance = provenance
         self._solver = None
-
-    def __len__(self):
-        return len(self.rows)
 
     def _vector(self, poly):
         return {self.col_index[w]: c for c, w in poly.terms}
@@ -281,11 +282,11 @@ def is_member(f, T):
     if any(len(w) > T.bound for _, w in f.terms):
         raise BoundTooSmall(f"query exceeds the truncation bound {T.bound}")
     if f.is_zero():
-        return MembershipResult(True, (), T.bound)
+        return MembershipResult((), T.bound)
     ring = G.algebra.ring
     sol = T._get_solver().solve(T._vector(f))
     if sol is None:
-        return MembershipResult(False, None, T.bound)
+        return MembershipResult(None, T.bound)
     witness = []
     for r in sorted(sol):
         i, u, v = T.provenance[r]
@@ -293,7 +294,7 @@ def is_member(f, T):
     witness = tuple(witness)
     if expand_witness(G, witness) != f:
         raise EngineInvariantBroken("membership witness does not expand to the query")
-    return MembershipResult(True, witness, T.bound)
+    return MembershipResult(witness, T.bound)
 
 
 def expand_witness(G, witness):

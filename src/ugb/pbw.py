@@ -23,7 +23,7 @@ from math import comb
 from .division import GenSet
 from .poly import COMMUTATIVE, FREE, Algebra
 from .quotient import enumerate_basis
-from .spolys import GBVerdict, check_groebner
+from .spolys import check_groebner
 from .words import Alphabet
 
 
@@ -81,28 +81,17 @@ class LieAlgebra:
         return f"LieAlgebra({self.ring}, rank={self.rank}, names={list(self.names)})"
 
 
-@dataclass(frozen=True)
-class JacobiViolation:
-    triple: tuple
-    coefficients: tuple
-
-
-@dataclass(frozen=True)
-class LieReport:
-    ok: bool
-    violations: tuple
-
-
 def validate_lie(L):
     """Exhaustive antisymmetry and Jacobi verification over all triples.
 
     Antisymmetry holds by construction (only i > j is stored), so the
-    report lists Jacobi failures: every ordered triple whose cyclic
-    bracket sum is nonzero, together with that sum, in lexicographic
-    order.  The sum is alternating in the triple, so it vanishes when an
-    index repeats and is evaluated once per set i < j < k, on the nonzero
-    bracket coefficients only; the other orders of a set reuse it with
-    the sign of the permutation.
+    result is the tuple of Jacobi failures, empty exactly when Jacobi
+    holds: a (triple, sum) pair for every ordered triple whose cyclic
+    bracket sum is nonzero, in lexicographic order.  The sum is
+    alternating in the triple, so it vanishes when an index repeats and
+    is evaluated once per set i < j < k, on the nonzero bracket
+    coefficients only; the other orders of a set reuse it with the sign
+    of the permutation.
     """
     coerce = L.ring.coerce
     # (m, k) -> nonzero (t, c) of [x_m, x_k], for both orders of the pair;
@@ -130,8 +119,8 @@ def validate_lie(L):
             continue
         if ((i > j) + (i > k) + (j > k)) % 2:  # odd permutation
             total = tuple(coerce(-x) for x in total)
-        violations.append(JacobiViolation((i, j, k), total))
-    return LieReport(not violations, tuple(violations))
+        violations.append(((i, j, k), total))
+    return tuple(violations)
 
 
 def pbw_generators(L):
@@ -154,9 +143,10 @@ def pbw_generators(L):
 
 @dataclass(frozen=True)
 class PBWReport:
-    """Joint verdicts: Jacobi, Buchberger, basis counts, word shape."""
+    """Joint verdicts: Jacobi (the ``validate_lie`` failures), Buchberger,
+    basis counts, word shape."""
 
-    lie: LieReport
+    jacobi_violations: tuple
     groebner: object
     counts: tuple
     expected_counts: tuple
@@ -165,8 +155,8 @@ class PBWReport:
     @property
     def ok(self):
         return (
-            self.lie.ok
-            and self.groebner.verdict is GBVerdict.IS_GROEBNER
+            not self.jacobi_violations
+            and self.groebner.is_groebner
             and self.counts == self.expected_counts
             and self.non_decreasing
         )
@@ -180,11 +170,11 @@ def verify_pbw(L, max_degree):
     dimensions C(n + d - 1, d); also asserts every normal word is
     non-decreasing.  Failures are reported, never raised.
     """
-    lie_report = validate_lie(L)
+    violations = validate_lie(L)
     G = pbw_generators(L)
     gb_report = check_groebner(G)
     basis = enumerate_basis(G, max_degree, strict=False)
     counts = basis.counts()
     expected = tuple(comb(L.rank + d - 1, d) for d in range(max_degree + 1))
     non_decreasing = all(map(COMMUTATIVE.is_basis_word, basis.words()))
-    return PBWReport(lie_report, gb_report, counts, expected, non_decreasing)
+    return PBWReport(violations, gb_report, counts, expected, non_decreasing)

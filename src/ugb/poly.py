@@ -361,11 +361,11 @@ class Poly:
             else:
                 head = " - " if negative else " + "
             if not w:
-                body = ring.format(magnitude)
+                body = str(magnitude)
             elif magnitude == 1:
                 body = alphabet.word_text(w)
             else:
-                body = f"{ring.format(magnitude)}*{alphabet.word_text(w)}"
+                body = f"{magnitude}*{alphabet.word_text(w)}"
             parts.append(head + body)
         return "".join(parts)
 

@@ -10,7 +10,7 @@ ideal part plus a normal part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .division import divide
 from .poly import ensure_same_algebra
@@ -47,7 +47,6 @@ class QuotientBasis:
     by_degree: dict
     max_degree: int
     verified: bool
-    algebra: object = field(compare=False)
 
     def counts(self):
         return tuple(len(self.by_degree[d]) for d in range(self.max_degree + 1))
@@ -87,7 +86,7 @@ def enumerate_basis(G, max_degree, strict=True):
                     nxt.append(cand)
         by_degree[d] = nxt
         level = nxt
-    return QuotientBasis(by_degree, max_degree, strict, G.algebra)
+    return QuotientBasis(by_degree, max_degree, strict)
 
 
 def decompose(f, G, strict=True):

@@ -39,9 +39,6 @@ class Ring:
     name = "?"
     modulus = 0
 
-    def format(self, a):
-        return str(a)
-
     def split_sign(self, a):
         """(is_negative, magnitude) for printing."""
         return (a < 0, -a if a < 0 else a)

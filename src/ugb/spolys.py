@@ -17,7 +17,6 @@ words can share letters without sharing a contiguous factor.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .division import GenSet, divide
@@ -32,23 +31,21 @@ from .poly import Poly, ensure_same_algebra
 from .words import Overlap, _deglex
 
 
-class GBVerdict(enum.Enum):
-    IS_GROEBNER = "IsGroebner"
-    NOT_GROEBNER = "NotGroebner"
-
-
 @dataclass(frozen=True)
 class GBReport:
     """Outcome of the Buchberger check.
 
     witnesses holds one (s-polynomial, division trace) pair for every
-    nonzero remainder; it is empty exactly when the verdict is
-    IS_GROEBNER.
+    nonzero remainder; the set is a Groebner basis exactly when there
+    is none.
     """
 
-    verdict: GBVerdict
     pairs_checked: int
     witnesses: tuple
+
+    @property
+    def is_groebner(self):
+        return not self.witnesses
 
 
 @dataclass(frozen=True)
@@ -77,8 +74,8 @@ def _make_spoly(G, i, j, overlap):
     coerce = algebra.ring.coerce
     mul_words = algebra.oracle.mul_words
     terms = []
-    for c, k, u, v in ((G._inv_leads[i], i, overlap.u, overlap.v),
-                       (coerce(-G._inv_leads[j]), j, overlap.u2, overlap.v2)):
+    for c, k, u, v in ((G.inv_leads[i], i, overlap.u, overlap.v),
+                       (coerce(-G.inv_leads[j]), j, overlap.u2, overlap.v2)):
         for tc, tw in G.gen_terms[k]:
             nc = coerce(c * tc)
             if nc:  # _sum trusts its terms to be nonzero
@@ -140,9 +137,7 @@ def telescope(fs, cs):
     lcs = [f.lc() for f in fs]
     for a in lcs:
         if not ring.is_unit(a):
-            raise PreconditionViolated(
-                f"leading coefficient {ring.format(a)} is not a unit"
-            )
+            raise PreconditionViolated(f"leading coefficient {a} is not a unit")
     if ring.coerce(sum(c * a for c, a in zip(cs, lcs))):
         raise PreconditionViolated("weighted coefficient sum does not vanish")
     scaled = [f.scale(ring.inv_unit(a)) for f, a in zip(fs, lcs)]
@@ -173,9 +168,7 @@ def check_groebner(G):
     exact and unconditional.  The report is cached on the set.
     """
     spolys = s_polynomials(G)
-    witnesses = tuple(_failures(spolys, G))
-    verdict = GBVerdict.IS_GROEBNER if not witnesses else GBVerdict.NOT_GROEBNER
-    report = GBReport(verdict, len(spolys), witnesses)
+    report = GBReport(len(spolys), tuple(_failures(spolys, G)))
     G._report = report
     return report
 
@@ -185,9 +178,9 @@ def require_groebner(G):
     canonical only for a verified Groebner basis.  Returns the set's
     passing report, cached or from running the check."""
     report = G._report or check_groebner(G)
-    if report.verdict is not GBVerdict.IS_GROEBNER:
+    if not report.is_groebner:
         raise NotAGroebnerBasis(
-            f"generating set verdict is {report.verdict.value}; strict mode needs a "
+            "generating set verdict is NotGroebner; strict mode needs a "
             "verified Groebner basis (non-strict mode gives G-normal results)"
         )
     return report
@@ -228,7 +221,7 @@ def complete(G, max_degree, max_rounds=8):
         pending = sorted([sp for sp, _ in failed] + new, key=_pair_order)
         failed = _failures(pending, current)
         if not failed:
-            current._report = GBReport(GBVerdict.IS_GROEBNER, pairs, ())
+            current._report = GBReport(pairs, ())
             return current
         additions = []
         for sp, trace in failed:
@@ -239,7 +232,7 @@ def complete(G, max_degree, max_rounds=8):
                 raise NonUnitalRemainder(
                     f"s-polynomial of pair ({sp.i}, {sp.j}) reduced to "
                     f"{remainder} with non-unit leading coefficient "
-                    f"{ring.format(remainder.lc())}"
+                    f"{remainder.lc()}"
                 )
             monic = remainder.monic()
             if monic not in additions:

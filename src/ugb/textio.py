@@ -64,7 +64,6 @@ def parse_poly(algebra, text, filename=None, line=None):
         fail("empty polynomial text")
     terms = []
     pos = 0
-    first = True
     while pos < len(tokens):
         negative = False
         if tokens[pos] in "+-":
@@ -74,9 +73,6 @@ def parse_poly(algebra, text, filename=None, line=None):
                 fail("dangling sign at end of polynomial")
             if tokens[pos] in "+-":
                 fail("two signs in a row")
-        elif not first:
-            fail(f"expected '+' or '-' before {tokens[pos]!r}")
-        first = False
 
         token = tokens[pos]
         pos += 1
@@ -294,11 +290,10 @@ def _json(value, newline):
 
 
 def record_steps(steps, algebra):
-    ring = algebra.ring
     alphabet = algebra.alphabet
     return [
         {
-            "coeff": ring.format(coeff),
+            "coeff": str(coeff),
             "left": alphabet.word_text(left),
             "gen": gen,
             "right": alphabet.word_text(right),
@@ -318,8 +313,8 @@ def record_unital(G):
     return {
         "unital": G.is_unital,
         "leads": [
-            {"gen": i, "coeff": G.algebra.ring.format(g.lc()), "unit": unit}
-            for i, (g, unit) in enumerate(zip(G.gens, G.unit_leads))
+            {"gen": i, "coeff": str(g.lc()), "unit": inv is not None}
+            for i, (g, inv) in enumerate(zip(G.gens, G.inv_leads))
         ],
     }
 
@@ -369,9 +364,13 @@ def format_trace(record):
     return "\n".join(lines)
 
 
+def _gb_verdict(report):
+    return "IsGroebner" if report.is_groebner else "NotGroebner"
+
+
 def record_gb_report(report, algebra):
     return {
-        "verdict": report.verdict.value,
+        "verdict": _gb_verdict(report),
         "pairs_checked": report.pairs_checked,
         "witnesses": [
             {
@@ -416,8 +415,8 @@ def format_completion(record):
     return "\n".join(lines)
 
 
-def record_quotient(basis):
-    alphabet = basis.algebra.alphabet
+def record_quotient(basis, algebra):
+    alphabet = algebra.alphabet
     return {
         "verified": basis.verified,
         "max_degree": basis.max_degree,
@@ -455,9 +454,9 @@ def format_split(record):
 
 def record_pbw_report(report):
     return {
-        "lie_ok": report.lie.ok,
-        "jacobi_violations": [list(v.triple) for v in report.lie.violations],
-        "groebner": report.groebner.verdict.value,
+        "lie_ok": not report.jacobi_violations,
+        "jacobi_violations": [list(triple) for triple, _ in report.jacobi_violations],
+        "groebner": _gb_verdict(report.groebner),
         "pairs_checked": report.groebner.pairs_checked,
         "counts": list(report.counts),
         "expected_counts": list(report.expected_counts),

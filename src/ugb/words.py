@@ -43,9 +43,6 @@ class Alphabet:
     def size(self):
         return len(self.names)
 
-    def __len__(self):
-        return len(self.names)
-
     def index(self, name):
         try:
             return self._index[name]

@@ -6,7 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import helpers  # noqa: E402
-from ugb import QQ, ZZ, GBVerdict, Zmod, check_groebner, pbw_generators  # noqa: E402
+from ugb import QQ, ZZ, Zmod, check_groebner, pbw_generators  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -43,5 +43,5 @@ def gb_corpora(example1_q, sl2_z, heis_z4, inverse_pair_q):
         "inverse-pair/Q": inverse_pair_q,
     }
     for G in corpora.values():
-        assert check_groebner(G).verdict is GBVerdict.IS_GROEBNER
+        assert check_groebner(G).is_groebner
     return corpora

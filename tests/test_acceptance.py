@@ -14,7 +14,6 @@ from ugb import (
     QQ,
     ZZ,
     Algebra,
-    GBVerdict,
     GenSet,
     LieAlgebra,
     NotUnital,
@@ -45,8 +44,8 @@ def test_criterion_01_degree_two_monomial_quotient():
     failures = []
     G = helpers.example1_genset(QQ, 3)
     report = check_groebner(G)
-    if report.verdict is not GBVerdict.IS_GROEBNER:
-        failures.append(f"verdict {report.verdict}")
+    if not report.is_groebner:
+        failures.append(f"not Groebner: {len(report.witnesses)} witnesses")
     basis = enumerate_basis(G, 3)
     if basis.counts() != (1, 3, 0, 0):
         failures.append(f"counts {basis.counts()}")
@@ -64,7 +63,7 @@ def test_criterion_02_sl2_pbw_over_z():
     start = time.perf_counter()
     failures = []
     report = verify_pbw(helpers.sl2(ZZ), 4)
-    if report.groebner.verdict is not GBVerdict.IS_GROEBNER:
+    if not report.groebner.is_groebner:
         failures.append("not Groebner")
     expected = tuple((d + 2) * (d + 1) // 2 for d in range(5))
     if report.counts != (1, 3, 6, 10, 15) or report.counts != expected:
@@ -99,8 +98,8 @@ def test_criterion_04_jacobi_matches_buchberger():
             for j in range(i)
         }
         L = LieAlgebra(ring, 3, brackets)
-        lie_ok = validate_lie(L).ok
-        gb_ok = check_groebner(pbw_generators(L)).verdict is GBVerdict.IS_GROEBNER
+        lie_ok = not validate_lie(L)
+        gb_ok = check_groebner(pbw_generators(L)).is_groebner
         if lie_ok != gb_ok:
             failures.append(f"case {case}: jacobi={lie_ok} buchberger={gb_ok}")
         agreements += 1
@@ -180,7 +179,7 @@ def test_criterion_08_negative_controls():
     AZ = Algebra(ZZ, ["x", "y"])
     G = GenSet([AZ.poly([(1, (0, 0)), (-1, (1,))])], AZ)
     report = check_groebner(G)
-    if report.verdict is not GBVerdict.NOT_GROEBNER:
+    if report.is_groebner:
         failures.append("x^2 - y passed")
     else:
         sp, trace = report.witnesses[0]
@@ -199,9 +198,9 @@ def test_criterion_08_negative_controls():
     # the table stated in the source example ([h,e] = 2e + f) satisfies
     # Jacobi, so the control uses a genuine breaker: [e,f] = h + e
     bad = helpers.perturbed_sl2(ZZ)
-    if validate_lie(bad).ok:
+    if not validate_lie(bad):
         failures.append("perturbed table passed Jacobi")
-    if check_groebner(pbw_generators(bad)).verdict is not GBVerdict.NOT_GROEBNER:
+    if check_groebner(pbw_generators(bad)).is_groebner:
         failures.append("perturbed table passed Buchberger")
     _finish(8, "negative controls: non-GB witness, NotUnital, broken Jacobi", failures)
 
@@ -250,7 +249,7 @@ def test_criterion_10_property_suites():
             g1 = helpers.random_unital_poly(rng, algebra, max_deg=2)
             g2 = helpers.random_unital_poly(rng, algebra, max_deg=2)
             G = GenSet([g1, g2], algebra)
-            if check_groebner(G).verdict is not GBVerdict.IS_GROEBNER:
+            if not check_groebner(G).is_groebner:
                 continue
             found += 1
             inv = [ring.inv_unit(g.lc()) for g in G]

@@ -14,10 +14,13 @@ from ugb import (
     BudgetExceeded,
     EngineInvariantBroken,
     GenSet,
+    LieAlgebra,
     NotAGroebnerBasis,
     NotUnital,
     Zmod,
+    complete,
     divide,
+    enumerate_basis,
     is_normal,
     normal_form,
     pbw_generators,
@@ -218,6 +221,24 @@ def test_not_unital_rejected():
         divide(AZ.poly([(1, (X,))]), G)
 
 
+_XY_MINUS_1 = _gset(AZ, [(1, (X, Y)), (-1, ())])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GenSet([]), "needs an explicit algebra"),
+    (lambda: GenSet([AZ.zero()]), "zero polynomial"),
+    (lambda: divide(AZ.one(), _XY_MINUS_1, step_budget=0), "step_budget must be positive"),
+    (lambda: complete(_XY_MINUS_1, 0), "max_degree must be positive"),
+    (lambda: complete(_XY_MINUS_1, 2, 0), "max_rounds must be positive"),
+    (lambda: enumerate_basis(_XY_MINUS_1, -1), "max_degree must be nonnegative"),
+    (lambda: LieAlgebra(ZZ, 0), "rank must be positive"),
+], ids=["empty-genset", "zero-generator", "step-budget", "complete-degree", "complete-rounds",
+        "basis-degree", "lie-rank"])
+def test_argument_guards_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_normal_form_abelian_pair():
     G = pbw_generators(helpers.abelian(ZZ, 2))
     f = G.algebra.poly([(1, (1, 0)), (-1, (0, 1))])  # the generator itself
@@ -259,7 +280,7 @@ _BROKEN_INVERSE = textwrap.dedent("""
 
     A = Algebra(QQ, ["x", "y"])
     G = GenSet([A.poly([(1, (0, 1)), (-1, ())])], A)
-    G._inv_leads = (QQ.coerce(2),)  # the true inverse of the lead is 1
+    G.inv_leads = (QQ.coerce(2),)  # the true inverse of the lead is 1
     try:
         divide(A.poly([(1, (0, 1, 0))]), G)
     except EngineInvariantBroken as exc:
@@ -270,7 +291,7 @@ _BROKEN_INVERSE = textwrap.dedent("""
 def test_broken_lead_inverse_raises_engine_invariant():
     # a corrupted lead inverse leaves the leading term standing
     G = _gset(AZ, [(1, (X, Y)), (-1, ())])
-    G._inv_leads = (2,)
+    G.inv_leads = (2,)
     with pytest.raises(EngineInvariantBroken, match="failed to cancel"):
         divide(AZ.poly([(1, (X, Y, X))]), G)
     assert helpers.run_optimized(_BROKEN_INVERSE) == "leading term failed to cancel\n"

@@ -112,6 +112,12 @@ def test_parse_problem_without_a_block_is_none():
 def test_parse_problem_diagnostics_carry_line_numbers():
     cases = [
         ("ring Z\nalphabet x\ngen w\n", 3, "unknown symbol"),
+        ("ring Z\nalphabet x\ngen 2*w\n", 3, "unknown symbol 'w'"),
+        ("ring Z\noracle bogus\n", 2, "unknown oracle"),
+        ("ring Z\nalphabet x x\n", 2, "duplicate symbol names"),
+        ("rank 2\nbracket 2 1 : 0 0\nring Z\n", 2, "ring must be declared before brackets"),
+        ("ring Z\nrank 2\nbracket 2 1 0 0\n", 3, "needs ':'"),
+        ("ring Z\nrank 2\nbracket 2 1 : 1 0\nbracket 2 1 : 0 1\n", 4, "duplicate bracket (2, 1)"),
         ("ring Z\nnonsense here\n", 2, "unknown directive"),
         ("ring Z\ngen x\n", 2, "alphabet"),
         ("alphabet x\ngen x\n", 2, "ring"),
