@@ -23,7 +23,6 @@ from .errors import (
     NotUnital,
     OracleMismatch,
     ParseError,
-    PreconditionViolated,
     RingMismatch,
     RoundsExceeded,
     UGBError,
@@ -61,9 +60,8 @@ from .spolys import (
     complete,
     require_groebner,
     s_polynomials,
-    telescope,
 )
 from .textio import load_problem, parse_poly, parse_problem
-from .words import EMPTY, Alphabet, Overlap
+from .words import EMPTY, Alphabet
 
 __version__ = "0.1.0"

@@ -69,7 +69,7 @@ def _normal_form(args, G):
     seed = _seed(args.strategy)
     if args.strict:
         require_groebner(G)
-    return textio.record_trace(divide(f, G, seed)), textio.format_trace, 0
+    return textio.record_trace(f, divide(f, G, seed), G.algebra), textio.format_trace, 0
 
 
 def _quotient_basis(args, G):

@@ -88,16 +88,14 @@ class GenSet:
 
 @dataclass(frozen=True)
 class DivisionTrace:
-    """Full record of one division run.
+    """Full record of one division run of f by G.
 
     Each step is the plain tuple (coeff, left, gen, right), one rewrite
-    that subtracts coeff * (left * gens[gen] * right).  Invariant:
-    dividend == remainder + sum of the recorded steps, and no leading word
-    of the set divides a remainder word.
+    that subtracts coeff * (left * G[gen] * right).  Invariant: f ==
+    remainder + sum of the recorded steps, and no leading word of G
+    divides a remainder word.
     """
 
-    dividend: Poly
-    gens: GenSet
     steps: tuple
     remainder: Poly
 
@@ -173,5 +171,5 @@ def divide(f, G, seed=None, step_budget=DEFAULT_STEP_BUDGET):
         if lm_f in working:
             raise EngineInvariantBroken("leading term failed to cancel")
     remainder = Poly(algebra, tuple(peeled))
-    return DivisionTrace(f, G, tuple(steps), remainder)
+    return DivisionTrace(tuple(steps), remainder)
 

@@ -43,10 +43,6 @@ class NotAGroebnerBasis(UGBError):
     """A strict-mode operation requires a verified Groebner basis."""
 
 
-class PreconditionViolated(UGBError):
-    pass
-
-
 class CompletionFailure(UGBError):
     """Completion could not reach a Groebner basis."""
 

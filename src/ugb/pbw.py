@@ -165,15 +165,17 @@ class PBWReport:
 def verify_pbw(L, max_degree):
     """Check the enveloping-algebra basis claims up to a degree bound.
 
-    Runs the Buchberger check on the rewriting system, enumerates normal
-    words, and compares the per-degree counts with the symmetric-algebra
-    dimensions C(n + d - 1, d); also asserts every normal word is
-    non-decreasing.  Failures are reported, never raised.
+    Enumerates the normal words of the rewriting system first, so a
+    negative bound raises before any other work; then runs the Jacobi and
+    Buchberger checks and compares the per-degree counts with the
+    symmetric-algebra dimensions C(n + d - 1, d); also asserts every
+    normal word is non-decreasing.  Failed claims are reported, never
+    raised.
     """
-    violations = validate_lie(L)
     G = pbw_generators(L)
-    gb_report = check_groebner(G)
     basis = enumerate_basis(G, max_degree, strict=False)
+    violations = validate_lie(L)
+    gb_report = check_groebner(G)
     counts = basis.counts()
     expected = tuple(comb(L.rank + d - 1, d) for d in range(max_degree + 1))
     non_decreasing = all(map(COMMUTATIVE.is_basis_word, basis.words()))

@@ -30,7 +30,7 @@ from .errors import (
     RingMismatch,
     ZeroPolynomial,
 )
-from .words import EMPTY, Alphabet, FactorIndex, Overlap
+from .words import EMPTY, Alphabet, FactorIndex
 
 
 class FreeConcat:
@@ -53,12 +53,14 @@ class FreeConcat:
         return FactorIndex(lead_words)
 
     def critical_pairs(self, lead_words, first_new):
-        """(i, j, overlap) for i <= j, j >= first_new: the diamond-lemma
-        family of proper overlaps (a suffix table probed with prefixes) and
-        inclusions (the division index).  Equal lead words meet once, at the
-        word itself, and overlap one way only; no generator includes itself,
-        and an empty lead word is included at every cut.  Disjoint placements
-        always reduce to zero for unital pairs and are not enumerated."""
+        """(i, j, u, v, u2, v2) for i <= j, j >= first_new, placing both
+        lead words on one ambiguity word u * w_i * v == u2 * w_j * v2: the
+        diamond-lemma family of proper overlaps (a suffix table probed with
+        prefixes) and inclusions (the division index).  Equal lead words
+        meet once, at the word itself, and overlap one way only; no
+        generator includes itself, and an empty lead word is included at
+        every cut.  Disjoint placements always reduce to zero for unital
+        pairs and are not enumerated."""
         ends_in = {}
         for a, w in enumerate(lead_words):
             for t in range(1, len(w)):
@@ -74,17 +76,17 @@ class FreeConcat:
                         continue
                     left, right = wa[:len(wa) - t], w[t:]
                     if a <= b:
-                        out.append((a, b, Overlap(EMPTY, right, left, EMPTY, wa + right)))
+                        out.append((a, b, EMPTY, right, left, EMPTY))
                     else:
-                        out.append((b, a, Overlap(left, EMPTY, EMPTY, right, wa + right)))
+                        out.append((b, a, left, EMPTY, EMPTY, right))
             # lead_words[a] is a factor of w; an equal word is met only from below
             for a, u, v in index.matches(w):
                 if max(a, b) < first_new or (a >= b and len(lead_words[a]) == len(w)):
                     continue
                 if a < b:
-                    out.append((a, b, Overlap(u, v, EMPTY, EMPTY, w)))
+                    out.append((a, b, u, v, EMPTY, EMPTY))
                 else:
-                    out.append((b, a, Overlap(EMPTY, EMPTY, u, v, w)))
+                    out.append((b, a, EMPTY, EMPTY, u, v))
         return out
 
     def __repr__(self):
@@ -110,19 +112,17 @@ class CommutativeMerge:
         return MultisetIndex(lead_words)
 
     def critical_pairs(self, lead_words, first_new):
-        """(i, j, overlap) for i < j, j >= first_new: one placement per
-        pair of distinct generators, at the least common multiple of the
-        leading words (the letterwise max); both divide it, and their
-        cofactors are the two contexts."""
+        """(i, j, u, EMPTY, u2, EMPTY) for i < j, j >= first_new: one
+        placement per pair of distinct generators, at the least common
+        multiple of the leading words (the letterwise max); both divide it,
+        and their cofactors are the two left contexts."""
         counts = [Counter(w) for w in lead_words]
         out = []
         for j in range(first_new, len(lead_words)):
             for i in range(j):
                 lcm = counts[i] | counts[j]
-                u, u2, ambiguity = (
-                    tuple(sorted(c.elements())) for c in (lcm - counts[i], lcm - counts[j], lcm)
-                )
-                out.append((i, j, Overlap(u, EMPTY, u2, EMPTY, ambiguity)))
+                u, u2 = (tuple(sorted(c.elements())) for c in (lcm - counts[i], lcm - counts[j]))
+                out.append((i, j, u, EMPTY, u2, EMPTY))
         return out
 
     def __repr__(self):
@@ -252,10 +252,6 @@ class Algebra:
 
     def one(self):
         return Poly(self, ((1, EMPTY),))
-
-    def gen(self, i):
-        """The generator x_i as a polynomial."""
-        return self.monomial((i,))
 
     def monomial(self, word, coeff=1):
         return self.poly([(coeff, tuple(word))])

@@ -37,26 +37,26 @@ def is_normal(word, G):
 
 @dataclass(frozen=True)
 class QuotientBasis:
-    """Normal words of each degree up to a bound.
+    """Normal words of each degree up to a bound: ``by_degree[d]`` lists
+    those of degree d, for d from 0 to the bound.
 
     ``verified`` is true when enumeration went through the strict gate,
     so the set passed the Buchberger check; otherwise the listed words are
     only G-normal and span no canonical quotient basis.
     """
 
-    by_degree: dict
-    max_degree: int
+    by_degree: list
     verified: bool
 
     def counts(self):
-        return tuple(len(self.by_degree[d]) for d in range(self.max_degree + 1))
+        return tuple(map(len, self.by_degree))
 
     def total(self):
         return sum(self.counts())
 
     def words(self):
-        for d in range(self.max_degree + 1):
-            yield from self.by_degree[d]
+        for row in self.by_degree:
+            yield from row
 
 
 def enumerate_basis(G, max_degree, strict=True):
@@ -75,18 +75,18 @@ def enumerate_basis(G, max_degree, strict=True):
     oracle = G.algebra.oracle
     first = G.leads.first
     n = G.algebra.alphabet.size
-    by_degree = {0: [EMPTY] if first(EMPTY) is None else []}
-    level = by_degree[0]
-    for d in range(1, max_degree + 1):
+    level = [EMPTY] if first(EMPTY) is None else []
+    by_degree = [level]
+    for _ in range(max_degree):
         nxt = []
         for w in level:
             for a in range(n):
                 cand = w + (a,)
                 if oracle.is_basis_word(cand) and first(cand) is None:
                     nxt.append(cand)
-        by_degree[d] = nxt
+        by_degree.append(nxt)
         level = nxt
-    return QuotientBasis(by_degree, max_degree, strict)
+    return QuotientBasis(by_degree, strict)
 
 
 def decompose(f, G, strict=True):

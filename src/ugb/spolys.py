@@ -1,5 +1,5 @@
-"""Critical pairs: s-polynomials, telescoping, the Buchberger criterion,
-a bounded completion loop, and the verdict with its strict-mode gate.
+"""Critical pairs: s-polynomials, the Buchberger criterion, a bounded
+completion loop, and the verdict with its strict-mode gate.
 
 An s-polynomial is the difference of two scaled context products of
 generators whose leading terms meet at one ambiguity word; the scaling
@@ -20,15 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .division import GenSet, divide
-from .errors import (
-    EngineInvariantBroken,
-    NonUnitalRemainder,
-    NotAGroebnerBasis,
-    PreconditionViolated,
-    RoundsExceeded,
-)
-from .poly import Poly, ensure_same_algebra
-from .words import Overlap, _deglex
+from .errors import EngineInvariantBroken, NonUnitalRemainder, NotAGroebnerBasis, RoundsExceeded
+from .poly import Poly
+from .words import _deglex
 
 
 @dataclass(frozen=True)
@@ -50,54 +44,53 @@ class GBReport:
 
 @dataclass(frozen=True)
 class SPoly:
-    """s-polynomial about generators i and j at one overlap placement.
+    """s-polynomial about generators i and j at one placement (u, v, u2,
+    v2) of their leading words on the ambiguity word.
 
     value = inv(a_i) * (u * g_i * v) - inv(a_j) * (u2 * g_j * v2); the two
     leading terms cancel at the ambiguity word, so either value == 0 or
-    LM(value) < ambiguity.
+    LM(value) < ambiguity.  Of the placement only the left contexts u and
+    u2 are kept, to break ties in the pair order.
     """
 
     i: int
     j: int
-    overlap: Overlap
+    u: tuple
+    u2: tuple
+    ambiguity: tuple
     value: Poly
 
-    @property
-    def ambiguity(self):
-        return self.overlap.ambiguity
 
-
-def _make_spoly(G, i, j, overlap):
+def _make_spoly(G, i, j, u, v, u2, v2):
     """Both scaled context products in one merge, the second scaled by the
     negated inverse; the oracle's context words are not re-checked."""
     algebra = G.algebra
     coerce = algebra.ring.coerce
     mul_words = algebra.oracle.mul_words
     terms = []
-    for c, k, u, v in ((G.inv_leads[i], i, overlap.u, overlap.v),
-                       (coerce(-G.inv_leads[j]), j, overlap.u2, overlap.v2)):
+    for c, k, left, right in ((G.inv_leads[i], i, u, v), (coerce(-G.inv_leads[j]), j, u2, v2)):
         for tc, tw in G.gen_terms[k]:
             nc = coerce(c * tc)
             if nc:  # _sum trusts its terms to be nonzero
-                terms.append((nc, mul_words(u, mul_words(tw, v))))
+                terms.append((nc, mul_words(left, mul_words(tw, right))))
     value = algebra._sum(terms)
-    if not (value.is_zero() or _deglex(value.lm()) < _deglex(overlap.ambiguity)):
+    ambiguity = mul_words(u, mul_words(G.lead_words[i], v))
+    if not (value.is_zero() or _deglex(value.lm()) < _deglex(ambiguity)):
         raise EngineInvariantBroken("s-polynomial leading terms failed to cancel")
-    return SPoly(i, j, overlap, value)
+    return SPoly(i, j, u, u2, ambiguity, value)
 
 
 def _pair_order(sp):
     """Ambiguity word, then generators, then placement: a total order on
     the pair family, so the list does not depend on emission order."""
-    ov = sp.overlap
-    return (_deglex(ov.ambiguity), sp.i, sp.j, len(ov.u), len(ov.u2))
+    return (_deglex(sp.ambiguity), sp.i, sp.j, len(sp.u), len(sp.u2))
 
 
 def _spolys(G, first_new):
     """s-polynomials of the pairs (i, j), i <= j, with j >= first_new,
     unsorted."""
     pairs = G.algebra.oracle.critical_pairs(G.lead_words, first_new)
-    return [_make_spoly(G, i, j, ov) for i, j, ov in pairs]
+    return [_make_spoly(G, *pair) for pair in pairs]
 
 
 def s_polynomials(G):
@@ -107,46 +100,6 @@ def s_polynomials(G):
     """
     G.require_unital()
     return sorted(_spolys(G, 0), key=_pair_order)
-
-
-def telescope(fs, cs):
-    """Rewrite sum(c_i * f_i) as sum(d_k * (f_k/a_k - f_{k+1}/a_{k+1})).
-
-    All f_i must share one leading monomial with unit leading
-    coefficients a_i, and the weighted sum of the c_i against the a_i
-    must vanish (equivalently, the leading terms cancel).  Returns the
-    n-1 pairs (d_k, S_{k,k+1}) with d_k the running sum c_1*a_1 + ... +
-    c_k*a_k; their combination reconstructs the input sum exactly.
-    """
-    fs = list(fs)
-    cs = list(cs)
-    if not fs or len(fs) != len(cs):
-        raise PreconditionViolated("need equally many polynomials and coefficients")
-    algebra = fs[0].algebra
-    ring = algebra.ring
-    cs = [ring.coerce(c) for c in cs]
-    for f in fs:
-        ensure_same_algebra(algebra, f.algebra)
-        if f.is_zero():
-            raise PreconditionViolated("zero polynomial in telescope input")
-    if not all(cs):
-        raise PreconditionViolated("zero coefficient in telescope input")
-    lm0 = fs[0].lm()
-    if any(f.lm() != lm0 for f in fs):
-        raise PreconditionViolated("leading monomials differ")
-    lcs = [f.lc() for f in fs]
-    for a in lcs:
-        if not ring.is_unit(a):
-            raise PreconditionViolated(f"leading coefficient {a} is not a unit")
-    if ring.coerce(sum(c * a for c, a in zip(cs, lcs))):
-        raise PreconditionViolated("weighted coefficient sum does not vanish")
-    scaled = [f.scale(ring.inv_unit(a)) for f, a in zip(fs, lcs)]
-    out = []
-    d = 0
-    for k in range(len(fs) - 1):
-        d = ring.coerce(d + cs[k] * lcs[k])
-        out.append((d, scaled[k] - scaled[k + 1]))
-    return out
 
 
 def _failures(spolys, G):

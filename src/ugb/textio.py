@@ -349,10 +349,10 @@ def format_spolys(record):
     return "\n".join(lines)
 
 
-def record_trace(trace):
+def record_trace(f, trace, algebra):
     return {
-        "dividend": str(trace.dividend),
-        "steps": record_steps(trace.steps, trace.gens.algebra),
+        "dividend": str(f),
+        "steps": record_steps(trace.steps, algebra),
         "remainder": str(trace.remainder),
     }
 
@@ -377,7 +377,7 @@ def record_gb_report(report, algebra):
                 "pair": [sp.i, sp.j],
                 "ambiguity": algebra.alphabet.word_text(sp.ambiguity),
                 "s_polynomial": str(sp.value),
-                "trace": record_trace(trace),
+                "trace": record_trace(sp.value, trace, algebra),
             }
             for sp, trace in report.witnesses
         ],
@@ -419,12 +419,12 @@ def record_quotient(basis, algebra):
     alphabet = algebra.alphabet
     return {
         "verified": basis.verified,
-        "max_degree": basis.max_degree,
+        "max_degree": len(basis.by_degree) - 1,
         "counts": list(basis.counts()),
         "total": basis.total(),
         "by_degree": {
-            str(d): [alphabet.word_text(w) for w in basis.by_degree[d]]
-            for d in range(basis.max_degree + 1)
+            str(d): [alphabet.word_text(w) for w in row]
+            for d, row in enumerate(basis.by_degree)
         },
     }
 

@@ -1,5 +1,4 @@
-"""Words over an indexed alphabet, the graded-lex order, factor search and
-the overlap record of a critical pair.
+"""Words over an indexed alphabet, the graded-lex order and factor search.
 
 A word is a plain tuple of letter indices; the empty tuple is the
 monomial 1.  The monomial order is fixed: graded lex, length first and
@@ -12,7 +11,6 @@ as one sort key.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 EMPTY = ()
 
@@ -111,20 +109,3 @@ class FactorIndex:
                     hits.append((i, p, n))
         hits.sort()
         return [(i, word[:p], word[p + n:]) for i, p, n in hits]
-
-
-@dataclass(frozen=True)
-class Overlap:
-    """Two placements of a pair of words onto one ambiguity word.
-
-    For source words (w, w2): u + w + v == u2 + w2 + v2 == ambiguity.
-    Each instance is either a proper overlap (a nonempty proper suffix of
-    one word equals a prefix of the other) or an inclusion (one word is a
-    factor of the other).
-    """
-
-    u: tuple
-    v: tuple
-    u2: tuple
-    v2: tuple
-    ambiguity: tuple

@@ -102,6 +102,45 @@ def random_telescope_instance(rng, algebra, size):
             return fs, cs + [last]
 
 
+def telescope(fs, cs):
+    """The paper's telescoping lemma: rewrite sum(c_i * f_i) as
+    sum(d_k * (f_k/a_k - f_{k+1}/a_{k+1})).
+
+    All f_i must share one leading monomial with unit leading
+    coefficients a_i, and the weighted sum of the c_i against the a_i
+    must vanish (equivalently, the leading terms cancel).  Returns the
+    n-1 pairs (d_k, S_{k,k+1}) with d_k the running sum c_1*a_1 + ... +
+    c_k*a_k; their combination reconstructs the input sum exactly.
+    Raises ValueError when a precondition fails.
+    """
+    fs = list(fs)
+    cs = list(cs)
+    if not fs or len(fs) != len(cs):
+        raise ValueError("need equally many polynomials and coefficients")
+    ring = fs[0].algebra.ring
+    cs = [ring.coerce(c) for c in cs]
+    if any(f.is_zero() for f in fs):
+        raise ValueError("zero polynomial in telescope input")
+    if not all(cs):
+        raise ValueError("zero coefficient in telescope input")
+    lm0 = fs[0].lm()
+    if any(f.lm() != lm0 for f in fs):
+        raise ValueError("leading monomials differ")
+    lcs = [f.lc() for f in fs]
+    for a in lcs:
+        if not ring.is_unit(a):
+            raise ValueError(f"leading coefficient {a} is not a unit")
+    if ring.coerce(sum(c * a for c, a in zip(cs, lcs))):
+        raise ValueError("weighted coefficient sum does not vanish")
+    scaled = [f.scale(ring.inv_unit(a)) for f, a in zip(fs, lcs)]
+    out = []
+    d = 0
+    for k in range(len(fs) - 1):
+        d = ring.coerce(d + cs[k] * lcs[k])
+        out.append((d, scaled[k] - scaled[k + 1]))
+    return out
+
+
 def random_ideal_combo(rng, G, max_context=2, parts=3):
     """Random sum of context products of the generators (a known member)."""
     algebra = G.algebra
@@ -115,28 +154,28 @@ def random_ideal_combo(rng, G, max_context=2, parts=3):
     return total
 
 
-def ideal_part(trace):
-    """Sum of the recorded division steps, coeff * (left * gen * right)
-    each: the step expansion of a division trace, formed independently of
-    its remainder."""
-    G = trace.gens
+def ideal_part(trace, G):
+    """Sum of the recorded division steps, coeff * (left * G[gen] * right)
+    each: the step expansion of a division trace by G, formed
+    independently of its remainder."""
     scaled = (G[gen].scale(coeff, left, right) for coeff, left, gen, right in trace.steps)
     return G.algebra.poly([t for p in scaled for t in p.terms])
 
 
-def reconstruct(trace):
-    """The dividend as the trace records it: steps plus remainder."""
-    return ideal_part(trace) + trace.remainder
+def reconstruct(trace, G):
+    """The dividend as the trace of its division by G records it: steps
+    plus remainder."""
+    return ideal_part(trace, G) + trace.remainder
 
 
-def reference_spoly(G, i, j, overlap):
-    """The s-polynomial of generators i and j at one overlap placement,
-    built as two checked ``scale`` calls and a subtraction:
+def reference_spoly(G, i, j, u, v, u2, v2):
+    """The s-polynomial of generators i and j at one placement, built as
+    two checked ``scale`` calls and a subtraction:
     inv(a_i) * (u * g_i * v) - inv(a_j) * (u2 * g_j * v2)."""
     ring = G.algebra.ring
     gi, gj = G[i], G[j]
-    return (gi.scale(ring.inv_unit(gi.lc()), overlap.u, overlap.v)
-            - gj.scale(ring.inv_unit(gj.lc()), overlap.u2, overlap.v2))
+    return (gi.scale(ring.inv_unit(gi.lc()), u, v)
+            - gj.scale(ring.inv_unit(gj.lc()), u2, v2))
 
 
 def _eager_add_scaled(dst, src, c, n):

@@ -26,7 +26,6 @@ from ugb import (
     is_member,
     normal_form,
     pbw_generators,
-    telescope,
     validate_lie,
     verify_pbw,
 )
@@ -216,7 +215,7 @@ def test_criterion_09_telescoping():
             for c, f in zip(cs, fs):
                 direct = direct + f.scale(c)
             combo = algebra.zero()
-            for d, s in telescope(fs, cs):
+            for d, s in helpers.telescope(fs, cs):
                 combo = combo + s.scale(d)
             if combo != direct:
                 failures.append(f"{ring} instance {k}")

@@ -4,9 +4,10 @@ The reference below is the old enumeration, kept only here: ``overlaps``
 of two words in both directions, the collision of two generators with
 equal leading words inserted first, the least-common-multiple pairing of
 the commutative oracle through a two-word ``MultisetIndex``, and the
-``i <= j`` double loop.  Its pairs were listed by a stable sort on
-(ambiguity, i, j), so emission order broke ties; ``_pair_order`` is a
-total order, and it must reproduce that list exactly.
+``i <= j`` double loop.  Its placements are (u, v, u2, v2, ambiguity)
+tuples, and its pairs were listed by a stable sort on (ambiguity, i, j),
+so emission order broke ties; ``_pair_order`` is a total order, and it
+must reproduce that list exactly.
 """
 
 import random
@@ -14,7 +15,7 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from ugb import COMMUTATIVE, EMPTY, FREE, Overlap
+from ugb import COMMUTATIVE, EMPTY, FREE
 from ugb.poly import MultisetIndex
 from ugb.spolys import SPoly, _pair_order
 from ugb.words import _deglex
@@ -36,23 +37,23 @@ def reference_overlaps(w, w2):
     out = []
     for t in range(1, min(len(w), len(w2))):
         if w[len(w) - t:] == w2[:t]:
-            out.append(Overlap(EMPTY, w2[t:], w[:len(w) - t], EMPTY, w + w2[t:]))
+            out.append((EMPTY, w2[t:], w[:len(w) - t], EMPTY, w + w2[t:]))
     if same:
         return out
     for t in range(1, min(len(w), len(w2))):
         if w2[len(w2) - t:] == w[:t]:
-            out.append(Overlap(w2[:len(w2) - t], EMPTY, EMPTY, w[t:], w2 + w[t:]))
+            out.append((w2[:len(w2) - t], EMPTY, EMPTY, w[t:], w2 + w[t:]))
     for u2, v2 in _factorizations(w2, w):
-        out.append(Overlap(EMPTY, EMPTY, u2, v2, w))
+        out.append((EMPTY, EMPTY, u2, v2, w))
     for u, v in _factorizations(w, w2):
-        out.append(Overlap(u, v, EMPTY, EMPTY, w2))
+        out.append((u, v, EMPTY, EMPTY, w2))
     return out
 
 
 def reference_free(w, w2, same_gen):
     out = reference_overlaps(w, w2)
     if w == w2 and not same_gen:
-        out.insert(0, Overlap(EMPTY, EMPTY, EMPTY, EMPTY, w))
+        out.insert(0, (EMPTY, EMPTY, EMPTY, EMPTY, w))
     return out
 
 
@@ -61,7 +62,7 @@ def reference_commutative(w, w2, same_gen):
         return []
     ambiguity = tuple(sorted((Counter(w) | Counter(w2)).elements()))
     (_, u, v), (_, u2, v2) = MultisetIndex((w, w2)).matches(ambiguity)
-    return [Overlap(u, v, u2, v2, ambiguity)]
+    return [(u, v, u2, v2, ambiguity)]
 
 
 REFERENCE = {FREE: reference_free, COMMUTATIVE: reference_commutative}
@@ -69,19 +70,22 @@ REFERENCE = {FREE: reference_free, COMMUTATIVE: reference_commutative}
 
 def reference_pairs(oracle, lead_words, first_new):
     """The old listing: every i <= j with j >= first_new, stably sorted
-    by (ambiguity, i, j)."""
+    by (ambiguity, i, j), as (i, j, u, v, u2, v2) tuples."""
     per_pair = REFERENCE[oracle]
     out = [
-        (i, j, ov)
+        (i, j, *placement)
         for j in range(first_new, len(lead_words))
         for i in range(j + 1)
-        for ov in per_pair(lead_words[i], lead_words[j], i == j)
+        for placement in per_pair(lead_words[i], lead_words[j], i == j)
     ]
-    return sorted(out, key=lambda p: (_deglex(p[2].ambiguity), p[0], p[1]))
+    out.sort(key=lambda p: (_deglex(p[6]), p[0], p[1]))
+    return [p[:6] for p in out]
 
 
-def _ordered(pairs):
-    keys = [_pair_order(SPoly(i, j, ov, None)) for i, j, ov in pairs]
+def _ordered(oracle, lead_words, pairs):
+    mul = oracle.mul_words
+    keys = [_pair_order(SPoly(i, j, u, u2, mul(u, mul(lead_words[i], v)), None))
+            for i, j, u, v, u2, v2 in pairs]
     assert len(set(keys)) == len(keys), "pair order has ties"
     return [p for _, p in sorted(zip(keys, pairs), key=lambda kp: kp[0])]
 
@@ -91,7 +95,7 @@ def assert_matches_reference(oracle, lead_words):
         lead_words = [tuple(sorted(w)) for w in lead_words]
     lead_words = tuple(lead_words)
     for first_new in range(len(lead_words) + 1):
-        got = _ordered(oracle.critical_pairs(lead_words, first_new))
+        got = _ordered(oracle, lead_words, oracle.critical_pairs(lead_words, first_new))
         assert got == reference_pairs(oracle, lead_words, first_new), (lead_words, first_new)
 
 

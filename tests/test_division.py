@@ -100,7 +100,7 @@ def test_reconstruction_and_normality(ring):
         f = helpers.random_poly(rng, algebra, max_deg=4)
         for seed in (None, rng.randrange(10**6)):
             trace = divide(f, G, seed)
-            assert helpers.reconstruct(trace) == f
+            assert helpers.reconstruct(trace, G) == f
             for _, w in trace.remainder.terms:
                 assert is_normal(w, G)
 
@@ -113,7 +113,7 @@ def test_reconstruction_commutative_oracle():
         G = GenSet(gens, algebra)
         f = helpers.random_poly(rng, algebra, max_deg=4)
         trace = divide(f, G)
-        assert helpers.reconstruct(trace) == f
+        assert helpers.reconstruct(trace, G) == f
         for _, w in trace.remainder.terms:
             assert is_normal(w, G)
 
@@ -266,7 +266,7 @@ def test_trace_serialization_shape(inverse_pair_q):
     A = inverse_pair_q.algebra
     f = A.poly([(2, (0, 1, 0)), (1, (1,))])
     trace = divide(f, inverse_pair_q)
-    text = format_trace(record_trace(trace))
+    text = format_trace(record_trace(f, trace, A))
     assert text.splitlines() == [
         "dividend: 2*x y x + y",
         "steps: 1",

@@ -3,7 +3,8 @@ graph has no cycle (its layers run words, rings, poly, division, spolys,
 quotient, pbw, with textio and cli on top), and every import sits in a
 module's header, before its first top-level ``def`` or ``class``.  A
 late or function-level import is how a cycle gets hidden, so both are
-rejected."""
+rejected.  Every module but ``__init__`` (which re-exports) reads each
+name it imports, so a deletion leaves no stale import behind."""
 
 import ast
 from graphlib import CycleError, TopologicalSorter
@@ -58,3 +59,28 @@ def test_imports_precede_the_first_definition():
             continue
         late += [f"{name}.py:{node.lineno}" for node in _imports(tree) if node.lineno > defs[0]]
     assert not late, late
+
+
+def _unused_imports(tree):
+    """Names the module imports, ``__future__`` features aside, that no
+    expression in it reads, as "name (line n)"."""
+    bound = {}
+    for node in _imports(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in sorted(bound.items()) if name not in read]
+
+
+def test_modules_read_every_name_they_import():
+    # the scan must see a stale name, so an empty result cannot pass by default
+    assert _unused_imports(ast.parse("import re\nfrom x import a, b as c\nc(re)")) == ["a (line 2)"]
+    unused = [
+        f"{name}.py: {entry}"
+        for name, tree in _trees().items()
+        if name != "__init__"
+        for entry in _unused_imports(tree)
+    ]
+    assert not unused, unused

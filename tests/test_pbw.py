@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 import helpers
+import ugb.pbw
 from ugb import (
     LieAlgebra,
     QQ,
@@ -164,6 +165,18 @@ def test_verify_perturbed_sl2_fails():
     assert report.jacobi_violations
     assert not report.groebner.is_groebner
     assert not report.ok
+
+
+def test_verify_rejects_a_negative_bound_before_any_check(monkeypatch):
+    # the bound is checked first: neither the Jacobi nor the Buchberger
+    # check may run on a request that is rejected anyway
+    def ran(_):
+        raise AssertionError("a check ran before the bound was rejected")
+
+    monkeypatch.setattr(ugb.pbw, "validate_lie", ran)
+    monkeypatch.setattr(ugb.pbw, "check_groebner", ran)
+    with pytest.raises(ValueError, match="max_degree must be nonnegative"):
+        verify_pbw(helpers.sl2(ZZ), -1)
 
 
 def test_normal_words_are_exactly_non_decreasing():

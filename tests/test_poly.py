@@ -193,6 +193,5 @@ def test_oracle_from_name():
 
 
 def test_gen_and_monomial():
-    assert AZ.gen(1) == AZ.poly([(1, Y)])
     assert AZ.one() == AZ.poly([(1, ())])
     assert AZ.monomial((0, 1), 4) == AZ.poly([(4, (0, 1))])

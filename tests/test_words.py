@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from ugb import EMPTY, FREE, Alphabet, Overlap
+from ugb import EMPTY, FREE, Alphabet
 from ugb.spolys import SPoly, _pair_order
 from ugb.words import FactorIndex, _deglex
 
@@ -106,41 +106,43 @@ def test_factor_index_first_is_head_of_matches(leads, word):
 
 
 def pairs(*lead_words):
-    """The free oracle's critical pairs of the lead words, in pair order."""
-    out = FREE.critical_pairs(lead_words, 0)
-    return sorted(out, key=lambda p: _pair_order(SPoly(*p, None)))
+    """The free oracle's critical pairs of the lead words, in pair order,
+    each as (i, j, u, v, u2, v2, ambiguity) with ambiguity = u + w_i + v."""
+    out = [(i, j, u, v, u2, v2, u + lead_words[i] + v)
+           for i, j, u, v, u2, v2 in FREE.critical_pairs(lead_words, 0)]
+    return sorted(out, key=lambda p: _pair_order(SPoly(p[0], p[1], p[2], p[4], p[6], None)))
 
 
 def test_overlap_examples():
     x, y = 0, 1
     assert pairs((x, y), (y, x)) == [
-        (0, 1, Overlap((), (x,), (x,), (), (x, y, x))),
-        (0, 1, Overlap((y,), (), (), (y,), (y, x, y))),
+        (0, 1, (), (x,), (x,), (), (x, y, x)),
+        (0, 1, (y,), (), (), (y,), (y, x, y)),
     ]
     # a word overlaps itself one way only
-    assert pairs((x, x)) == [(0, 0, Overlap((), (x,), (x,), (), (x, x, x)))]
+    assert pairs((x, x)) == [(0, 0, (), (x,), (x,), (), (x, x, x))]
     assert pairs((x, y, x), (y,)) == [
-        (0, 1, Overlap((), (), (x,), (x,), (x, y, x))),
-        (0, 0, Overlap((), (y, x), (x, y), (), (x, y, x, y, x))),
+        (0, 1, (), (), (x,), (x,), (x, y, x)),
+        (0, 0, (), (y, x), (x, y), (), (x, y, x, y, x)),
     ]
     # x x lies in x x x twice, and the two overlap both ways at x x x x,
     # where the left context of the lower generator breaks the tie
     xx, xxx, xxxx = (x, x), (x, x, x), (x, x, x, x)
     assert pairs(xx, xxx) == [
-        (0, 0, Overlap((), (x,), (x,), (), xxx)),
-        (0, 1, Overlap((), (x,), (), (), xxx)),
-        (0, 1, Overlap((x,), (), (), (), xxx)),
-        (0, 1, Overlap((), xx, (x,), (), xxxx)),
-        (0, 1, Overlap(xx, (), (), (x,), xxxx)),
-        (1, 1, Overlap((), (x,), (x,), (), xxxx)),
-        (1, 1, Overlap((), xx, xx, (), xxxx + (x,))),
+        (0, 0, (), (x,), (x,), (), xxx),
+        (0, 1, (), (x,), (), (), xxx),
+        (0, 1, (x,), (), (), (), xxx),
+        (0, 1, (), xx, (x,), (), xxxx),
+        (0, 1, xx, (), (), (x,), xxxx),
+        (1, 1, (), (x,), (x,), (), xxxx),
+        (1, 1, (), xx, xx, (), xxxx + (x,)),
     ]
     # two generators with one lead word meet once at it, and overlap one way
     assert pairs((x, x), (x, x)) == [
-        (0, 1, Overlap((), (), (), (), (x, x))),
-        (0, 0, Overlap((), (x,), (x,), (), (x, x, x))),
-        (0, 1, Overlap((), (x,), (x,), (), (x, x, x))),
-        (1, 1, Overlap((), (x,), (x,), (), (x, x, x))),
+        (0, 1, (), (), (), (), (x, x)),
+        (0, 0, (), (x,), (x,), (), (x, x, x)),
+        (0, 1, (), (x,), (x,), (), (x, x, x)),
+        (1, 1, (), (x,), (x,), (), (x, x, x)),
     ]
 
 
@@ -148,43 +150,42 @@ def test_overlaps_with_empty_word():
     # the empty word is included in the other word at every cut
     x, y = 0, 1
     assert pairs((), (x, y)) == [
-        (0, 1, Overlap((), (x, y), (), (), (x, y))),
-        (0, 1, Overlap((x,), (y,), (), (), (x, y))),
-        (0, 1, Overlap((x, y), (), (), (), (x, y))),
+        (0, 1, (), (x, y), (), (), (x, y)),
+        (0, 1, (x,), (y,), (), (), (x, y)),
+        (0, 1, (x, y), (), (), (), (x, y)),
     ]
     assert pairs((x,), ()) == [
-        (0, 1, Overlap((), (), (), (x,), (x,))),
-        (0, 1, Overlap((), (), (x,), (), (x,))),
+        (0, 1, (), (), (), (x,), (x,)),
+        (0, 1, (), (), (x,), (), (x,)),
     ]
     assert pairs(()) == []
-    assert pairs((), ()) == [(0, 1, Overlap((), (), (), (), ()))]
+    assert pairs((), ()) == [(0, 1, (), (), (), (), ())]
 
 
 @given(nonempty_words, nonempty_words)
 def test_overlaps_are_verbatim_placements(w, w2):
     leads = (w, w2)
     seen = set()
-    for i, j, o in pairs(w, w2):
+    for placement in pairs(w, w2):
+        i, j, u, v, u2, v2, ambiguity = placement
         assert i <= j
-        assert o.u + leads[i] + o.v == o.ambiguity
-        assert o.u2 + leads[j] + o.v2 == o.ambiguity
-        placement = (i, j, o.u, o.v, o.u2, o.v2, o.ambiguity)
+        assert u2 + leads[j] + v2 == ambiguity
         assert placement not in seen
         seen.add(placement)
-        proper = bool(o.u or o.v) and bool(o.u2 or o.v2)
-        inclusion = (not o.u and not o.v) or (not o.u2 and not o.v2)
+        proper = bool(u or v) and bool(u2 or v2)
+        inclusion = (not u and not v) or (not u2 and not v2)
         assert proper != inclusion
 
 
 @given(nonempty_words, nonempty_words)
 def test_overlaps_exclude_disjoint_and_trivial(w, w2):
     leads = (w, w2)
-    for i, j, o in pairs(w, w2):
+    for i, j, u, v, u2, v2, _ in pairs(w, w2):
         # the two copies must touch: their index ranges intersect
-        start1 = len(o.u)
+        start1 = len(u)
         end1 = start1 + len(leads[i])
-        start2 = len(o.u2)
+        start2 = len(u2)
         end2 = start2 + len(leads[j])
         assert start1 < end2 and start2 < end1
         if i == j:
-            assert (o.u, o.v) != (o.u2, o.v2)
+            assert (u, v) != (u2, v2)
