@@ -19,7 +19,6 @@ from .errors import (
     EngineInvariantBroken,
     NonUnitalRemainder,
     NotAGroebnerBasis,
-    NotAUnit,
     NotUnital,
     OracleMismatch,
     ParseError,

@@ -17,7 +17,7 @@ engine bugs, not expected behavior.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from heapq import heappop, heappush
 from operator import neg
 
@@ -56,10 +56,7 @@ class GenSet:
         self.algebra = algebra
         self.gens = gens
         self.gen_terms = tuple(g.terms for g in gens)
-        ring = algebra.ring
-        self.inv_leads = tuple(
-            ring.inv_unit(g.lc()) if ring.is_unit(g.lc()) else None for g in gens
-        )
+        self.inv_leads = tuple(algebra.ring.inv_unit(g.lc()) for g in gens)
         self.is_unital = None not in self.inv_leads
         self.lead_words = tuple(g.lm() for g in gens)
         self.leads = algebra.oracle.lead_index(self.lead_words)
@@ -86,8 +83,7 @@ class GenSet:
         return f"GenSet({list(self.gens)})"
 
 
-@dataclass(frozen=True)
-class DivisionTrace:
+class DivisionTrace(namedtuple("DivisionTrace", "steps remainder")):
     """Full record of one division run of f by G.
 
     Each step is the plain tuple (coeff, left, gen, right), one rewrite
@@ -96,8 +92,7 @@ class DivisionTrace:
     divides a remainder word.
     """
 
-    steps: tuple
-    remainder: Poly
+    __slots__ = ()
 
 
 def divide(f, G, seed=None, step_budget=DEFAULT_STEP_BUDGET):

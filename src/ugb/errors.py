@@ -9,10 +9,6 @@ class RingMismatch(UGBError):
     pass
 
 
-class NotAUnit(UGBError):
-    pass
-
-
 class OracleMismatch(UGBError):
     """Operands live in algebras with different oracles or alphabets."""
 

@@ -21,7 +21,7 @@ two can cross-check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BoundTooSmall, EngineInvariantBroken
 from .poly import Poly, ensure_same_algebra
@@ -180,8 +180,7 @@ class _Echelon:
         return {r: w for r, c in comb.items() if (w := c % n if n else c)}
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(namedtuple("MembershipResult", "witness bound")):
     """Member with an explicit witness, or not provable at this bound
     (``witness`` is None).
 
@@ -190,8 +189,7 @@ class MembershipResult:
     because membership of a degree-d element is witnessed at degree d.
     """
 
-    witness: tuple | None
-    bound: int
+    __slots__ = ()
 
     @property
     def member(self):

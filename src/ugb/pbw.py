@@ -16,7 +16,7 @@ counts, which is verified here degree by degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, permutations
 from math import comb
 
@@ -141,16 +141,11 @@ def pbw_generators(L):
     return GenSet(gens, algebra)
 
 
-@dataclass(frozen=True)
-class PBWReport:
+class PBWReport(namedtuple("PBWReport", "jacobi_violations groebner counts expected_counts non_decreasing")):
     """Joint verdicts: Jacobi (the ``validate_lie`` failures), Buchberger,
     basis counts, word shape."""
 
-    jacobi_violations: tuple
-    groebner: object
-    counts: tuple
-    expected_counts: tuple
-    non_decreasing: bool
+    __slots__ = ()
 
     @property
     def ok(self):

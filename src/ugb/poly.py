@@ -318,10 +318,6 @@ class Poly:
             out.append((nc, mul_words(left, mul_words(tw, right))))
         return Poly(self.algebra, tuple(out))
 
-    def monic(self):
-        """Scale by the inverse of the leading coefficient (a unit)."""
-        return self.scale(self.algebra.ring.inv_unit(self.lc()))
-
     def __mul__(self, other):
         ensure_same_algebra(self.algebra, other.algebra)
         coerce = self.algebra.ring.coerce
@@ -347,11 +343,12 @@ class Poly:
     def __str__(self):
         if not self.terms:
             return "0"
-        ring = self.algebra.ring
         alphabet = self.algebra.alphabet
         parts = []
         for k, (c, w) in enumerate(self.terms):
-            negative, magnitude = ring.split_sign(c)
+            # canonical values: residues of Z/n are never negative
+            negative = c < 0
+            magnitude = -c if negative else c
             if k == 0:
                 head = "- " if negative else ""
             else:

@@ -10,7 +10,7 @@ ideal part plus a normal part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .division import divide
 from .poly import ensure_same_algebra
@@ -35,8 +35,7 @@ def is_normal(word, G):
     return G.leads.first(word) is None
 
 
-@dataclass(frozen=True)
-class QuotientBasis:
+class QuotientBasis(namedtuple("QuotientBasis", "by_degree verified")):
     """Normal words of each degree up to a bound: ``by_degree[d]`` lists
     those of degree d, for d from 0 to the bound.
 
@@ -45,8 +44,7 @@ class QuotientBasis:
     only G-normal and span no canonical quotient basis.
     """
 
-    by_degree: list
-    verified: bool
+    __slots__ = ()
 
     def counts(self):
         return tuple(map(len, self.by_degree))

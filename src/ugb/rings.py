@@ -6,10 +6,13 @@ an ``int`` when integral and a ``Fraction`` otherwise, never a
 truthiness in every ring.  The engine adds, negates, subtracts and
 multiplies with Python's own operators and passes each result through
 the ring's one normaliser, ``coerce``.  Beyond that a ring supplies
-only what differs between rings: parsing, unit recognition and unit
-inversion.  The reduction engine never divides by anything but a unit;
-only the membership echelon asks for ``quotient``, exact division by
-its pivot entries, and ``modulus``.
+only what differs between rings: ``parse``, and ``inv_unit``, which
+answers the one question the reducer asks, whether a leading coefficient
+is a unit, with its inverse or None.  The reduction engine never divides
+by anything but a unit; only the membership echelon asks for
+``quotient``, exact division by its pivot entries, and ``modulus``.
+Equality, hashing and printing are shared: a ring is known by its
+``name``.
 """
 
 from __future__ import annotations
@@ -17,9 +20,6 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from math import gcd
-
-from .errors import NotAUnit
 
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 _RAT_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
@@ -33,15 +33,19 @@ class Ring:
     ``coerce`` maps any exact number to its canonical element, so the
     sum, difference or product of two elements is ``coerce`` of Python's
     ``+``, ``-`` or ``*``.  Subclasses supply ``coerce``, ``parse``,
-    ``is_unit``, ``inv_unit`` and ``quotient``.
+    ``inv_unit`` (the inverse of a unit, None for a non-unit) and
+    ``quotient``.  Two rings are equal when they have one type and one
+    ``name``.
     """
 
     name = "?"
     modulus = 0
 
-    def split_sign(self, a):
-        """(is_negative, magnitude) for printing."""
-        return (a < 0, -a if a < 0 else a)
+    def __eq__(self, other):
+        return type(other) is type(self) and other.name == self.name
+
+    def __hash__(self):
+        return hash(self.name)
 
     def __repr__(self):
         return self.name
@@ -52,13 +56,8 @@ class IntegerRing(Ring):
 
     coerce = staticmethod(operator.index)
 
-    def is_unit(self, a):
-        return a == 1 or a == -1
-
     def inv_unit(self, a):
-        if a == 1 or a == -1:
-            return a
-        raise NotAUnit(f"{a} is not a unit in Z")
+        return a if a == 1 or a == -1 else None
 
     def quotient(self, a, b):
         """Exact quotient a / b, or None when b does not divide a."""
@@ -68,12 +67,6 @@ class IntegerRing(Ring):
         if not _INT_RE.match(text):
             raise ValueError(f"not an integer: {text!r}")
         return int(text)
-
-    def __eq__(self, other):
-        return type(other) is IntegerRing
-
-    def __hash__(self):
-        return hash("Z")
 
 
 class RationalField(Ring):
@@ -89,17 +82,12 @@ class RationalField(Ring):
             raise TypeError("floats are not exact; use Fraction or str")
         return self.coerce(Fraction(x))
 
-    def is_unit(self, a):
-        return a != 0
-
     def inv_unit(self, a):
-        if a == 0:
-            raise NotAUnit("0 is not a unit in Q")
-        return self.coerce(Fraction(1, a))
+        return self.coerce(Fraction(1, a)) if a else None
 
     def quotient(self, a, b):
         """Exact quotient a / b (b nonzero)."""
-        return self.coerce(a * self.inv_unit(b))
+        return self.coerce(Fraction(a, b))
 
     def parse(self, text):
         if not _RAT_RE.match(text):
@@ -109,15 +97,10 @@ class RationalField(Ring):
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
 
-    def __eq__(self, other):
-        return type(other) is RationalField
-
-    def __hash__(self):
-        return hash("Q")
-
 
 class ModularRing(Ring):
-    """Z/n with canonical residues in [0, n); unit inversion via xgcd."""
+    """Z/n with canonical residues in [0, n), which print unsigned; the
+    inverse of a unit is Python's modular ``pow(a, -1, n)``."""
 
     def __init__(self, modulus):
         modulus = operator.index(modulus)
@@ -129,18 +112,11 @@ class ModularRing(Ring):
     def coerce(self, x):
         return operator.index(x) % self.modulus
 
-    def split_sign(self, a):
-        """Residues print unsigned."""
-        return False, a
-
-    def is_unit(self, a):
-        return gcd(a, self.modulus) == 1
-
     def inv_unit(self, a):
         try:
             return pow(a, -1, self.modulus)
         except ValueError:
-            raise NotAUnit(f"{a} is not a unit in {self.name}") from None
+            return None
 
     # the membership echelon divides residues only by divisors of n, and
     # for those integer divisibility is divisibility in Z/n
@@ -150,12 +126,6 @@ class ModularRing(Ring):
         if not _INT_RE.match(text):
             raise ValueError(f"not a residue: {text!r}")
         return int(text) % self.modulus
-
-    def __eq__(self, other):
-        return type(other) is ModularRing and other.modulus == self.modulus
-
-    def __hash__(self):
-        return hash(("Z/", self.modulus))
 
 
 ZZ = IntegerRing()

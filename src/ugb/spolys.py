@@ -17,16 +17,14 @@ words can share letters without sharing a contiguous factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .division import GenSet, divide
 from .errors import EngineInvariantBroken, NonUnitalRemainder, NotAGroebnerBasis, RoundsExceeded
-from .poly import Poly
 from .words import _deglex
 
 
-@dataclass(frozen=True)
-class GBReport:
+class GBReport(namedtuple("GBReport", "pairs_checked witnesses")):
     """Outcome of the Buchberger check.
 
     witnesses holds one (s-polynomial, division trace) pair for every
@@ -34,16 +32,14 @@ class GBReport:
     is none.
     """
 
-    pairs_checked: int
-    witnesses: tuple
+    __slots__ = ()
 
     @property
     def is_groebner(self):
         return not self.witnesses
 
 
-@dataclass(frozen=True)
-class SPoly:
+class SPoly(namedtuple("SPoly", "i j u u2 ambiguity value")):
     """s-polynomial about generators i and j at one placement (u, v, u2,
     v2) of their leading words on the ambiguity word.
 
@@ -53,12 +49,7 @@ class SPoly:
     u2 are kept, to break ties in the pair order.
     """
 
-    i: int
-    j: int
-    u: tuple
-    u2: tuple
-    ambiguity: tuple
-    value: Poly
+    __slots__ = ()
 
 
 def _make_spoly(G, i, j, u, v, u2, v2):
@@ -181,13 +172,14 @@ def complete(G, max_degree, max_rounds=8):
             if len(sp.ambiguity) > max_degree:
                 continue
             remainder = trace.remainder
-            if not ring.is_unit(remainder.lc()):
+            inv = ring.inv_unit(remainder.lc())
+            if inv is None:
                 raise NonUnitalRemainder(
                     f"s-polynomial of pair ({sp.i}, {sp.j}) reduced to "
                     f"{remainder} with non-unit leading coefficient "
                     f"{remainder.lc()}"
                 )
-            monic = remainder.monic()
+            monic = remainder.scale(inv)
             if monic not in additions:
                 additions.append(monic)
         if not additions:

@@ -50,7 +50,7 @@ def random_nonzero(rng, ring):
 def random_unit(rng, ring):
     while True:
         c = random_nonzero(rng, ring)
-        if ring.is_unit(c):
+        if ring.inv_unit(c) is not None:
             return c
 
 
@@ -74,7 +74,7 @@ def random_unital_poly(rng, algebra, max_deg=3, max_terms=3):
         lc, lm = p.leading()
         if not lm:
             continue
-        if algebra.ring.is_unit(lc):
+        if algebra.ring.inv_unit(lc) is not None:
             return p
         unit = random_unit(rng, algebra.ring)
         q = p + algebra.monomial(lm, unit - lc)
@@ -127,12 +127,13 @@ def telescope(fs, cs):
     if any(f.lm() != lm0 for f in fs):
         raise ValueError("leading monomials differ")
     lcs = [f.lc() for f in fs]
-    for a in lcs:
-        if not ring.is_unit(a):
+    invs = [ring.inv_unit(a) for a in lcs]
+    for a, inv in zip(lcs, invs):
+        if inv is None:
             raise ValueError(f"leading coefficient {a} is not a unit")
     if ring.coerce(sum(c * a for c, a in zip(cs, lcs))):
         raise ValueError("weighted coefficient sum does not vanish")
-    scaled = [f.scale(ring.inv_unit(a)) for f, a in zip(fs, lcs)]
+    scaled = [f.scale(inv) for f, inv in zip(fs, invs)]
     out = []
     d = 0
     for k in range(len(fs) - 1):

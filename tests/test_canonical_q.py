@@ -87,7 +87,7 @@ def _unital_set(rng, algebra, size):
     gens = []
     while len(gens) < size:
         p = _poly(rng, algebra)
-        if p.terms and p.lm() and algebra.ring.is_unit(p.lc()):
+        if p.terms and p.lm() and algebra.ring.inv_unit(p.lc()) is not None:
             gens.append(p)
     return GenSet(gens, algebra)
 
@@ -117,8 +117,9 @@ def test_polynomial_arithmetic(oracle):
                 seen.poly(r)
             u = helpers.random_word(rng, 3, 2, oracle)
             seen.poly(p.scale(_value(rng, ring), u, ()))
-            if p.terms and ring.is_unit(p.lc()):
-                seen.poly(p.monic())
+            inv = ring.inv_unit(p.lc()) if p.terms else None
+            if inv is not None:
+                seen.poly(p.scale(inv))
         assert seen.every_form()
 
 

@@ -4,9 +4,13 @@ quotient, pbw, with textio and cli on top), and every import sits in a
 module's header, before its first top-level ``def`` or ``class``.  A
 late or function-level import is how a cycle gets hidden, so both are
 rejected.  Every module but ``__init__`` (which re-exports) reads each
-name it imports, so a deletion leaves no stale import behind."""
+name it imports, so a deletion leaves no stale import behind.  A fresh
+``import ugb.cli`` loads neither ``dataclasses`` nor ``inspect``, which
+would dominate the CLI's start-up."""
 
 import ast
+import subprocess
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -84,3 +88,17 @@ def test_modules_read_every_name_they_import():
         for entry in _unused_imports(tree)
     ]
     assert not unused, unused
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # records are namedtuple subclasses, so the CLI's start-up cost holds
+    # no dataclasses machinery, nor the inspect module it pulls in
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import ugb.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True,
+    )
+    assert run.stdout.strip() == "[]", run.stdout

@@ -170,13 +170,6 @@ def test_algebra_mismatches():
         f + Algebra(ZZ, ["x", "z"]).poly([(1, X)])
 
 
-def test_monic():
-    f = AQ.poly([(2, (0, 1)), (3, X)])
-    m = f.monic()
-    assert m.lc() == 1
-    assert m == AQ.poly([(1, (0, 1)), ("3/2", X)])
-
-
 def test_poly_text_forms():
     assert str(AZ.zero()) == "0"
     assert str(AZ.poly([(1, (0, 1)), (-1, (1, 0)), (-1, ())])) == "- y x + x y - 1"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import helpers
-from ugb import QQ, ZZ, NotAUnit, Zmod, ring_from_name
+from ugb import QQ, ZZ, Algebra, Zmod, ring_from_name
 
 
 # A sum, difference or product of two ring elements is ``coerce`` of
@@ -15,11 +15,10 @@ from ugb import QQ, ZZ, NotAUnit, Zmod, ring_from_name
 def test_integer_examples():
     assert ZZ.coerce(2 + -2) == 0
     assert ZZ.coerce(3 * 0) == 0
-    assert ZZ.is_unit(1) and ZZ.is_unit(-1)
-    assert not ZZ.is_unit(2)
+    assert ZZ.inv_unit(1) == 1
     assert ZZ.inv_unit(-1) == -1
-    with pytest.raises(NotAUnit):
-        ZZ.inv_unit(2)
+    assert ZZ.inv_unit(2) is None
+    assert ZZ.inv_unit(0) is None
 
 
 def test_modular_examples():
@@ -29,10 +28,9 @@ def test_modular_examples():
     # exhaustive search confirms 5 is self-inverse mod 6
     inverses = [b for b in range(6) if (5 * b) % 6 == 1]
     assert inverses == [5]
-    assert R.is_unit(5)
     assert R.inv_unit(5) == 5
-    with pytest.raises(NotAUnit):
-        R.inv_unit(2)
+    assert R.inv_unit(2) is None
+    assert R.inv_unit(0) is None
 
 
 def test_rational_examples():
@@ -44,11 +42,9 @@ def test_rational_examples():
     assert _same(QQ.coerce(Fraction(-6, 3)), -2)
     assert _same(QQ.coerce(True), 1)
     assert _same(QQ.coerce("3/4"), Fraction(3, 4))
-    assert not QQ.is_unit(0)
-    assert QQ.is_unit(Fraction(3, 4))
+    assert QQ.inv_unit(0) is None
+    assert QQ.inv_unit(Fraction(3, 4)) == Fraction(4, 3)
     assert QQ.inv_unit(Fraction(2, 3)) == Fraction(3, 2)
-    with pytest.raises(NotAUnit):
-        QQ.inv_unit(0)
 
 
 def _same(value, expected):
@@ -146,10 +142,11 @@ class TestRingAxioms:
         units = 0
         while units < 50:
             a = helpers.random_nonzero(rng, ring)
-            if not ring.is_unit(a):
+            inv = ring.inv_unit(a)
+            if inv is None:
                 continue
             units += 1
-            assert ring.coerce(a * ring.inv_unit(a)) == 1
+            assert ring.coerce(a * inv) == 1
 
 
 def test_modular_units_match_brute_force():
@@ -158,7 +155,10 @@ def test_modular_units_match_brute_force():
         R = Zmod(n)
         for a in range(n):
             brute = any((a * b) % n == 1 for b in range(n))
-            assert R.is_unit(a) == brute, (a, n)
+            inv = R.inv_unit(a)
+            assert (inv is not None) == brute, (a, n)
+            if inv is not None:
+                assert a * inv % n == 1, (a, n)
 
 
 def test_modular_canonical_residues():
@@ -199,6 +199,11 @@ def test_ring_names():
     assert ring_from_name("Q") == QQ
     assert ring_from_name("Z/12") == Zmod(12)
     assert ring_from_name("Z/12") != Zmod(13)
+    # one equality for every ring: same type and same name
+    assert ZZ != QQ
+    assert Zmod(4) != ZZ
+    assert hash(ring_from_name("Z/12")) == hash(Zmod(12))
+    assert Algebra(ring_from_name("Z/12"), ["x"]) == Algebra(Zmod(12), ["x"])
     with pytest.raises(ValueError):
         ring_from_name("Z/1")
     with pytest.raises(ValueError):

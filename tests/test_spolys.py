@@ -463,13 +463,14 @@ def _complete_reference(G, max_degree, max_rounds):
             if len(sp.ambiguity) > max_degree:
                 continue
             remainder = trace.remainder
-            if not ring.is_unit(remainder.lc()):
+            inv = ring.inv_unit(remainder.lc())
+            if inv is None:
                 raise NonUnitalRemainder(
                     f"s-polynomial of pair ({sp.i}, {sp.j}) reduced to "
                     f"{remainder} with non-unit leading coefficient "
                     f"{remainder.lc()}"
                 )
-            monic = remainder.monic()
+            monic = remainder.scale(inv)
             if monic not in additions:
                 additions.append(monic)
         if not additions:
