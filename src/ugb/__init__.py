@@ -12,6 +12,7 @@ engine at bounded degree.
 
 from .division import DivisionTrace, GenSet, divide
 from .errors import (
+    AlgebraMismatch,
     BasisViolation,
     BoundTooSmall,
     BudgetExceeded,
@@ -20,9 +21,7 @@ from .errors import (
     NonUnitalRemainder,
     NotAGroebnerBasis,
     NotUnital,
-    OracleMismatch,
     ParseError,
-    RingMismatch,
     RoundsExceeded,
     UGBError,
     ZeroPolynomial,

@@ -103,7 +103,7 @@ _OPTIONS = {
     "--max-deg": dict(type=int, required=True),
     "--max-rounds": dict(type=int, default=8),
     "--strategy": dict(default="first", help="divisor selection: first or seeded:<n>"),
-    "--strict": None,  # with --no-strict, a mutually exclusive pair
+    "--no-strict": dict(dest="strict", action="store_false"),
 }
 
 _COMMANDS = {
@@ -113,11 +113,11 @@ _COMMANDS = {
     "complete": _Command("adjoin reduced s-polynomials until the check passes", GenSet,
                          ("--max-deg", "--max-rounds"), _complete),
     "normal-form": _Command("divide a polynomial and print the trace", GenSet,
-                            ("--poly", "--strict", "--strategy"), _normal_form),
+                            ("--poly", "--no-strict", "--strategy"), _normal_form),
     "quotient-basis": _Command("enumerate normal words per degree", GenSet,
-                               ("--max-deg", "--strict"), _quotient_basis),
+                               ("--max-deg", "--no-strict"), _quotient_basis),
     "decompose": _Command("split into ideal part plus normal part", GenSet,
-                          ("--poly", "--strict"), _decompose),
+                          ("--poly", "--no-strict"), _decompose),
     "pbw": _Command("verify enveloping-algebra basis claims", LieAlgebra, ("--max-deg",), _pbw),
     "member": _Command("brute-force ideal membership at a degree bound", GenSet,
                        ("--poly", "--max-deg"), _member),
@@ -148,12 +148,7 @@ def build_parser():
             help="output as canonical text or one JSON document",
         )
         for option in command.options:
-            if option == "--strict":
-                group = p.add_mutually_exclusive_group()
-                group.add_argument("--strict", action="store_true", default=True)
-                group.add_argument("--no-strict", dest="strict", action="store_false")
-            else:
-                p.add_argument(option, **_OPTIONS[option])
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 

@@ -33,6 +33,7 @@ class GenSet:
     ``inv_leads`` is the per-generator unit record: the inverse of each
     leading coefficient, None where it is not a unit.  Operations that
     invert leading coefficients insist on all of them being units.
+    ``is_unital`` is stored, as every ``divide`` call reads it.
     ``leads`` is the oracle's divisibility index over the leading words,
     and ``gen_terms`` the generators' term tuples, which every division
     step reads.  ``_report`` caches the set's Buchberger report (the set
@@ -112,7 +113,7 @@ def divide(f, G, seed=None, step_budget=DEFAULT_STEP_BUDGET):
 
     algebra = G.algebra
     coerce = algebra.ring.coerce
-    mul_words = algebra.oracle.mul_words
+    context = algebra.oracle.context
     leads = G.leads
     inv_leads = G.inv_leads
     gen_terms = G.gen_terms
@@ -154,7 +155,7 @@ def divide(f, G, seed=None, step_budget=DEFAULT_STEP_BUDGET):
         lam = coerce(lc_f * inv_leads[i])
         steps.append((lam, u, i, v))
         for tc, tw in gen_terms[i]:
-            w = mul_words(u, mul_words(tw, v))
+            w = context(u, tw, v)
             cur = working.get(w, 0)  # 0 only when absent: no stored zeros
             nc = coerce(cur - lam * tc)
             if not nc:

@@ -5,12 +5,9 @@ class UGBError(Exception):
     """Base class for every error raised by this package."""
 
 
-class RingMismatch(UGBError):
-    pass
-
-
-class OracleMismatch(UGBError):
-    """Operands live in algebras with different oracles or alphabets."""
+class AlgebraMismatch(UGBError):
+    """Operands live in algebras with different rings, alphabets or
+    oracles."""
 
 
 class BasisViolation(UGBError):

@@ -1,19 +1,19 @@
 """Brute-force ideal membership at a degree bound.
 
 The truncated module spans every context product u * g * v whose words
-stay inside the bound, and each query is one exact linear solve against
-those rows in a single sparse row echelon.  Its pivot is a row's lowest
-column, the leading word, and the ring supplies only an exact quotient:
-the rational one over Q, and over Z the quotient when it exists, with
-an xgcd row operation otherwise (no division by non-units anywhere).
-Over Z/n the same elimination runs on residues: each pivot entry is
-normalised to a divisor of n, so the Z quotient rule still applies, and
-each non-unit pivot brings its annihilator row, which keeps the echelon
-a Howell basis and the greedy solve exact.  Each pivot keeps a short
-recipe, which only a member solve expands into module rows.  Witnesses
-come back in the same (coeff, left, gen, right) shape as division
-steps, and each one is expanded and checked against the query before
-it is returned.
+stay inside the bound, and it is built with the sparse row echelon of
+those rows, so each query is one exact linear solve against it.  A
+pivot is a row's lowest column, the leading word, and the ring supplies
+only an exact quotient: the rational one over Q, and over Z the
+quotient when it exists, with an xgcd row operation otherwise (no
+division by non-units anywhere).  Over Z/n the same elimination runs on
+residues: each pivot entry is normalised to a divisor of n, so the Z
+quotient rule still applies, and each non-unit pivot brings its
+annihilator row, which keeps the echelon a Howell basis and the greedy
+solve exact.  Each pivot keeps a short recipe, which only a member
+solve expands into module rows.  Witnesses come back in the same
+(coeff, left, gen, right) shape as division steps, and each one is
+expanded and checked against the query before it is returned.
 
 This module is deliberately independent of the reduction engine so the
 two can cross-check each other.
@@ -196,37 +196,22 @@ class MembershipResult(namedtuple("MembershipResult", "witness bound")):
         return self.witness is not None
 
 
-class TruncatedModule:
+class TruncatedModule(namedtuple(
+        "TruncatedModule", "genset bound columns col_index rows provenance echelon")):
     """All context products of the generators within a degree bound,
-    flattened to coefficient rows over the basis words."""
+    flattened to coefficient rows over the basis words (``col_index``
+    maps a word to its column), with ``provenance[r]`` the (gen, left,
+    right) of row r and ``echelon`` the rows' echelon.  Over Z/n the
+    echelon works on residues, and the annihilator rows it adds are
+    combinations of module rows, so every index of a solution is a
+    module row."""
 
-    def __init__(self, genset, bound, columns, rows, provenance):
-        self.genset = genset
-        self.bound = bound
-        self.columns = columns
-        self.col_index = {w: t for t, w in enumerate(columns)}
-        self.rows = rows
-        self.provenance = provenance
-        self._solver = None
-
-    def _vector(self, poly):
-        return {self.col_index[w]: c for c, w in poly.terms}
-
-    def _get_solver(self):
-        """The echelon of the rows, built on first use, on the ring's
-        exact quotient and modulus.  Over Z/n it works on residues,
-        every pivot entry divides n, and the annihilator rows it adds
-        are combinations of module rows, so every index of a solution
-        is a module row."""
-        if self._solver is None:
-            ring = self.genset.algebra.ring
-            vectors = [self._vector(p) for p in self.rows]
-            self._solver = _Echelon(vectors, ring.quotient, ring.modulus)
-        return self._solver
+    __slots__ = ()
 
 
 def build_truncation(G, bound):
-    """Enumerate context products u * g * v with every word inside the bound.
+    """The truncated module: every context product u * g * v with all its
+    words inside the bound, with the echelon of those rows.
 
     The fixed order is graded and both oracles map words to single
     monic words, so the leading word has maximal length among the terms
@@ -247,7 +232,7 @@ def build_truncation(G, bound):
     for d in range(bound + 1):
         columns.extend(oracle.basis_words(n, d))
     columns.sort(key=_deglex, reverse=True)
-    mul_words = oracle.mul_words
+    context = oracle.context
     rows = []
     provenance = []
     seen = set()
@@ -260,13 +245,16 @@ def build_truncation(G, bound):
                     for v in oracle.basis_words(n, b):
                         # u and v are basis words and the coefficients
                         # stay g's own, so this is g.scale(1, u, v)
-                        terms = tuple([(tc, mul_words(u, mul_words(tw, v))) for tc, tw in g.terms])
+                        terms = tuple([(tc, context(u, tw, v)) for tc, tw in g.terms])
                         if terms in seen:
                             continue
                         seen.add(terms)
                         rows.append(Poly(algebra, terms))
                         provenance.append((i, u, v))
-    return TruncatedModule(G, bound, columns, rows, provenance)
+    col_index = {w: t for t, w in enumerate(columns)}
+    ring = algebra.ring
+    echelon = _Echelon([{col_index[w]: c for c, w in p.terms} for p in rows], ring.quotient, ring.modulus)
+    return TruncatedModule(G, bound, columns, col_index, rows, provenance, echelon)
 
 
 def is_member(f, T):
@@ -282,7 +270,7 @@ def is_member(f, T):
     if f.is_zero():
         return MembershipResult((), T.bound)
     ring = G.algebra.ring
-    sol = T._get_solver().solve(T._vector(f))
+    sol = T.echelon.solve({T.col_index[w]: c for c, w in f.terms})
     if sol is None:
         return MembershipResult(None, T.bound)
     witness = []

@@ -8,12 +8,13 @@ leading term is ``terms[0]``.  ``Algebra.poly``, ``+``, ``-`` and ``*``
 lay terms out through one normaliser, ``Algebra._sum``; ``scale`` and
 negation keep the layout they are given.
 
-Both shipped oracles multiply two basis words to a single monic basis
-word, never zero and never a sum.  That makes context scaling
-order-preserving and collision-free, and it makes the leading
-coefficient of ``u * g * v`` equal to the leading coefficient of ``g``,
-which turns divisibility into a test on leading words alone.  Each
-oracle owns that test (``lead_index``) and the critical pairs it implies
+Each oracle has one word product, ``context(u, w, v)``, and both
+shipped oracles make it a single monic basis word, never zero and never
+a sum.  That makes context scaling order-preserving and collision-free,
+and it makes the leading coefficient of ``u * g * v`` equal to the
+leading coefficient of ``g``, which turns divisibility into a test on
+leading words alone.  Each oracle names the index class of that test
+(``lead_index``) and owns the critical pairs it implies
 (``critical_pairs``, whose inclusions are the matches of the same index),
 so division, the Buchberger check and normal words share one notion of
 divisibility.
@@ -24,22 +25,43 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations_with_replacement, product
 
-from .errors import (
-    BasisViolation,
-    OracleMismatch,
-    RingMismatch,
-    ZeroPolynomial,
-)
+from .errors import AlgebraMismatch, BasisViolation, ZeroPolynomial
 from .words import EMPTY, Alphabet, FactorIndex
 
 
+class MultisetIndex:
+    """Leading words found by multiset inclusion in sorted words, under
+    the :class:`~ugb.words.FactorIndex` contract.  A generator divides a
+    word in at most one way; the cofactor is the sorted difference, placed
+    as ``left`` with ``right`` empty.
+    """
+
+    __slots__ = ("_counts",)
+
+    def __init__(self, lead_words):
+        self._counts = tuple(Counter(w) for w in lead_words)
+
+    def _divisions(self, word):
+        have = Counter(word)
+        for i, need in enumerate(self._counts):
+            if need <= have:
+                yield i, tuple(sorted((have - need).elements())), EMPTY
+
+    def first(self, word):
+        return next(self._divisions(word), None)
+
+    def matches(self, word):
+        return list(self._divisions(word))
+
+
 class FreeConcat:
-    """Basis: all words; the product of two words is their concatenation."""
+    """Basis: all words; the context product is concatenation."""
 
     name = "free"
+    lead_index = FactorIndex
 
-    def mul_words(self, u, v):
-        return u + v
+    def context(self, u, w, v):
+        return u + w + v
 
     def is_basis_word(self, w):
         return True
@@ -47,10 +69,6 @@ class FreeConcat:
     def basis_words(self, n_letters, degree):
         """All basis words of the given degree, ascending in the order."""
         return product(range(n_letters), repeat=degree)
-
-    def lead_index(self, lead_words):
-        """Divisibility is containment as a contiguous factor."""
-        return FactorIndex(lead_words)
 
     def critical_pairs(self, lead_words, first_new):
         """(i, j, u, v, u2, v2) for i <= j, j >= first_new, placing both
@@ -94,22 +112,19 @@ class FreeConcat:
 
 
 class CommutativeMerge:
-    """Basis: non-decreasing words; the product is the sorted merge."""
+    """Basis: non-decreasing words; the context product is the sorted merge."""
 
     name = "commutative"
+    lead_index = MultisetIndex
 
-    def mul_words(self, u, v):
-        return tuple(sorted(u + v))
+    def context(self, u, w, v):
+        return tuple(sorted(u + w + v))
 
     def is_basis_word(self, w):
         return all(w[i] <= w[i + 1] for i in range(len(w) - 1))
 
     def basis_words(self, n_letters, degree):
         return combinations_with_replacement(range(n_letters), degree)
-
-    def lead_index(self, lead_words):
-        """Divisibility is multiset inclusion of letter counts."""
-        return MultisetIndex(lead_words)
 
     def critical_pairs(self, lead_words, first_new):
         """(i, j, u, EMPTY, u2, EMPTY) for i < j, j >= first_new: one
@@ -129,31 +144,6 @@ class CommutativeMerge:
         return self.name
 
 
-class MultisetIndex:
-    """Leading words found by multiset inclusion in sorted words, under
-    the :class:`~ugb.words.FactorIndex` contract.  A generator divides a
-    word in at most one way; the cofactor is the sorted difference, placed
-    as ``left`` with ``right`` empty.
-    """
-
-    __slots__ = ("_counts",)
-
-    def __init__(self, lead_words):
-        self._counts = tuple(Counter(w) for w in lead_words)
-
-    def _divisions(self, word):
-        have = Counter(word)
-        for i, need in enumerate(self._counts):
-            if need <= have:
-                yield i, tuple(sorted((have - need).elements())), EMPTY
-
-    def first(self, word):
-        return next(self._divisions(word), None)
-
-    def matches(self, word):
-        return list(self._divisions(word))
-
-
 FREE = FreeConcat()
 COMMUTATIVE = CommutativeMerge()
 
@@ -168,14 +158,9 @@ def oracle_from_name(text):
 
 
 def ensure_same_algebra(a, b):
-    """Raise RingMismatch or OracleMismatch unless the algebras agree."""
-    if a is b or a == b:
-        return
-    if a.ring != b.ring:
-        raise RingMismatch(f"coefficient rings differ: {a.ring} vs {b.ring}")
-    raise OracleMismatch(
-        f"algebras differ (oracle or alphabet): {a!r} vs {b!r}"
-    )
+    """Raise AlgebraMismatch unless the algebras agree."""
+    if a is not b and a != b:
+        raise AlgebraMismatch(f"algebras differ: {a!r} vs {b!r}")
 
 
 class Algebra:
@@ -304,7 +289,7 @@ class Poly:
         rings with zero divisors individual coefficients may still die.
         """
         coerce = self.algebra.ring.coerce
-        mul_words = self.algebra.oracle.mul_words
+        context = self.algebra.oracle.context
         left = tuple(left)
         right = tuple(right)
         self.algebra.check_word(left)
@@ -315,15 +300,15 @@ class Poly:
             nc = coerce(c * tc)
             if not nc:
                 continue
-            out.append((nc, mul_words(left, mul_words(tw, right))))
+            out.append((nc, context(left, tw, right)))
         return Poly(self.algebra, tuple(out))
 
     def __mul__(self, other):
         ensure_same_algebra(self.algebra, other.algebra)
         coerce = self.algebra.ring.coerce
-        mul_words = self.algebra.oracle.mul_words
+        context = self.algebra.oracle.context
         products = (
-            (coerce(ca * cb), mul_words(wa, wb))
+            (coerce(ca * cb), context(wa, wb, EMPTY))
             for ca, wa in self.terms
             for cb, wb in other.terms
         )

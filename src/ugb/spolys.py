@@ -57,15 +57,15 @@ def _make_spoly(G, i, j, u, v, u2, v2):
     negated inverse; the oracle's context words are not re-checked."""
     algebra = G.algebra
     coerce = algebra.ring.coerce
-    mul_words = algebra.oracle.mul_words
+    context = algebra.oracle.context
     terms = []
     for c, k, left, right in ((G.inv_leads[i], i, u, v), (coerce(-G.inv_leads[j]), j, u2, v2)):
         for tc, tw in G.gen_terms[k]:
             nc = coerce(c * tc)
             if nc:  # _sum trusts its terms to be nonzero
-                terms.append((nc, mul_words(left, mul_words(tw, right))))
+                terms.append((nc, context(left, tw, right)))
     value = algebra._sum(terms)
-    ambiguity = mul_words(u, mul_words(G.lead_words[i], v))
+    ambiguity = context(u, G.lead_words[i], v)
     if not (value.is_zero() or _deglex(value.lm()) < _deglex(ambiguity)):
         raise EngineInvariantBroken("s-polynomial leading terms failed to cancel")
     return SPoly(i, j, u, u2, ambiguity, value)

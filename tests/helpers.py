@@ -19,6 +19,13 @@ def random_word(rng, n_letters, max_len, oracle=FREE, min_len=0):
     return tuple(letters)
 
 
+def word_product(oracle, *words):
+    """The product of basis words, written out apart from the oracles:
+    their concatenation, sorted under the commutative oracle."""
+    word = tuple(letter for w in words for letter in w)
+    return tuple(sorted(word)) if oracle is COMMUTATIVE else word
+
+
 def canonical(ring, c):
     """The canonical element of ring equal to the exact number c, by the
     element contract and not by the ring object: c mod n over Z/n, an
@@ -265,7 +272,8 @@ class EagerEchelon:
 
 def eager_echelon(T):
     ring = T.genset.algebra.ring
-    return EagerEchelon([T._vector(p) for p in T.rows], ring.quotient, ring.modulus)
+    rows = [{T.col_index[w]: c for c, w in p.terms} for p in T.rows]
+    return EagerEchelon(rows, ring.quotient, ring.modulus)
 
 
 def eager_witness(T, echelon, f):
@@ -273,7 +281,7 @@ def eager_witness(T, echelon, f):
     echelon of T: None for a non-member, else (coeff, left, gen, right)
     tuples by row index."""
     ring = T.genset.algebra.ring
-    sol = echelon.solve(T._vector(f))
+    sol = echelon.solve({T.col_index[w]: c for c, w in f.terms})
     if sol is None:
         return None
     return tuple((ring.coerce(sol[r]), T.provenance[r][1], T.provenance[r][0], T.provenance[r][2])

@@ -189,9 +189,9 @@ OPTIONS = {
     "spolys": ["--help", "--format"],
     "check-gb": ["--help", "--format"],
     "complete": ["--help", "--format", "--max-deg", "--max-rounds"],
-    "normal-form": ["--help", "--format", "--poly", "--strict", "--no-strict", "--strategy"],
-    "quotient-basis": ["--help", "--format", "--max-deg", "--strict", "--no-strict"],
-    "decompose": ["--help", "--format", "--poly", "--strict", "--no-strict"],
+    "normal-form": ["--help", "--format", "--poly", "--no-strict", "--strategy"],
+    "quotient-basis": ["--help", "--format", "--max-deg", "--no-strict"],
+    "decompose": ["--help", "--format", "--poly", "--no-strict"],
     "pbw": ["--help", "--format", "--max-deg"],
     "member": ["--help", "--format", "--poly", "--max-deg"],
 }

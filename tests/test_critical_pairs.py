@@ -15,6 +15,7 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
+import helpers
 from ugb import COMMUTATIVE, EMPTY, FREE
 from ugb.poly import MultisetIndex
 from ugb.spolys import SPoly, _pair_order
@@ -83,8 +84,7 @@ def reference_pairs(oracle, lead_words, first_new):
 
 
 def _ordered(oracle, lead_words, pairs):
-    mul = oracle.mul_words
-    keys = [_pair_order(SPoly(i, j, u, u2, mul(u, mul(lead_words[i], v)), None))
+    keys = [_pair_order(SPoly(i, j, u, u2, helpers.word_product(oracle, u, lead_words[i], v), None))
             for i, j, u, v, u2, v2 in pairs]
     assert len(set(keys)) == len(keys), "pair order has ties"
     return [p for _, p in sorted(zip(keys, pairs), key=lambda kp: kp[0])]

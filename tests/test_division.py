@@ -132,7 +132,7 @@ def _max_scan_divide(f, G, seed):
     """Reference loop: each leading word is the maximum of a scan over the
     whole working set, and the first match is the head of ``matches``."""
     ring = G.algebra.ring
-    mul_words = G.algebra.oracle.mul_words
+    oracle = G.algebra.oracle
     rng = None if seed is None else random.Random(seed)
     working = {w: c for c, w in f.terms}
     steps = []
@@ -149,7 +149,7 @@ def _max_scan_divide(f, G, seed):
         lam = helpers.canonical(ring, lc * ring.inv_unit(G[i].lc()))
         steps.append((lam, u, i, v))
         for tc, tw in G[i].terms:
-            w = mul_words(u, mul_words(tw, v))
+            w = helpers.word_product(oracle, u, tw, v)
             c = helpers.canonical(ring, working.get(w, 0) - lam * tc)
             if not c:
                 working.pop(w, None)

@@ -14,8 +14,11 @@ from ugb import (
     BoundTooSmall,
     EngineInvariantBroken,
     GenSet,
+    LieAlgebra,
     Zmod,
     build_truncation,
+    check_groebner,
+    enumerate_basis,
     expand_witness,
     is_member,
     load_problem,
@@ -129,7 +132,7 @@ def test_member_witness_is_checked_against_the_query(monkeypatch):
     G = GenSet([AZ1.poly([(2, (0,))])])
     T = build_truncation(G, 2)
     # a solver answer whose combination does not expand to the query
-    monkeypatch.setattr(T._get_solver(), "solve", lambda target: {0: 3})
+    monkeypatch.setattr(T.echelon, "solve", lambda target: {0: 3})
     with pytest.raises(EngineInvariantBroken):
         is_member(AZ1.poly([(4, (0,))]), T)
 
@@ -140,7 +143,7 @@ _BROKEN_RECIPE = textwrap.dedent("""
     A = Algebra(ZZ, ["x"])
     G = GenSet([A.poly([(2, (0,))])], A)
     T = build_truncation(G, 2)
-    solver = T._get_solver()
+    solver = T.echelon
     # the pivot 2x is input row 0 once; its recipe now says twice
     _, atom = solver.pivots[T.col_index[(0,)]]
     recipe = solver.recipes[atom - solver.first_atom]
@@ -155,7 +158,7 @@ _BROKEN_RECIPE = textwrap.dedent("""
 def test_corrupt_recipe_fails_the_witness_check():
     G = GenSet([AZ1.poly([(2, (0,))])])
     T = build_truncation(G, 2)
-    solver = T._get_solver()
+    solver = T.echelon
     _, atom = solver.pivots[T.col_index[(0,)]]
     recipe = solver.recipes[atom - solver.first_atom]
     recipe[0] = (recipe[0][0], recipe[0][1] + 1)
@@ -220,9 +223,9 @@ def _lift_reference(T):
     column k.  Returns the membership verdict as a function of the
     query."""
     n = T.genset.algebra.ring.modulus
-    rows = [T._vector(p) for p in T.rows] + [{k: n} for k in range(len(T.columns))]
-    echelon = _Echelon(rows, ZZ.quotient, ZZ.modulus)
-    return lambda f: echelon.solve(T._vector(f)) is not None
+    rows = [{T.col_index[w]: c for c, w in p.terms} for p in T.rows]
+    echelon = _Echelon(rows + [{k: n} for k in range(len(T.columns))], ZZ.quotient, ZZ.modulus)
+    return lambda f: echelon.solve({T.col_index[w]: c for c, w in f.terms}) is not None
 
 
 @pytest.mark.parametrize("oracle", [FREE, COMMUTATIVE], ids=["free", "commutative"])
@@ -311,7 +314,7 @@ def test_witnesses_equal_the_eager_reference(ring, oracle):
         ]
         G = GenSet(gens, algebra)
         T = build_truncation(G, bound)
-        solver = T._get_solver()
+        solver = T.echelon
         reference = helpers.eager_echelon(T)
         # the same elimination: equal pivot rows, entry types included
         assert {c: [(t, type(v), v) for t, v in row.items()] for c, (row, _) in solver.pivots.items()} == {
@@ -365,3 +368,45 @@ def test_build_truncation_equals_the_scale_reference(ring, oracle):
     # some contexts gave one row: u * g * v = v * g * u commutatively,
     # and a monomial's contexts can meet in the free algebra
     assert deduped
+
+
+def _freeness_certificate(name, bound):
+    """The fixture's set and, from its truncation at the bound: the
+    column count, the pivot words of the echelon, the words that are not
+    G-normal, and the pivot entries that are not units."""
+    G = load_problem(FIXTURES / name)
+    if isinstance(G, LieAlgebra):
+        G = pbw_generators(G)
+    T = build_truncation(G, bound)
+    ring = G.algebra.ring
+    pivots = T.echelon.pivots
+    normal = set(enumerate_basis(G, bound, strict=False).words())
+    non_units = [row[c] for c, (row, _) in pivots.items() if ring.inv_unit(row[c]) is None]
+    return G, len(T.columns), {T.columns[c] for c in pivots}, set(T.columns) - normal, non_units
+
+
+@pytest.mark.parametrize("name, bound, columns, normal", [
+    ("sl2.lie", 4, 121, 35),
+    ("heisenberg_z4.lie", 4, 121, 35),
+    ("gl2_z4.gb", 5, 1365, 126),
+    ("gl2_q.gb", 5, 1365, 126),
+    ("inverse_pair.gb", 4, 31, 9),
+])
+def test_groebner_basis_normal_words_are_a_free_basis(name, bound, columns, normal):
+    # the paper's freeness theorem against the echelon, which shares no
+    # code with the reducer: the order is graded, so for a Groebner basis
+    # the rows span the ideal up to the bound, and the normal words are a
+    # free basis of the quotient there exactly when the pivots sit on the
+    # other words and every pivot entry is a unit
+    G, n_columns, pivot_words, non_normal, non_units = _freeness_certificate(name, bound)
+    assert check_groebner(G).is_groebner
+    assert (n_columns, n_columns - len(non_normal)) == (columns, normal)
+    assert pivot_words == non_normal
+    assert non_units == []
+
+
+def test_freeness_certificate_fails_off_a_groebner_basis():
+    G, _, pivot_words, non_normal, non_units = _freeness_certificate("perturbed_sl2.lie", 4)
+    assert not check_groebner(G).is_groebner
+    assert (len(pivot_words), len(non_normal)) == (91, 86)
+    assert non_units == [2] * 5

@@ -145,11 +145,10 @@ def test_spolys_match_scale_and_subtract_reference(seed, ring, oracle):
     gens += [helpers.random_unital_poly(rng, algebra) for _ in range(rng.randint(0, 2))]
     G = GenSet(gens, algebra)
     sps = s_polynomials(G)
-    mul = algebra.oracle.mul_words
     expected = []
     for i, j, u, v, u2, v2 in algebra.oracle.critical_pairs(G.lead_words, 0):
-        ambiguity = mul(u, mul(G.lead_words[i], v))
-        assert mul(u2, mul(G.lead_words[j], v2)) == ambiguity
+        ambiguity = helpers.word_product(oracle, u, G.lead_words[i], v)
+        assert helpers.word_product(oracle, u2, G.lead_words[j], v2) == ambiguity
         expected.append(SPoly(i, j, u, u2, ambiguity, helpers.reference_spoly(G, i, j, u, v, u2, v2)))
     expected.sort(key=_pair_order)
     assert list(map(_fields, sps)) == list(map(_fields, expected))
