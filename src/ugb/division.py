@@ -34,15 +34,12 @@ class GenSet:
     leading coefficient, None where it is not a unit.  Operations that
     invert leading coefficients insist on all of them being units.
     ``is_unital`` is stored, as every ``divide`` call reads it.
-    ``leads`` is the oracle's divisibility index over the leading words,
-    and ``gen_terms`` the generators' term tuples, which every division
-    step reads.  ``_report`` caches the set's Buchberger report (the set
-    itself is immutable); only ``spolys`` writes it.
+    ``leads`` is the oracle's divisibility index over the leading words.
+    The set is built once and never written again; its generators are
+    read through ``gens``.
     """
 
-    __slots__ = (
-        "algebra", "gens", "gen_terms", "inv_leads", "is_unital", "lead_words", "leads", "_report",
-    )
+    __slots__ = ("algebra", "gens", "inv_leads", "is_unital", "lead_words", "leads")
 
     def __init__(self, gens, algebra=None):
         gens = tuple(gens)
@@ -56,12 +53,10 @@ class GenSet:
                 raise ValueError("zero polynomial in generating set")
         self.algebra = algebra
         self.gens = gens
-        self.gen_terms = tuple(g.terms for g in gens)
         self.inv_leads = tuple(algebra.ring.inv_unit(g.lc()) for g in gens)
         self.is_unital = None not in self.inv_leads
         self.lead_words = tuple(g.lm() for g in gens)
         self.leads = algebra.oracle.lead_index(self.lead_words)
-        self._report = None
 
     def require_unital(self):
         if not self.is_unital:
@@ -71,15 +66,6 @@ class GenSet:
                 f"in {self.algebra.ring}"
             )
 
-    def __len__(self):
-        return len(self.gens)
-
-    def __iter__(self):
-        return iter(self.gens)
-
-    def __getitem__(self, i):
-        return self.gens[i]
-
     def __repr__(self):
         return f"GenSet({list(self.gens)})"
 
@@ -88,7 +74,7 @@ class DivisionTrace(namedtuple("DivisionTrace", "steps remainder")):
     """Full record of one division run of f by G.
 
     Each step is the plain tuple (coeff, left, gen, right), one rewrite
-    that subtracts coeff * (left * G[gen] * right).  Invariant: f ==
+    that subtracts coeff * (left * G.gens[gen] * right).  Invariant: f ==
     remainder + sum of the recorded steps, and no leading word of G
     divides a remainder word.
     """
@@ -116,7 +102,7 @@ def divide(f, G, seed=None, step_budget=DEFAULT_STEP_BUDGET):
     context = algebra.oracle.context
     leads = G.leads
     inv_leads = G.inv_leads
-    gen_terms = G.gen_terms
+    gens = G.gens
 
     working = {w: c for c, w in f.terms}
     # Max-heap of the words entering ``working``: each entry is one flat
@@ -154,7 +140,7 @@ def divide(f, G, seed=None, step_budget=DEFAULT_STEP_BUDGET):
         i, u, v = match
         lam = coerce(lc_f * inv_leads[i])
         steps.append((lam, u, i, v))
-        for tc, tw in gen_terms[i]:
+        for tc, tw in gens[i].terms:
             w = context(u, tw, v)
             cur = working.get(w, 0)  # 0 only when absent: no stored zeros
             nc = coerce(cur - lam * tc)

@@ -267,8 +267,6 @@ def is_member(f, T):
     ensure_same_algebra(f.algebra, G.algebra)
     if any(len(w) > T.bound for _, w in f.terms):
         raise BoundTooSmall(f"query exceeds the truncation bound {T.bound}")
-    if f.is_zero():
-        return MembershipResult((), T.bound)
     ring = G.algebra.ring
     sol = T.echelon.solve({T.col_index[w]: c for c, w in f.terms})
     if sol is None:
@@ -285,6 +283,6 @@ def is_member(f, T):
 
 def expand_witness(G, witness):
     """Sum of the witness context products; equals the queried element."""
-    scaled = (G[gen].scale(coeff, left, right) for coeff, left, gen, right in witness)
+    scaled = (G.gens[gen].scale(coeff, left, right) for coeff, left, gen, right in witness)
     terms = [t for p in scaled for t in p.terms]
     return G.algebra.poly(terms)

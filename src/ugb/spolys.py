@@ -60,7 +60,7 @@ def _make_spoly(G, i, j, u, v, u2, v2):
     context = algebra.oracle.context
     terms = []
     for c, k, left, right in ((G.inv_leads[i], i, u, v), (coerce(-G.inv_leads[j]), j, u2, v2)):
-        for tc, tw in G.gen_terms[k]:
+        for tc, tw in G.gens[k].terms:
             nc = coerce(c * tc)
             if nc:  # _sum trusts its terms to be nonzero
                 terms.append((nc, context(left, tw, right)))
@@ -109,25 +109,21 @@ def check_groebner(G):
     s-polynomial divides to zero remainder (first-match division).
 
     The pair family is finite for both shipped oracles, so the verdict is
-    exact and unconditional.  The report is cached on the set.
+    exact and unconditional.
     """
     spolys = s_polynomials(G)
-    report = GBReport(len(spolys), tuple(_failures(spolys, G)))
-    G._report = report
-    return report
+    return GBReport(len(spolys), tuple(_failures(spolys, G)))
 
 
 def require_groebner(G):
     """Strict-mode gate: normal forms, quotient bases and the split are
-    canonical only for a verified Groebner basis.  Returns the set's
-    passing report, cached or from running the check."""
-    report = G._report or check_groebner(G)
-    if not report.is_groebner:
+    canonical only for a verified Groebner basis.  Runs the check on
+    every call and raises NotAGroebnerBasis unless the set passes."""
+    if not check_groebner(G).is_groebner:
         raise NotAGroebnerBasis(
             "generating set verdict is NotGroebner; strict mode needs a "
             "verified Groebner basis (non-strict mode gives G-normal results)"
         )
-    return report
 
 
 def complete(G, max_degree, max_rounds=8):
@@ -144,10 +140,10 @@ def complete(G, max_degree, max_rounds=8):
     steps against the larger set.  The verdict, the adjoined generators
     and the exceptions are those of running the full check every round.
 
-    Already-complete input is returned unchanged.  The result carries its
-    passing report.  Raises NonUnitalRemainder when a failing remainder
-    has a non-unit leading coefficient, and RoundsExceeded when the round
-    limit runs out or no failing ambiguity fits the degree bound.
+    Already-complete input is returned unchanged.  Raises
+    NonUnitalRemainder when a failing remainder has a non-unit leading
+    coefficient, and RoundsExceeded when the round limit runs out or no
+    failing ambiguity fits the degree bound.
     """
     G.require_unital()
     if max_degree < 1:
@@ -158,14 +154,11 @@ def complete(G, max_degree, max_rounds=8):
     current = G
     first_new = 0
     failed = []
-    pairs = 0
     for _ in range(max_rounds):
         new = _spolys(current, first_new)
-        pairs += len(new)
         pending = sorted([sp for sp, _ in failed] + new, key=_pair_order)
         failed = _failures(pending, current)
         if not failed:
-            current._report = GBReport(pairs, ())
             return current
         additions = []
         for sp, trace in failed:
@@ -187,6 +180,6 @@ def complete(G, max_degree, max_rounds=8):
                 "every failing ambiguity word is longer than "
                 f"max_degree={max_degree}; completion cannot progress"
             )
-        first_new = len(current)
+        first_new = len(current.gens)
         current = GenSet(current.gens + tuple(additions), G.algebra)
     raise RoundsExceeded(f"no Groebner basis after {max_rounds} rounds")

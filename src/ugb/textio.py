@@ -145,8 +145,8 @@ def parse_problem(text, filename="<input>"):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
-        directive, _, rest = stripped.partition(" ")
-        rest = rest.strip()
+        directive, *rest = stripped.split(None, 1)
+        rest = "".join(rest)
         kind = _BLOCKS.get(directive)
         if kind is not None:
             if block is not None and kind != block:
@@ -236,7 +236,7 @@ def parse_problem(text, filename="<input>"):
 
 
 def load_problem(path):
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_problem(handle.read(), str(path))
 
 
@@ -400,7 +400,7 @@ def format_gb_report(record):
 def record_completion(G, result):
     return {
         "status": "completed",
-        "adjoined": len(result) - len(G),
+        "adjoined": len(result.gens) - len(G.gens),
         "generators": [str(g) for g in result.gens],
     }
 

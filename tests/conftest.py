@@ -2,8 +2,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# One profile for every property test: no per-example deadline, since a
+# busy machine or the -X dev run slows an example without making it wrong,
+# and a failure prints the blob that reproduces it.
+settings.register_profile("ugb", deadline=None, print_blob=True)
+settings.load_profile("ugb")
 
 import helpers  # noqa: E402
 from ugb import QQ, ZZ, Zmod, check_groebner, pbw_generators  # noqa: E402
@@ -35,7 +42,7 @@ def inverse_pair_q():
 @pytest.fixture(scope="session")
 def gb_corpora(example1_q, sl2_z, heis_z4, inverse_pair_q):
     """The verified Groebner corpora used across uniqueness and agreement
-    tests; the reports are cached on the sets."""
+    tests."""
     corpora = {
         "example1/Q": example1_q,
         "sl2/Z": sl2_z,

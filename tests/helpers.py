@@ -154,19 +154,19 @@ def random_ideal_combo(rng, G, max_context=2, parts=3):
     algebra = G.algebra
     total = algebra.zero()
     for _ in range(parts):
-        i = rng.randrange(len(G))
+        i = rng.randrange(len(G.gens))
         u = random_word(rng, algebra.alphabet.size, max_context, algebra.oracle)
         v = random_word(rng, algebra.alphabet.size, max_context, algebra.oracle)
         c = random_nonzero(rng, algebra.ring)
-        total = total + G[i].scale(c, u, v)
+        total = total + G.gens[i].scale(c, u, v)
     return total
 
 
 def ideal_part(trace, G):
-    """Sum of the recorded division steps, coeff * (left * G[gen] * right)
+    """Sum of the recorded division steps, coeff * (left * G.gens[gen] * right)
     each: the step expansion of a division trace by G, formed
     independently of its remainder."""
-    scaled = (G[gen].scale(coeff, left, right) for coeff, left, gen, right in trace.steps)
+    scaled = (G.gens[gen].scale(coeff, left, right) for coeff, left, gen, right in trace.steps)
     return G.algebra.poly([t for p in scaled for t in p.terms])
 
 
@@ -181,7 +181,7 @@ def reference_spoly(G, i, j, u, v, u2, v2):
     two checked ``scale`` calls and a subtraction:
     inv(a_i) * (u * g_i * v) - inv(a_j) * (u2 * g_j * v2)."""
     ring = G.algebra.ring
-    gi, gj = G[i], G[j]
+    gi, gj = G.gens[i], G.gens[j]
     return (gi.scale(ring.inv_unit(gi.lc()), u, v)
             - gj.scale(ring.inv_unit(gj.lc()), u2, v2))
 
@@ -384,6 +384,18 @@ def inverse_pair_genset(ring=QQ):
         ],
         algebra,
     )
+
+
+def free_lift(G):
+    """G's generators, on the same sorted words, in the free algebra over
+    the same ring and alphabet, followed by the commutators
+    x_i x_j - x_j x_i for i > j: a free presentation of G's quotient,
+    whose truncation needs only free concatenation."""
+    A = G.algebra
+    free = Algebra(A.ring, A.alphabet, FREE)
+    n = A.alphabet.size
+    commutators = [free.poly([(1, (i, j)), (-1, (j, i))]) for i in range(n) for j in range(i)]
+    return GenSet([free.poly(g.terms) for g in G.gens] + commutators, free)
 
 
 def brute_normal_words(G, degree):

@@ -251,9 +251,9 @@ def test_criterion_10_property_suites():
             if not check_groebner(G).is_groebner:
                 continue
             found += 1
-            inv = [ring.inv_unit(g.lc()) for g in G]
+            inv = [ring.inv_unit(g.lc()) for g in G.gens]
             for i, j in ((0, 1), (1, 0)):
-                wi, wj = G[i].lm(), G[j].lm()
+                wi, wj = G.gens[i].lm(), G.gens[j].lm()
                 budget = 6 - len(wi) - len(wj)
                 for total in range(max(budget, -1) + 1):
                     for la in range(total + 1):
@@ -262,7 +262,7 @@ def test_criterion_10_property_suites():
                             for a in product(range(2), repeat=la):
                                 for b in product(range(2), repeat=lb):
                                     for c in product(range(2), repeat=lc):
-                                        s = G[i].scale(inv[i], a, b + wj + c) - G[j].scale(
+                                        s = G.gens[i].scale(inv[i], a, b + wj + c) - G.gens[j].scale(
                                             inv[j], a + wi + b, c
                                         )
                                         if not divide(s, G).remainder.is_zero():

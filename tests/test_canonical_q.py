@@ -154,7 +154,7 @@ def test_s_polynomials_and_completion():
             except stops:
                 continue
             completed += 1
-            for g in H:
+            for g in H.gens:
                 seen.poly(g)
         assert completed and seen.every_form()
 

@@ -71,7 +71,7 @@ def _brute_counts(lead_words, max_degree):
     )
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(seed=st.integers(0, 2**32 - 1), ring=st.sampled_from([ZZ, QQ]))
 def test_commutative_groebner_sets_agree_with_membership(seed, ring):
     rng = random.Random(seed)

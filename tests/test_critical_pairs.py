@@ -102,13 +102,13 @@ def assert_matches_reference(oracle, lead_words):
 words = st.lists(st.integers(0, 2), max_size=5).map(tuple)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.lists(words, max_size=6))
 def test_free_pairs_match_reference(lead_words):
     assert_matches_reference(FREE, lead_words)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.lists(words, max_size=6))
 def test_commutative_pairs_match_reference(lead_words):
     assert_matches_reference(COMMUTATIVE, lead_words)

@@ -12,12 +12,14 @@ from ugb import (
     ZZ,
     Algebra,
     BoundTooSmall,
+    CompletionFailure,
     EngineInvariantBroken,
     GenSet,
     LieAlgebra,
     Zmod,
     build_truncation,
     check_groebner,
+    complete,
     enumerate_basis,
     expand_witness,
     is_member,
@@ -265,7 +267,7 @@ def test_gl2_over_z4_at_bound_5():
     G = load_problem(FIXTURES / "gl2_z4.gb")
     T = build_truncation(G, 5)
     f = parse_poly(G.algebra, "2*e22 e21 e12 e11 e11 + 2*e22 e21 e11 e12 e11 + 2*e22 e21 e12 e11")
-    f = f + G[4].scale(3, (0,), (3, 3))
+    f = f + G.gens[4].scale(3, (0,), (3, 3))
     r = is_member(f, T)
     assert r.member
     assert expand_witness(G, r.witness) == f
@@ -370,19 +372,23 @@ def test_build_truncation_equals_the_scale_reference(ring, oracle):
     assert deduped
 
 
-def _freeness_certificate(name, bound):
-    """The fixture's set and, from its truncation at the bound: the
-    column count, the pivot words of the echelon, the words that are not
-    G-normal, and the pivot entries that are not units."""
-    G = load_problem(FIXTURES / name)
-    if isinstance(G, LieAlgebra):
-        G = pbw_generators(G)
-    T = build_truncation(G, bound)
+def _freeness_certificate(G, bound):
+    """From the truncation of G at the bound: the column count, the pivot
+    words of the echelon, the words that are not G-normal, and the pivot
+    entries that are not units.  A commutative G is read through its free
+    lift, so the echelon forms no word product that the reducer shares."""
+    lift = helpers.free_lift(G) if G.algebra.oracle is COMMUTATIVE else G
+    T = build_truncation(lift, bound)
     ring = G.algebra.ring
     pivots = T.echelon.pivots
     normal = set(enumerate_basis(G, bound, strict=False).words())
     non_units = [row[c] for c, (row, _) in pivots.items() if ring.inv_unit(row[c]) is None]
-    return G, len(T.columns), {T.columns[c] for c in pivots}, set(T.columns) - normal, non_units
+    return len(T.columns), {T.columns[c] for c in pivots}, set(T.columns) - normal, non_units
+
+
+def _fixture_set(name):
+    G = load_problem(FIXTURES / name)
+    return pbw_generators(G) if isinstance(G, LieAlgebra) else G
 
 
 @pytest.mark.parametrize("name, bound, columns, normal", [
@@ -391,6 +397,7 @@ def _freeness_certificate(name, bound):
     ("gl2_z4.gb", 5, 1365, 126),
     ("gl2_q.gb", 5, 1365, 126),
     ("inverse_pair.gb", 4, 31, 9),
+    ("example1.gb", 4, 121, 4),
 ])
 def test_groebner_basis_normal_words_are_a_free_basis(name, bound, columns, normal):
     # the paper's freeness theorem against the echelon, which shares no
@@ -398,7 +405,8 @@ def test_groebner_basis_normal_words_are_a_free_basis(name, bound, columns, norm
     # the rows span the ideal up to the bound, and the normal words are a
     # free basis of the quotient there exactly when the pivots sit on the
     # other words and every pivot entry is a unit
-    G, n_columns, pivot_words, non_normal, non_units = _freeness_certificate(name, bound)
+    G = _fixture_set(name)
+    n_columns, pivot_words, non_normal, non_units = _freeness_certificate(G, bound)
     assert check_groebner(G).is_groebner
     assert (n_columns, n_columns - len(non_normal)) == (columns, normal)
     assert pivot_words == non_normal
@@ -406,7 +414,67 @@ def test_groebner_basis_normal_words_are_a_free_basis(name, bound, columns, norm
 
 
 def test_freeness_certificate_fails_off_a_groebner_basis():
-    G, _, pivot_words, non_normal, non_units = _freeness_certificate("perturbed_sl2.lie", 4)
+    G = _fixture_set("perturbed_sl2.lie")
+    _, pivot_words, non_normal, non_units = _freeness_certificate(G, 4)
     assert not check_groebner(G).is_groebner
     assert (len(pivot_words), len(non_normal)) == (91, 86)
     assert non_units == [2] * 5
+
+
+_FREENESS_RINGS = (ZZ, QQ, Zmod(4), Zmod(5), Zmod(6))
+
+
+def _completed_draws(oracle):
+    """(input, completion) for 60 draws of two random unital generators in
+    x y z, over the five rings in turn; draws that complete() refuses are
+    counted in the second value."""
+    rng = random.Random(11)
+    completed, refused = [], 0
+    for k in range(60):
+        algebra = Algebra(_FREENESS_RINGS[k % 5], ["x", "y", "z"], oracle)
+        gens = [helpers.random_unital_poly(rng, algebra, max_deg=3, max_terms=3) for _ in range(2)]
+        G = GenSet(gens, algebra)
+        try:
+            completed.append((G, complete(G, 5)))
+        except CompletionFailure:
+            refused += 1
+    return completed, refused
+
+
+def test_completed_commutative_sets_are_free_through_the_lift():
+    completed, refused = _completed_draws(COMMUTATIVE)
+    checked = 0
+    for _, G in completed:
+        # 2 is the commutators' degree; below the longest lead word the
+        # truncation does not hold every generator
+        for bound in range(max(2, *map(len, G.lead_words)), 5):
+            _, pivot_words, non_normal, non_units = _freeness_certificate(G, bound)
+            assert pivot_words == non_normal, (G, bound)
+            assert non_units == [], (G, bound)
+            checked += 1
+    assert (len(completed), refused, checked) == (43, 17, 96)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(4)], ids=str)
+def test_freeness_certificate_fails_for_a_commutative_non_basis(ring):
+    algebra = Algebra(ring, ["x", "y", "z"], COMMUTATIVE)
+    G = GenSet([parse_poly(algebra, "x y - 1"), parse_poly(algebra, "x z - 1")], algebra)
+    assert not check_groebner(G).is_groebner
+    for bound, counts in ((3, (28, 27)), (4, (105, 102))):
+        _, pivot_words, non_normal, _ = _freeness_certificate(G, bound)
+        assert (len(pivot_words), len(non_normal)) == counts
+
+
+def test_complete_adjoins_members_of_the_ideal():
+    # each adjoined generator is a member of the truncation of the ones
+    # before it; the input's own truncation at max_degree would not do,
+    # as witnesses nest across rounds and can need a higher bound there
+    adjoined = 0
+    for oracle in (FREE, COMMUTATIVE):
+        for G, result in _completed_draws(oracle)[0]:
+            algebra = G.algebra
+            for k in range(len(G.gens), len(result.gens)):
+                T = build_truncation(GenSet(result.gens[:k], algebra), 5)
+                assert is_member(result.gens[k], T).member, (G, k)
+                adjoined += 1
+    assert adjoined == 61

@@ -96,7 +96,7 @@ def test_decompose_examples(inverse_pair_q):
     assert ideal_part.is_zero()
     assert normal_part == g
 
-    g1 = inverse_pair_q[0]
+    g1 = inverse_pair_q.gens[0]
     ideal_part, normal_part = decompose(g1, inverse_pair_q)
     assert ideal_part == g1
     assert normal_part.is_zero()

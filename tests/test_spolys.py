@@ -26,7 +26,6 @@ from ugb import (
     normal_form,
     parse_poly,
     pbw_generators,
-    require_groebner,
     s_polynomials,
 )
 from ugb.spolys import SPoly, _pair_order
@@ -123,7 +122,7 @@ def _fields(sp):
     return sp.i, sp.j, sp.u, sp.u2, sp.ambiguity, _typed(sp.value)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     seed=st.integers(0, 2**32 - 1),
     ring=st.sampled_from([ZZ, QQ, Zmod(4), Zmod(6)]),
@@ -302,7 +301,7 @@ def test_commutative_shared_letter_counterexample():
     report = check_groebner(G)
     assert not report.is_groebner
     # the witness x^2 y - x y^2 is a genuine member: direct combination
-    member = G[0].scale(1, (1,), ()) - G[1].scale(1, (0,), ())
+    member = G.gens[0].scale(1, (1,), ()) - G.gens[1].scale(1, (0,), ())
     assert member == sps[0].value.scale(-1) or member == sps[0].value
 
 
@@ -324,7 +323,7 @@ def _all_disjoint_spolys(G, max_ambiguity_len, n_letters):
     copy left then right, up to the ambiguity length bound."""
     ring = G.algebra.ring
     for i, j in ((0, 1), (1, 0)):
-        gi, gj = G[i], G[j]
+        gi, gj = G.gens[i], G.gens[j]
         wi, wj = gi.lm(), gj.lm()
         invi = ring.inv_unit(gi.lc())
         invj = ring.inv_unit(gj.lc())
@@ -511,12 +510,8 @@ def test_complete_matches_round_wise_reference():
         max_rounds = rng.randint(1, 4)
         kind, value, result = _outcome(complete, G, max_degree, max_rounds)
         if result is not None:
-            # before the reference runs, which caches its own report on G
             grown += result is not G
-            cached = require_groebner(result)
-            again = check_groebner(GenSet(result.gens, algebra))
-            assert cached.is_groebner and again.is_groebner
-            assert cached.pairs_checked == again.pairs_checked
+            assert check_groebner(result).is_groebner
         assert (kind, value) == _outcome(_complete_reference, G, max_degree, max_rounds)[:2], G
         seen.add(kind)
     assert seen == {"completed", NonUnitalRemainder, RoundsExceeded}
@@ -565,7 +560,7 @@ def test_zero_pairs_divide_identically_after_appending_generators(oracle):
             pass
         # a unit multiple of an old generator shares its leading word, so
         # it matches wherever that generator does
-        extra = [G[rng.randrange(len(G))].scale(helpers.random_unit(rng, ring))]
+        extra = [G.gens[rng.randrange(len(G.gens))].scale(helpers.random_unit(rng, ring))]
         extra += [helpers.random_unital_poly(rng, algebra, max_deg=2, max_terms=3)
                   for _ in range(rng.randint(0, 2))]
         bigger = GenSet(G.gens + tuple(extra), algebra)

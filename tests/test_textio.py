@@ -157,6 +157,22 @@ def test_parse_problem_diagnostics_carry_line_numbers():
         assert needle in str(err.value), text
 
 
+def test_parse_problem_fields_split_on_any_whitespace():
+    # a tab separates a directive from its fields as a space does
+    gens = (FIXTURES / "inverse_pair.gb").read_text()
+    tabbed, spaced = parse_problem(gens.replace(" ", "\t")), parse_problem(gens)
+    assert (tabbed.algebra, tabbed.gens) == (spaced.algebra, spaced.gens)
+    lie = (FIXTURES / "sl2.lie").read_text()
+    assert parse_problem(lie.replace(" ", "\t")) == parse_problem(lie)
+
+
+def test_load_problem_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.gb"
+    path.write_text((FIXTURES / "inverse_pair.gb").read_text(), encoding="utf-8-sig")
+    with_bom, plain = load_problem(path), load_problem(FIXTURES / "inverse_pair.gb")
+    assert (with_bom.algebra, with_bom.gens) == (plain.algebra, plain.gens)
+
+
 def test_parse_problem_missing_ring():
     with pytest.raises(ParseError) as err:
         parse_problem("alphabet x\n")
@@ -192,7 +208,7 @@ _RECORDS = st.recursive(
 )
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(_RECORDS)
 def test_format_record_is_json_dumps(value):
     assert format_record(value) == json.dumps(value, indent=2, sort_keys=True)
