@@ -30,7 +30,7 @@ from .words import Alphabet
 class LieAlgebra:
     """Structure constants over an exact ring, for index pairs i > j."""
 
-    __slots__ = ("ring", "rank", "names", "brackets")
+    __slots__ = ("ring", "rank", "alphabet", "brackets")
 
     def __init__(self, ring, rank, brackets=None, names=None):
         if rank < 1:
@@ -41,7 +41,7 @@ class LieAlgebra:
             names = tuple(names)
             if len(names) != rank:
                 raise ValueError("need exactly one name per generator")
-        Alphabet(names)  # validates the symbols
+        alphabet = Alphabet(names)  # validates the symbols
         stored = {}
         for (i, j), vec in (brackets or {}).items():
             if not (0 <= j < i < rank):
@@ -53,32 +53,20 @@ class LieAlgebra:
                 stored[(i, j)] = vec
         self.ring = ring
         self.rank = rank
-        self.names = names
+        self.alphabet = alphabet
         self.brackets = stored
-
-    def bracket_vector(self, i, j):
-        """Coefficients of [x_i, x_j] over the basis, any index order."""
-        if i == j:
-            return (0,) * self.rank
-        if i > j:
-            return self.brackets.get((i, j), (0,) * self.rank)
-        vec = self.brackets.get((j, i))
-        if vec is None:
-            return (0,) * self.rank
-        coerce = self.ring.coerce
-        return tuple(coerce(-c) for c in vec)
 
     def __eq__(self, other):
         return (
             isinstance(other, LieAlgebra)
             and other.ring == self.ring
             and other.rank == self.rank
-            and other.names == self.names
+            and other.alphabet == self.alphabet
             and other.brackets == self.brackets
         )
 
     def __repr__(self):
-        return f"LieAlgebra({self.ring}, rank={self.rank}, names={list(self.names)})"
+        return f"LieAlgebra({self.ring}, rank={self.rank}, names={list(self.alphabet.names)})"
 
 
 def validate_lie(L):
@@ -129,12 +117,12 @@ def pbw_generators(L):
     No Jacobi validation happens here; probes deliberately build systems
     from invalid tables to compare the two verdicts.
     """
-    algebra = Algebra(L.ring, Alphabet(L.names), FREE)
+    algebra = Algebra(L.ring, L.alphabet, FREE)
     gens = []
     for i in range(L.rank):
         for j in range(i):
             terms = [(1, (i, j)), (-1, (j, i))]
-            for k, c in enumerate(L.bracket_vector(i, j)):
+            for k, c in enumerate(L.brackets.get((i, j), ())):
                 if c:
                     terms.append((-c, (k,)))
             gens.append(algebra.poly(terms))

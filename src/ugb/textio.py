@@ -21,10 +21,12 @@ the free algebra, so its file may declare no other oracle, and no
     bracket 3 1 : 2 0 0
     bracket 3 2 : 0 -2 0
 
-Polynomial text is ``c*w`` terms joined by signs, where a word is a
-whitespace-separated run of symbols, ``1`` is the empty word, and a bare
-coefficient is a constant term.  Printing is canonical (descending in
-graded lex), so outputs are diffable and parse back exactly.
+Polynomial text is terms joined by signs: ``+`` and ``-`` always
+separate terms, with optional spacing (``x-y`` is x - y).  A term is
+``c*w``, a word, or a bare coefficient (a constant term), where a word is
+a whitespace-separated run of symbols and ``1`` is the empty word.
+Printing is canonical (descending in graded lex), so outputs are
+diffable and parse back exactly.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .poly import FREE, Algebra, oracle_from_name
 from .rings import ring_from_name
 from .words import Alphabet
 
-_TOKEN_RE = re.compile(r"[+-]|[^\s+-]+")
+_SIGN_RE = re.compile(r"([+-])")
 
 
 def parse_poly(algebra, text, filename=None, line=None):
@@ -59,59 +61,40 @@ def parse_poly(algebra, text, filename=None, line=None):
             # coefficient the ring rejects
             fail(str(exc) if token[0].isdigit() else f"unknown symbol {token!r}")
 
-    tokens = _TOKEN_RE.findall(text)
-    if not tokens:
-        fail("empty polynomial text")
+    parts = _SIGN_RE.split(text)  # term, sign, term, ...
     terms = []
-    pos = 0
-    while pos < len(tokens):
-        negative = False
-        if tokens[pos] in "+-":
-            negative = tokens[pos] == "-"
-            pos += 1
-            if pos >= len(tokens):
-                fail("dangling sign at end of polynomial")
-            if tokens[pos] in "+-":
-                fail("two signs in a row")
-
-        token = tokens[pos]
-        pos += 1
-        coeff = 1
-        letters = []
-        constant = False
-        if "*" in token:
-            coeff_text, _, head = token.partition("*")
+    for k in range(0, len(parts), 2):
+        tokens = parts[k].split()
+        if not tokens:
+            if k == 0:  # a leading sign, or no text at all
+                if len(parts) == 1:
+                    fail("empty polynomial text")
+                continue
+            fail("dangling sign at end of polynomial" if k == len(parts) - 1 else "two signs in a row")
+        head, *rest = tokens
+        if "*" in head:
+            coeff_text, _, symbol = head.partition("*")
             try:
                 coeff = ring.parse(coeff_text)
             except ValueError as exc:
                 fail(str(exc))
-            if head == "1":
-                constant = True
-            elif head in alphabet:
-                letters.append(alphabet.index(head))
-            elif head == "":
-                fail(f"missing word after {token!r}")
-            else:
-                fail(f"unknown symbol {head!r}")
-        elif token in alphabet:
-            letters.append(alphabet.index(token))
+            if not symbol:
+                fail(f"missing word after {head!r}")
+            if symbol != "1" and symbol not in alphabet:
+                fail(f"unknown symbol {symbol!r}")
+        elif head in alphabet:
+            coeff, symbol = 1, head
         else:
-            coeff = coefficient(token)
-            constant = True
-        # remaining letters of the word
-        while pos < len(tokens) and tokens[pos] not in "+-":
-            token = tokens[pos]
-            if token in alphabet:
-                if constant:
-                    fail("a bare coefficient cannot be followed by symbols; use c*w")
-                letters.append(alphabet.index(token))
-                pos += 1
-            else:
+            coeff, symbol = coefficient(head), "1"  # a bare coefficient c is c*1
+        letters = [] if symbol == "1" else [alphabet.index(symbol)]
+        for token in rest:
+            if token not in alphabet:
                 coefficient(token)
                 fail(f"misplaced coefficient {token!r}; write a term as c*w")
-        if negative:
-            coeff = -coeff
-        terms.append((coeff, tuple(letters)))
+            if symbol == "1":
+                fail("a bare coefficient cannot be followed by symbols; use c*w")
+            letters.append(alphabet.index(token))
+        terms.append((-coeff if k and parts[k - 1] == "-" else coeff, tuple(letters)))
     try:
         return algebra.poly(terms)
     except BasisViolation as exc:
@@ -156,66 +139,57 @@ def parse_problem(text, filename="<input>"):
             if directive in once:
                 fail(f"duplicate {directive} line", lineno)
             once[directive] = lineno
-        if directive == "ring":
-            try:
+        try:
+            if directive == "ring":
                 ring = ring_from_name(rest)
-            except ValueError as exc:
-                fail(str(exc), lineno)
-        elif directive == "oracle":
-            if algebra is not None:
-                fail("oracle must be declared before generators", lineno)
-            try:
+            elif directive == "oracle":
+                if algebra is not None:
+                    fail("oracle must be declared before generators", lineno)
                 oracle = oracle_from_name(rest)
-            except ValueError as exc:
-                fail(str(exc), lineno)
-        elif directive == "alphabet":
-            try:
+            elif directive == "alphabet":
                 alphabet = Alphabet(rest.split())
-            except ValueError as exc:
-                fail(str(exc), lineno)
-        elif directive == "gen":
-            if ring is None:
-                fail("ring must be declared before generators", lineno)
-            if alphabet is None:
-                fail("alphabet must be declared before generators", lineno)
-            if algebra is None:
-                algebra = Algebra(ring, alphabet, oracle or FREE)
-            p = parse_poly(algebra, rest, filename, lineno)
-            if p.is_zero():
-                fail("generator is zero", lineno)
-            gen_polys.append(p)
-        elif directive == "rank":
-            if not rest.isdecimal() or int(rest) < 1:
-                fail(f"bad rank {rest!r}", lineno)
-            rank = int(rest)
-        elif directive == "basis":
-            basis_names = tuple(rest.split())
-        elif directive == "bracket":
-            if ring is None:
-                fail("ring must be declared before brackets", lineno)
-            if rank is None:
-                fail("rank must be declared before brackets", lineno)
-            head, sep, tail = rest.partition(":")
-            if not sep:
-                fail("bracket line needs ':' between indices and coefficients", lineno)
-            parts = head.split()
-            if len(parts) != 2 or not all(p.isdecimal() for p in parts):
-                fail("bracket line needs two 1-based generator indices", lineno)
-            i, j = int(parts[0]) - 1, int(parts[1]) - 1
-            if not (0 <= j < i < rank):
-                fail(f"bracket indices must satisfy rank >= i > j >= 1, got ({i + 1}, {j + 1})", lineno)
-            coeff_texts = tail.split()
-            if len(coeff_texts) != rank:
-                fail(f"bracket needs {rank} coefficients, got {len(coeff_texts)}", lineno)
-            try:
+            elif directive == "gen":
+                if ring is None:
+                    fail("ring must be declared before generators", lineno)
+                if alphabet is None:
+                    fail("alphabet must be declared before generators", lineno)
+                if algebra is None:
+                    algebra = Algebra(ring, alphabet, oracle or FREE)
+                p = parse_poly(algebra, rest, filename, lineno)
+                if p.is_zero():
+                    fail("generator is zero", lineno)
+                gen_polys.append(p)
+            elif directive == "rank":
+                if not rest.isdecimal() or int(rest) < 1:
+                    fail(f"bad rank {rest!r}", lineno)
+                rank = int(rest)
+            elif directive == "basis":
+                basis_names = tuple(rest.split())
+            elif directive == "bracket":
+                if ring is None:
+                    fail("ring must be declared before brackets", lineno)
+                if rank is None:
+                    fail("rank must be declared before brackets", lineno)
+                head, sep, tail = rest.partition(":")
+                if not sep:
+                    fail("bracket line needs ':' between indices and coefficients", lineno)
+                parts = head.split()
+                if len(parts) != 2 or not all(p.isdecimal() for p in parts):
+                    fail("bracket line needs two 1-based generator indices", lineno)
+                i, j = int(parts[0]) - 1, int(parts[1]) - 1
+                if not (0 <= j < i < rank):
+                    fail(f"bracket indices must satisfy rank >= i > j >= 1, got ({i + 1}, {j + 1})", lineno)
+                coeff_texts = tail.split()
+                if len(coeff_texts) != rank:
+                    fail(f"bracket needs {rank} coefficients, got {len(coeff_texts)}", lineno)
                 vec = tuple(ring.parse(t) for t in coeff_texts)
-            except ValueError as exc:
-                fail(str(exc), lineno)
-            if (i, j) in brackets:
-                fail(f"duplicate bracket ({i + 1}, {j + 1})", lineno)
-            brackets[(i, j)] = vec
-        else:
-            fail(f"unknown directive {directive!r}", lineno)
+                if (i, j) in brackets:
+                    fail(f"duplicate bracket ({i + 1}, {j + 1})", lineno)
+                brackets[(i, j)] = vec
+            else:
+                fail(f"unknown directive {directive!r}", lineno)
+        except ValueError as exc:  # a ring, oracle, alphabet or coefficient the line names
+            fail(str(exc), lineno)
 
     if ring is None:
         fail("missing ring line", 1)
@@ -357,11 +331,18 @@ def record_trace(f, trace, algebra):
     }
 
 
+def _trace_lines(trace, label, indent=""):
+    """A trace record laid out with its dividend under ``label``."""
+    return [
+        f"{indent}{label}: {trace['dividend']}",
+        f"{indent}steps: {len(trace['steps'])}",
+        *format_steps(trace["steps"], indent + "  "),
+        f"{indent}remainder: {trace['remainder']}",
+    ]
+
+
 def format_trace(record):
-    lines = [f"dividend: {record['dividend']}", f"steps: {len(record['steps'])}"]
-    lines.extend(format_steps(record["steps"]))
-    lines.append(f"remainder: {record['remainder']}")
-    return "\n".join(lines)
+    return "\n".join(_trace_lines(record, "dividend"))
 
 
 def _gb_verdict(report):
@@ -388,12 +369,8 @@ def format_gb_report(record):
     lines = [f"verdict: {record['verdict']}", f"pairs checked: {record['pairs_checked']}"]
     for k, w in enumerate(record["witnesses"], 1):
         i, j = w["pair"]
-        trace = w["trace"]
         lines.append(f"witness {k}: pair ({i}, {j}) ambiguity {w['ambiguity']}")
-        lines.append(f"  s-polynomial: {w['s_polynomial']}")
-        lines.append(f"  steps: {len(trace['steps'])}")
-        lines.extend(format_steps(trace["steps"], indent="    "))
-        lines.append(f"  remainder: {trace['remainder']}")
+        lines.extend(_trace_lines(w["trace"], "s-polynomial", "  "))
     return "\n".join(lines)
 
 

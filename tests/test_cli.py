@@ -25,6 +25,12 @@ def test_golden_outputs_are_byte_stable(name, capsys, monkeypatch):
     assert capsys.readouterr().out == first
 
 
+def test_golden_manifest_names_every_golden_file():
+    # a .txt golden missing from the manifest would never be compared
+    assert {path.stem for path in GOLDEN.glob("*.txt")} == set(MANIFEST)
+    assert len(MANIFEST) == 42
+
+
 def test_records_are_valid_json(capsys, monkeypatch):
     monkeypatch.chdir(FIXTURES.parent)
     for name, case in MANIFEST.items():

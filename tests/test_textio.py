@@ -44,20 +44,19 @@ def test_parse_poly_rationals_and_residues():
 
 
 def test_parse_poly_errors():
-    with pytest.raises(ParseError):
-        parse_poly(AZ, "")
-    with pytest.raises(ParseError):
-        parse_poly(AZ, "x +")
-    with pytest.raises(ParseError):
-        parse_poly(AZ, "x + + y")
-    with pytest.raises(ParseError):
-        parse_poly(AZ, "w")
-    with pytest.raises(ParseError):
-        parse_poly(AZ, "2 x")  # bare coefficient then symbol
-    with pytest.raises(ParseError):
-        parse_poly(AZ, "1/2*x")  # rational coefficient over Z
-    with pytest.raises(ParseError):
-        parse_poly(AZ, "3*")
+    cases = [
+        ("", "empty polynomial text"),
+        ("x +", "dangling sign"),
+        ("x + + y", "two signs in a row"),
+        ("w", "unknown symbol 'w'"),
+        ("2 x", "bare coefficient"),
+        ("1/2*x", "not an integer"),  # rational coefficient over Z
+        ("3*", "missing word after '3*'"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ParseError) as err:
+            parse_poly(AZ, text)
+        assert message in str(err.value), text
 
 
 def test_poly_round_trip_random():
@@ -73,6 +72,68 @@ def test_poly_round_trip_random():
         for _ in range(60):
             p = helpers.random_poly(rng, algebra)
             assert parse_poly(algebra, str(p)) == p
+
+
+_ROUND_TRIP_ALGEBRAS = [
+    Algebra(ZZ, ["x", "y"]),
+    Algebra(QQ, ["a", "b", "c"]),
+    Algebra(Zmod(6), ["x", "y"]),
+    Algebra(ZZ, ["u", "v"], COMMUTATIVE),
+    Algebra(QQ, ["x1", "x2", "x3"], COMMUTATIVE),
+]
+
+
+def _blanks(rng, least=0):
+    return "".join(rng.choice(" \t") for _ in range(rng.randint(least, 3)))
+
+
+@settings(max_examples=400)
+@given(st.integers(min_value=0))
+def test_parse_poly_reads_any_spacing(seed):
+    # str(p) with each single space widened to a run of spaces and tabs,
+    # dropped next to a sign, and blanks added at either end
+    rng = random.Random(seed)
+    for algebra in _ROUND_TRIP_ALGEBRAS:
+        p = helpers.random_poly(rng, algebra)
+        pieces = str(p).split(" ")
+        text = _blanks(rng)
+        for a, b in zip(pieces, pieces[1:]):
+            signed = a in ("+", "-") or b in ("+", "-")
+            text += a + _blanks(rng, least=0 if signed else 1)
+        text += pieces[-1] + _blanks(rng)
+        assert parse_poly(algebra, text) == p, text
+
+
+_FUZZ_ALGEBRAS = [Algebra(ring, ["x", "y"], oracle) for ring in (ZZ, QQ, Zmod(6)) for oracle in (FREE, COMMUTATIVE)]
+_POLY_TEXT = st.text("xyw 0123/*+-\t.", max_size=16) | st.text(max_size=16)
+
+
+@settings(max_examples=500)
+@given(_POLY_TEXT)
+def test_parse_poly_raises_only_parse_errors(text):
+    for algebra in _FUZZ_ALGEBRAS:
+        try:
+            parse_poly(algebra, text)
+        except ParseError:
+            pass
+
+
+_FIELDS = st.sampled_from(
+    ["Z", "Q", "Z/4", "Z/1", "free", "commutative", "x", "y", "e", "1x", "0", "1", "2", "-1", "1/2", "1/0", ":", "*"]
+) | st.text("xy 012/:*+-#\t", max_size=6)
+_LINES = st.tuples(
+    st.sampled_from(["ring", "oracle", "alphabet", "gen", "rank", "basis", "bracket", "#"]),
+    st.lists(_FIELDS, max_size=4),
+).map(lambda line: " ".join([line[0], *line[1]])) | st.text(max_size=12)
+
+
+@settings(max_examples=500)
+@given(st.lists(_LINES, max_size=8).map("\n".join))
+def test_parse_problem_raises_only_parse_errors(text):
+    try:
+        parse_problem(text)
+    except ParseError:
+        pass
 
 
 def test_parse_problem_generators():
@@ -97,7 +158,7 @@ def test_parse_problem_lie_block():
     problem = load_problem(FIXTURES / "sl2.lie")
     assert isinstance(problem, LieAlgebra)
     assert problem == helpers.sl2(ZZ)
-    assert problem.names == ("e", "f", "h")
+    assert problem.alphabet.names == ("e", "f", "h")
 
 
 def test_parse_problem_heisenberg_mod4():
