@@ -19,12 +19,14 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from heapq import heappop, heappush
-from operator import neg
 
 from .errors import BudgetExceeded, EngineInvariantBroken, NotUnital
 from .poly import Poly, ensure_same_algebra
 
 DEFAULT_STEP_BUDGET = 10 ** 6
+
+# Maps each letter b to 255 - b: on words of one length it reverses the order.
+NEG = bytes(range(255, -1, -1))
 
 
 class GenSet:
@@ -105,13 +107,15 @@ def divide(f, G, seed=None, step_budget=DEFAULT_STEP_BUDGET):
     gens = G.gens
 
     working = {w: c for c, w in f.terms}
-    # Max-heap of the words entering ``working``: each entry is one flat
-    # tuple (-len(w), -w[0], ..., -w[-1], w), so that the least entry is
-    # the graded-lex greatest word, read back as entry[-1].  The terms of f
-    # descend in that order, so their ascending entries are already a heap.
+    # Max-heap of the words entering ``working``: each entry is the triple
+    # (-len(w), w.translate(NEG), w), so that the least entry is the
+    # graded-lex greatest word, read back as entry[2].  Both keys compare
+    # in C, and the complemented word decides only between equal lengths.
+    # The terms of f descend in that order, so their ascending entries are
+    # already a heap.
     # A word that leaves ``working`` leaves a stale entry, dropped when it
     # is popped; a word that cancels and comes back gets a second entry.
-    heap = [(-len(w), *map(neg, w), w) for _, w in f.terms]
+    heap = [(-len(w), w.translate(NEG), w) for _, w in f.terms]
     steps = []
     peeled = []
     prev = ()  # below every heap entry
@@ -121,12 +125,12 @@ def divide(f, G, seed=None, step_budget=DEFAULT_STEP_BUDGET):
         if iterations > step_budget:
             raise BudgetExceeded(f"division exceeded {step_budget} steps")
         entry = heappop(heap)
-        while entry[-1] not in working:
+        while entry[2] not in working:
             entry = heappop(heap)
         if entry <= prev:
             raise EngineInvariantBroken("leading monomial failed to decrease")
         prev = entry
-        lm_f = entry[-1]
+        lm_f = entry[2]
         lc_f = working[lm_f]
         if rng is None:
             match = leads.first(lm_f)
@@ -149,7 +153,7 @@ def divide(f, G, seed=None, step_budget=DEFAULT_STEP_BUDGET):
             else:
                 working[w] = nc
                 if not cur:
-                    heappush(heap, (-len(w), *map(neg, w), w))
+                    heappush(heap, (-len(w), w.translate(NEG), w))
         if lm_f in working:
             raise EngineInvariantBroken("leading term failed to cancel")
     remainder = Poly(algebra, tuple(peeled))

@@ -45,7 +45,7 @@ class MultisetIndex:
         have = Counter(word)
         for i, need in enumerate(self._counts):
             if need <= have:
-                yield i, tuple(sorted((have - need).elements())), EMPTY
+                yield i, bytes(sorted((have - need).elements())), EMPTY
 
     def first(self, word):
         return next(self._divisions(word), None)
@@ -68,7 +68,7 @@ class FreeConcat:
 
     def basis_words(self, n_letters, degree):
         """All basis words of the given degree, ascending in the order."""
-        return product(range(n_letters), repeat=degree)
+        return map(bytes, product(range(n_letters), repeat=degree))
 
     def critical_pairs(self, lead_words, first_new):
         """(i, j, u, v, u2, v2) for i <= j, j >= first_new, placing both
@@ -118,13 +118,13 @@ class CommutativeMerge:
     lead_index = MultisetIndex
 
     def context(self, u, w, v):
-        return tuple(sorted(u + w + v))
+        return bytes(sorted(u + w + v))
 
     def is_basis_word(self, w):
         return all(w[i] <= w[i + 1] for i in range(len(w) - 1))
 
     def basis_words(self, n_letters, degree):
-        return combinations_with_replacement(range(n_letters), degree)
+        return map(bytes, combinations_with_replacement(range(n_letters), degree))
 
     def critical_pairs(self, lead_words, first_new):
         """(i, j, u, EMPTY, u2, EMPTY) for i < j, j >= first_new: one
@@ -136,7 +136,7 @@ class CommutativeMerge:
         for j in range(first_new, len(lead_words)):
             for i in range(j):
                 lcm = counts[i] | counts[j]
-                u, u2 = (tuple(sorted(c.elements())) for c in (lcm - counts[i], lcm - counts[j]))
+                u, u2 = (bytes(sorted(c.elements())) for c in (lcm - counts[i], lcm - counts[j]))
                 out.append((i, j, u, EMPTY, u2, EMPTY))
         return out
 
@@ -190,6 +190,11 @@ class Algebra:
         return f"Algebra({self.ring}, {list(self.alphabet.names)}, {self.oracle.name})"
 
     def check_word(self, word):
+        """The basis word of an iterable of letter indices, as ``bytes``.
+        A bad letter or a non-basis word raises BasisViolation, before
+        ``bytes`` could raise its own error."""
+        if not isinstance(word, bytes):
+            word = tuple(word)
         size = self.alphabet.size
         for letter in word:
             if not isinstance(letter, int) or not 0 <= letter < size:
@@ -199,6 +204,7 @@ class Algebra:
                 f"{self.alphabet.word_text(word)!r} is not a basis word of the "
                 f"{self.oracle.name} oracle"
             )
+        return bytes(word)
 
     def poly(self, terms):
         """Normalized polynomial from raw (coefficient, word) pairs.
@@ -208,8 +214,7 @@ class Algebra:
         ring = self.ring
         checked = []
         for coeff, word in terms:
-            word = tuple(word)
-            self.check_word(word)
+            word = self.check_word(word)
             c = ring.coerce(coeff)
             if c:
                 checked.append((c, word))
@@ -219,7 +224,7 @@ class Algebra:
         """The polynomial of trusted terms, (nonzero ring element, basis
         word) pairs.  Like terms merge and drop when they cancel, the only
         place a zero can arise; words come out strictly descending in
-        graded lex, by C-level tuple comparison, then stably by length."""
+        graded lex, by C-level bytes comparison, then stably by length."""
         coerce = self.ring.coerce
         acc = {}
         for c, w in terms:
@@ -239,7 +244,7 @@ class Algebra:
         return Poly(self, ((1, EMPTY),))
 
     def monomial(self, word, coeff=1):
-        return self.poly([(coeff, tuple(word))])
+        return self.poly([(coeff, word)])
 
 
 class Poly:
@@ -290,10 +295,8 @@ class Poly:
         """
         coerce = self.algebra.ring.coerce
         context = self.algebra.oracle.context
-        left = tuple(left)
-        right = tuple(right)
-        self.algebra.check_word(left)
-        self.algebra.check_word(right)
+        left = self.algebra.check_word(left)
+        right = self.algebra.check_word(right)
         c = coerce(coeff)
         out = []
         for tc, tw in self.terms:

@@ -31,8 +31,9 @@ def normal_form(f, G, strict=True):
 
 
 def is_normal(word, G):
-    """True iff no leading word of G divides ``word``."""
-    return G.leads.first(word) is None
+    """True iff no leading word of G divides ``word``, a basis word given
+    as any iterable of letter indices (checked by ``check_word``)."""
+    return G.leads.first(G.algebra.check_word(word)) is None
 
 
 class QuotientBasis(namedtuple("QuotientBasis", "by_degree verified")):
@@ -72,14 +73,14 @@ def enumerate_basis(G, max_degree, strict=True):
         require_groebner(G)
     oracle = G.algebra.oracle
     first = G.leads.first
-    n = G.algebra.alphabet.size
+    letters = [bytes((a,)) for a in range(G.algebra.alphabet.size)]
     level = [EMPTY] if first(EMPTY) is None else []
     by_degree = [level]
     for _ in range(max_degree):
         nxt = []
         for w in level:
-            for a in range(n):
-                cand = w + (a,)
+            for letter in letters:
+                cand = w + letter
                 if oracle.is_basis_word(cand) and first(cand) is None:
                     nxt.append(cand)
         by_degree.append(nxt)

@@ -94,7 +94,7 @@ def parse_poly(algebra, text, filename=None, line=None):
             if symbol == "1":
                 fail("a bare coefficient cannot be followed by symbols; use c*w")
             letters.append(alphabet.index(token))
-        terms.append((-coeff if k and parts[k - 1] == "-" else coeff, tuple(letters)))
+        terms.append((-coeff if k and parts[k - 1] == "-" else coeff, bytes(letters)))
     try:
         return algebra.poly(terms)
     except BasisViolation as exc:
@@ -200,8 +200,8 @@ def parse_problem(text, filename="<input>"):
             fail(f"basis has {len(basis_names)} names for rank {rank}", once["basis"])
         try:
             return LieAlgebra(ring, rank, brackets, basis_names)
-        except ValueError as exc:  # the rest was checked line by line above
-            fail(str(exc), once.get("basis"))
+        except ValueError as exc:  # the names; the rest was checked line by line above
+            fail(str(exc), once.get("basis", once["rank"]))
     if basis_names is not None:  # a bracket line before any rank already failed
         fail("lie block needs a rank line", once["basis"])
     if alphabet is None:

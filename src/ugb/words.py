@@ -1,18 +1,19 @@
 """Words over an indexed alphabet, the graded-lex order and factor search.
 
-A word is a plain tuple of letter indices; the empty tuple is the
-monomial 1.  The monomial order is fixed: graded lex, length first and
-then letters left to right.  Keeping words as bare tuples makes them
-hashable, cheap to slice and comparable in C: tuple comparison is the
-lex part of the order, ``len`` the graded part, and ``_deglex`` the two
-as one sort key.
+A word is a ``bytes`` object, one letter index per byte, so an
+alphabet holds at most 256 symbols; the empty word ``b""`` is the
+monomial 1.  Iterating a word yields its letter indices as ints.  The
+monomial order is fixed: graded lex, length first and then letters left
+to right.  As ``bytes``, words hash, slice, concatenate and compare in
+C: ``bytes`` comparison is the lex part of the order, ``len`` the graded
+part, and ``_deglex`` the two as one sort key.
 """
 
 from __future__ import annotations
 
 import re
 
-EMPTY = ()
+EMPTY = b""
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 
@@ -34,6 +35,8 @@ class Alphabet:
                 )
         if len(set(names)) != len(names):
             raise ValueError("duplicate symbol names")
+        if len(names) > 256:
+            raise ValueError("an alphabet holds at most 256 symbols")
         self.names = names
         self._index = {s: i for i, s in enumerate(names)}
 

@@ -11,19 +11,24 @@ from ugb.rings import IntegerRing, ModularRing, RationalField
 from ugb.words import _deglex
 
 
+def word(*letters):
+    """The word of the given letter indices, as the engine holds it."""
+    return bytes(letters)
+
+
 def random_word(rng, n_letters, max_len, oracle=FREE, min_len=0):
     length = rng.randint(min_len, max_len)
     letters = [rng.randrange(n_letters) for _ in range(length)]
     if oracle is COMMUTATIVE or isinstance(oracle, type(COMMUTATIVE)):
         letters.sort()
-    return tuple(letters)
+    return bytes(letters)
 
 
 def word_product(oracle, *words):
     """The product of basis words, written out apart from the oracles:
     their concatenation, sorted under the commutative oracle."""
-    word = tuple(letter for w in words for letter in w)
-    return tuple(sorted(word)) if oracle is COMMUTATIVE else word
+    word = bytes(letter for w in words for letter in w)
+    return bytes(sorted(word)) if oracle is COMMUTATIVE else word
 
 
 def canonical(ring, c):

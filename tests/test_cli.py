@@ -116,6 +116,30 @@ def test_usage_and_parse_errors_exit_2(tmp_path, capsys):
         assert "cannot share a file" in captured.err
 
 
+def test_alphabet_limit_is_a_parse_error_at_its_line(tmp_path, capsys):
+    # a word holds one byte per letter, so 257 symbols are refused
+    names = " ".join(f"x{i}" for i in range(257))
+    wide = tmp_path / "wide.gb"
+    wide.write_text(f"ring Z\nalphabet {names}\ngen x0\n")
+    assert main(["check-gb", str(wide)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "wide.gb:2: an alphabet holds at most 256 symbols" in captured.err
+    # a lie block names its generators x1..x257 itself: the rank line is at fault
+    lie = tmp_path / "wide.lie"
+    lie.write_text("ring Z\n# no basis line\nrank 257\n")
+    assert main(["pbw", str(lie), "--max-deg", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "wide.lie:3: an alphabet holds at most 256 symbols" in captured.err
+    # with a basis line the names are at fault
+    lie.write_text("ring Z\nrank 257\nbasis " + names + "\n")
+    assert main(["pbw", str(lie), "--max-deg", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "wide.lie:3: an alphabet holds at most 256 symbols" in captured.err
+
+
 def test_strict_flag_controls_normal_form(capsys):
     path = str(FIXTURES / "not_gb.gb")
     assert main(["normal-form", path, "--poly", "x x x"]) == 1

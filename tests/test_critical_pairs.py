@@ -61,7 +61,7 @@ def reference_free(w, w2, same_gen):
 def reference_commutative(w, w2, same_gen):
     if same_gen:
         return []
-    ambiguity = tuple(sorted((Counter(w) | Counter(w2)).elements()))
+    ambiguity = bytes(sorted((Counter(w) | Counter(w2)).elements()))
     (_, u, v), (_, u2, v2) = MultisetIndex((w, w2)).matches(ambiguity)
     return [(u, v, u2, v2, ambiguity)]
 
@@ -92,14 +92,14 @@ def _ordered(oracle, lead_words, pairs):
 
 def assert_matches_reference(oracle, lead_words):
     if oracle is COMMUTATIVE:
-        lead_words = [tuple(sorted(w)) for w in lead_words]
+        lead_words = [bytes(sorted(w)) for w in lead_words]
     lead_words = tuple(lead_words)
     for first_new in range(len(lead_words) + 1):
         got = _ordered(oracle, lead_words, oracle.critical_pairs(lead_words, first_new))
         assert got == reference_pairs(oracle, lead_words, first_new), (lead_words, first_new)
 
 
-words = st.lists(st.integers(0, 2), max_size=5).map(tuple)
+words = st.lists(st.integers(0, 2), max_size=5).map(bytes)
 
 
 @settings(max_examples=300)
@@ -120,7 +120,7 @@ def test_pairs_match_reference_on_repeated_and_nested_words():
     rng = random.Random(12)
     for _ in range(400):
         letters = rng.randint(1, 3)
-        pool = [tuple(rng.randrange(letters) for _ in range(rng.randint(0, 5)))
+        pool = [bytes(rng.randrange(letters) for _ in range(rng.randint(0, 5)))
                 for _ in range(rng.randint(1, 4))]
         lead_words = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
         for oracle in (FREE, COMMUTATIVE):

@@ -26,6 +26,7 @@ from ugb import (
     normal_form,
     pbw_generators,
 )
+from ugb.division import NEG
 from ugb.words import _deglex
 
 AZ = Algebra(ZZ, ["x", "y"])
@@ -44,12 +45,12 @@ def _first_step(f, G):
 def test_divide_first_step_examples():
     G = _gset(AZ, [(1, (X, Y)), (-1, ())])  # xy - 1
     f = AZ.poly([(2, (X, Y, X)), (1, (Y,))])
-    assert _first_step(f, G) == (0, (), (X,), 2)
+    assert _first_step(f, G) == (0, b"", helpers.word(X), 2)
     assert divide(AZ.poly([(1, (Y,))]), G).steps == ()
 
     A6 = Algebra(Zmod(6), ["x"])
     G6 = _gset(A6, [(5, (0,)), (1, ())])  # 5x + 1
-    assert _first_step(A6.poly([(4, (0,))]), G6) == (0, (), (), 2)
+    assert _first_step(A6.poly([(4, (0,))]), G6) == (0, b"", b"", 2)
     assert (2 * 5) % 6 == 4  # lambda * LC(g) recovers LT(f)
 
 
@@ -74,7 +75,7 @@ def test_divide_self_reduction():
     trace = divide(g, G)
     assert trace.remainder.is_zero()
     assert len(trace.steps) == 1
-    assert trace.steps[0] == (1, (), 0, ())
+    assert trace.steps[0] == (1, b"", 0, b"")
 
 
 def test_divide_zero_dividend():
@@ -179,6 +180,17 @@ def test_divide_matches_max_scan_reference(seed, ring, oracle, strategy):
     # a step is a plain 4-tuple, not a per-step object that compares equal
     assert all(type(s) is tuple and len(s) == 4 for s in trace.steps)
     assert trace.remainder.terms == peeled
+
+
+# letters 0 and 255, the ends of NEG, drawn often
+_any_letter = st.one_of(st.sampled_from([0, 255]), st.integers(0, 255))
+
+
+@given(st.lists(st.lists(_any_letter, max_size=6).map(bytes), max_size=12))
+def test_heap_key_sorts_descending_deglex(words):
+    # divide pops the least (-len(w), w.translate(NEG)) as the greatest word
+    by_key = sorted(words, key=lambda w: (-len(w), w.translate(NEG)))
+    assert by_key == sorted(words, key=_deglex, reverse=True)
 
 
 def test_long_sl2_division_step_counts(sl2_z):
@@ -304,7 +316,7 @@ _BROKEN_TAIL = textwrap.dedent("""
     A = Algebra(QQ, ["x", "y"])
     X, Y = 0, 1
     G = GenSet([A.poly([(1, (X, Y)), (-1, ())])], A)
-    G.gens = (Poly(A, ((1, (X, Y)), (-1, (Y, Y, Y)))),)  # a tail above the lead
+    G.gens = (Poly(A, ((1, bytes((X, Y))), (-1, bytes((Y, Y, Y))))),)  # a tail above the lead
     try:
         divide(A.poly([(1, (X, Y))]), G)
     except EngineInvariantBroken as exc:
@@ -318,7 +330,7 @@ def test_broken_generator_tail_raises_engine_invariant():
     # strict decrease of the leading monomial (unchecked, yyy would be
     # peeled into the remainder)
     G = _gset(AZ, [(1, (X, Y)), (-1, ())])
-    G.gens = (Poly(AZ, ((1, (X, Y)), (-1, (Y, Y, Y)))),)
+    G.gens = (Poly(AZ, ((1, helpers.word(X, Y)), (-1, helpers.word(Y, Y, Y)))),)
     with pytest.raises(EngineInvariantBroken, match="failed to decrease"):
         divide(AZ.poly([(1, (X, Y))]), G)
     assert helpers.run_optimized(_BROKEN_TAIL) == "leading monomial failed to decrease\n"

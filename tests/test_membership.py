@@ -45,7 +45,7 @@ def test_build_truncation_dedupes_rows():
     T = build_truncation(G, 2)
     # contexts (1,1), (1,x), (x,1) give x, x^2, x^2; the duplicate drops
     assert [str(p) for p in T.rows] == ["x", "x x"]
-    assert T.provenance == [(0, (), ()), (0, (), (0,))]
+    assert T.provenance == [(0, b"", b""), (0, b"", helpers.word(0))]
 
 
 def test_build_truncation_degree_arithmetic():
@@ -94,7 +94,7 @@ def test_member_integer_combination():
     assert r.member
     assert expand_witness(G, r.witness) == AZ1.poly([(2, (0,))])
     # the xgcd row operation on 4x and 6x leaves the pivot 2x = 6x - 4x
-    assert r.witness == ((-1, (), 0, ()), (1, (), 1, ()))
+    assert r.witness == ((-1, b"", 0, b""), (1, b"", 1, b""))
     # and 3x needs an odd combination of 4 and 6: impossible
     assert not is_member(AZ1.poly([(3, (0,))]), T).member
 
@@ -126,7 +126,7 @@ def test_member_mod_n():
     T = build_truncation(G, 1)
     r = is_member(A4.poly([(2, (1,))]), T)
     assert r.member
-    assert r.witness == ((2, (), 0, ()),)
+    assert r.witness == ((2, b"", 0, b""),)
     assert not is_member(A4.poly([(1, (1,))]), T).member
 
 
@@ -147,7 +147,7 @@ _BROKEN_RECIPE = textwrap.dedent("""
     T = build_truncation(G, 2)
     solver = T.echelon
     # the pivot 2x is input row 0 once; its recipe now says twice
-    _, atom = solver.pivots[T.col_index[(0,)]]
+    _, atom = solver.pivots[T.col_index[b"\\x00"]]
     recipe = solver.recipes[atom - solver.first_atom]
     recipe[0] = (recipe[0][0], recipe[0][1] + 1)
     try:
@@ -161,7 +161,7 @@ def test_corrupt_recipe_fails_the_witness_check():
     G = GenSet([AZ1.poly([(2, (0,))])])
     T = build_truncation(G, 2)
     solver = T.echelon
-    _, atom = solver.pivots[T.col_index[(0,)]]
+    _, atom = solver.pivots[T.col_index[helpers.word(0)]]
     recipe = solver.recipes[atom - solver.first_atom]
     recipe[0] = (recipe[0][0], recipe[0][1] + 1)
     with pytest.raises(EngineInvariantBroken, match="witness does not expand"):

@@ -195,7 +195,7 @@ def test_normal_words_are_exactly_non_decreasing():
 
                 expected = {
                     w
-                    for w in iproduct(range(rank), repeat=d)
+                    for w in map(bytes, iproduct(range(rank), repeat=d))
                     if all(w[t] <= w[t + 1] for t in range(d - 1))
                 }
                 assert normals == expected
@@ -213,7 +213,7 @@ def test_jacobi_iff_buchberger_randomized():
                 L = _random_lie(rng, ring, rank)
                 violations = validate_lie(L)
                 jacobi = {
-                    triple: sums
+                    bytes(triple): sums
                     for triple, sums in violations
                     if triple[0] > triple[1] > triple[2]
                 }

@@ -42,9 +42,9 @@ def test_normalize_is_idempotent_on_random_input():
 
 def test_leading_examples():
     f = AZ.poly([(3, (0, 1)), (2, X)])
-    assert f.leading() == (3, (0, 1))
-    assert AZ.poly([(1, X), (1, Y)]).leading() == (1, Y)
-    assert AZ.poly([(5, ())]).leading() == (5, ())
+    assert f.leading() == (3, helpers.word(0, 1))
+    assert AZ.poly([(1, X), (1, Y)]).leading() == (1, helpers.word(1))
+    assert AZ.poly([(5, ())]).leading() == (5, b"")
     with pytest.raises(ZeroPolynomial):
         AZ.zero().leading()
 
@@ -158,6 +158,36 @@ def test_basis_violation_under_commutative_merge():
         AC.poly([(1, (1, 0))])
     with pytest.raises(BasisViolation):
         AZ.poly([(1, (0, 7))])
+
+
+def test_words_of_any_iterable_are_bytes():
+    expected = AZ.poly([(1, b"\x00\x01")])
+    assert AZ.poly([(1, (0, 1))]) == expected
+    assert AZ.poly([(1, [0, 1])]) == expected
+    assert AZ.monomial(iter([0, 1])) == expected
+    assert AZ.monomial((0,)).scale(1, (), [1]) == expected
+    assert type(AZ.poly([(1, [0, 1])]).lm()) is bytes
+
+
+@pytest.mark.parametrize("letter", [300, -1, 2, "a", None], ids=["300", "-1", "2", "str", "None"])
+def test_bad_letters_raise_basis_violation(letter):
+    # checked before bytes() sees them: no ValueError or TypeError leaks
+    f = AZ.monomial((0,))
+    for call in (
+        lambda: AZ.poly([(1, (0, letter))]),
+        lambda: AZ.monomial([letter]),
+        lambda: f.scale(1, (letter,), ()),
+        lambda: f.scale(1, (), (letter,)),
+    ):
+        with pytest.raises(BasisViolation, match="out of range"):
+            call()
+
+
+def test_bytes_words_are_checked_too():
+    with pytest.raises(BasisViolation):
+        AZ.poly([(1, b"\x02")])
+    with pytest.raises(BasisViolation):
+        AC.poly([(1, b"\x01\x00")])
 
 
 def test_algebra_mismatches():

@@ -9,6 +9,7 @@ from ugb import (
     QQ,
     ZZ,
     Algebra,
+    BasisViolation,
     GenSet,
     NotAGroebnerBasis,
     Zmod,
@@ -33,13 +34,16 @@ def test_is_normal_examples():
     assert is_normal((), G)
     assert not is_normal((X, Y, X), G)
     assert is_normal((Y, X), G)
+    assert not is_normal(helpers.word(X, Y), G)
+    with pytest.raises(BasisViolation):
+        is_normal((X, 300), G)
 
 
 def test_enumerate_example1(example1_q):
     basis = enumerate_basis(example1_q, 3)
     assert basis.counts() == (1, 3, 0, 0)
     assert basis.total() == 4
-    assert basis.by_degree[1] == [(0,), (1,), (2,)]
+    assert basis.by_degree[1] == [helpers.word(0), helpers.word(1), helpers.word(2)]
     assert basis.verified
 
 
@@ -73,8 +77,8 @@ def test_enumerate_strict_rejects_non_groebner():
     basis = enumerate_basis(G, 3, strict=False)
     assert not basis.verified
     # G-normal words avoid x^2 as a factor
-    assert (X, X) not in basis.by_degree[2]
-    assert (X, Y) in basis.by_degree[2]
+    assert helpers.word(X, X) not in basis.by_degree[2]
+    assert helpers.word(X, Y) in basis.by_degree[2]
 
 
 def test_enumerate_constant_generator_kills_everything():

@@ -47,20 +47,20 @@ def test_self_overlap_spoly():
     assert len(sps) == 1
     sp = sps[0]
     assert (sp.i, sp.j) == (0, 0)
-    assert sp.ambiguity == (X, X, X)
+    assert sp.ambiguity == helpers.word(X, X, X)
     assert sp.value == AZ.poly([(1, (X, Y)), (-1, (Y, X))])
 
 
 def test_single_pbw_generator_has_no_spolys():
     G = pbw_generators(helpers.abelian(ZZ, 2))
-    assert G.lead_words == ((1, 0),)
+    assert G.lead_words == (helpers.word(1, 0),)
     assert s_polynomials(G) == []
 
 
 def test_inverse_pair_spolys_vanish(inverse_pair_q):
     sps = s_polynomials(inverse_pair_q)
     ambiguities = [sp.ambiguity for sp in sps]
-    assert ambiguities == [(0, 1, 0), (1, 0, 1)]
+    assert ambiguities == [helpers.word(0, 1, 0), helpers.word(1, 0, 1)]
     assert all(sp.value.is_zero() for sp in sps)
 
 
@@ -134,12 +134,12 @@ def test_spolys_match_scale_and_subtract_reference(seed, ring, oracle):
     rng = random.Random(seed)
     algebra = Algebra(ring, ["x", "y"], oracle)
     a = rng.randrange(2)
-    word = rng.choice([(a, a), (a, 1 - a, a)])
+    word = rng.choice([helpers.word(a, a), helpers.word(a, 1 - a, a)])
     extra = helpers.random_word(rng, 2, 2, min_len=1)
     cut = rng.randint(0, len(extra))
     outer = extra[:cut] + word + extra[cut:]
     if oracle is COMMUTATIVE:
-        word, outer = tuple(sorted(word)), tuple(sorted(outer))
+        word, outer = bytes(sorted(word)), bytes(sorted(outer))
     gens = [_led_by(rng, algebra, word), _led_by(rng, algebra, outer)]
     gens += [helpers.random_unital_poly(rng, algebra) for _ in range(rng.randint(0, 2))]
     G = GenSet(gens, algebra)
@@ -297,7 +297,7 @@ def test_commutative_shared_letter_counterexample():
     )
     sps = s_polynomials(G)
     assert len(sps) == 1
-    assert sps[0].ambiguity == (0, 1, 2)
+    assert sps[0].ambiguity == helpers.word(0, 1, 2)
     report = check_groebner(G)
     assert not report.is_groebner
     # the witness x^2 y - x y^2 is a genuine member: direct combination
@@ -332,9 +332,9 @@ def _all_disjoint_spolys(G, max_ambiguity_len, n_letters):
             for la in range(total + 1):
                 for lb in range(total - la + 1):
                     lc = total - la - lb
-                    for a in product(range(n_letters), repeat=la):
-                        for b in product(range(n_letters), repeat=lb):
-                            for c in product(range(n_letters), repeat=lc):
+                    for a in map(bytes, product(range(n_letters), repeat=la)):
+                        for b in map(bytes, product(range(n_letters), repeat=lb)):
+                            for c in map(bytes, product(range(n_letters), repeat=lc)):
                                 yield gi.scale(invi, a, b + wj + c) - gj.scale(
                                     invj, a + wi + b, c
                                 )

@@ -4,12 +4,12 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from ugb import EMPTY, FREE, Alphabet
+from ugb import EMPTY, FREE, ZZ, Algebra, Alphabet
 from ugb.spolys import SPoly, _pair_order
 from ugb.words import FactorIndex, _deglex
 
-words = st.lists(st.integers(0, 2), max_size=6).map(tuple)
-nonempty_words = st.lists(st.integers(0, 2), min_size=1, max_size=5).map(tuple)
+words = st.lists(st.integers(0, 2), max_size=6).map(bytes)
+nonempty_words = st.lists(st.integers(0, 2), min_size=1, max_size=5).map(bytes)
 
 
 def test_alphabet_validation():
@@ -26,6 +26,16 @@ def test_alphabet_validation():
         Alphabet(["1"])
     with pytest.raises(ValueError):
         Alphabet(["a b"])
+
+
+def test_alphabet_holds_at_most_256_symbols():
+    # one byte per letter: index 255 is the last a word can hold
+    names = [f"x{i}" for i in range(257)]
+    A = Algebra(ZZ, names[:256])
+    assert A.monomial((0, 255)).lm() == b"\x00\xff"
+    assert A.alphabet.word_text(b"\xff") == "x255"
+    with pytest.raises(ValueError, match="^an alphabet holds at most 256 symbols$"):
+        Alphabet(names)
 
 
 def test_compare_examples():
@@ -54,9 +64,9 @@ def test_order_is_total_and_ranked():
     # all words of length <= 4 over <= 3 letters sort strictly, so any
     # descending chain from length L is bounded by the rank
     for n in 2, 3:
-        all_words = [()]
+        all_words = [EMPTY]
         for length in range(1, 5):
-            all_words.extend(product(range(n), repeat=length))
+            all_words.extend(map(bytes, product(range(n), repeat=length)))
         keys = sorted(_deglex(w) for w in all_words)
         assert len(set(keys)) == len(all_words)
         rng = random.Random(0)
@@ -73,13 +83,13 @@ def test_order_is_total_and_ranked():
 
 
 def test_factor_index_matches_examples():
-    x, y = 0, 1
-    assert FactorIndex([(x,)]).matches((x, y, x)) == [(0, (), (y, x)), (0, (x, y), ())]
-    assert FactorIndex([(x, y)]).matches((y, x)) == []
+    x, y = b"\x00", b"\x01"
+    assert FactorIndex([x]).matches(x + y + x) == [(0, EMPTY, y + x), (0, x + y, EMPTY)]
+    assert FactorIndex([x + y]).matches(y + x) == []
     # sliding window: x x occurs in x x x at offsets 0 and 1
-    assert FactorIndex([(x, x)]).matches((x, x, x)) == [(0, (), (x,)), (0, (x,), ())]
-    assert FactorIndex([EMPTY]).matches((x, y)) == [
-        (0, (), (x, y)), (0, (x,), (y,)), (0, (x, y), ()),
+    assert FactorIndex([x + x]).matches(x + x + x) == [(0, EMPTY, x), (0, x, EMPTY)]
+    assert FactorIndex([EMPTY]).matches(x + y) == [
+        (0, EMPTY, x + y), (0, x, y), (0, x + y, EMPTY),
     ]
 
 
@@ -99,7 +109,7 @@ def test_factor_index_finds_every_position(needle, haystack):
         assert u + needle + v == haystack
 
 
-@given(st.lists(words, max_size=6), st.lists(st.integers(0, 2), max_size=12).map(tuple))
+@given(st.lists(words, max_size=6), st.lists(st.integers(0, 2), max_size=12).map(bytes))
 def test_factor_index_first_is_head_of_matches(leads, word):
     index = FactorIndex(leads)
     assert index.first(word) == (index.matches(word) or [None])[0]
@@ -114,52 +124,52 @@ def pairs(*lead_words):
 
 
 def test_overlap_examples():
-    x, y = 0, 1
-    assert pairs((x, y), (y, x)) == [
-        (0, 1, (), (x,), (x,), (), (x, y, x)),
-        (0, 1, (y,), (), (), (y,), (y, x, y)),
+    x, y = b"\x00", b"\x01"
+    assert pairs(x + y, y + x) == [
+        (0, 1, EMPTY, x, x, EMPTY, x + y + x),
+        (0, 1, y, EMPTY, EMPTY, y, y + x + y),
     ]
     # a word overlaps itself one way only
-    assert pairs((x, x)) == [(0, 0, (), (x,), (x,), (), (x, x, x))]
-    assert pairs((x, y, x), (y,)) == [
-        (0, 1, (), (), (x,), (x,), (x, y, x)),
-        (0, 0, (), (y, x), (x, y), (), (x, y, x, y, x)),
+    assert pairs(x + x) == [(0, 0, EMPTY, x, x, EMPTY, x + x + x)]
+    assert pairs(x + y + x, y) == [
+        (0, 1, EMPTY, EMPTY, x, x, x + y + x),
+        (0, 0, EMPTY, y + x, x + y, EMPTY, x + y + x + y + x),
     ]
     # x x lies in x x x twice, and the two overlap both ways at x x x x,
     # where the left context of the lower generator breaks the tie
-    xx, xxx, xxxx = (x, x), (x, x, x), (x, x, x, x)
+    xx, xxx, xxxx = x + x, x + x + x, x + x + x + x
     assert pairs(xx, xxx) == [
-        (0, 0, (), (x,), (x,), (), xxx),
-        (0, 1, (), (x,), (), (), xxx),
-        (0, 1, (x,), (), (), (), xxx),
-        (0, 1, (), xx, (x,), (), xxxx),
-        (0, 1, xx, (), (), (x,), xxxx),
-        (1, 1, (), (x,), (x,), (), xxxx),
-        (1, 1, (), xx, xx, (), xxxx + (x,)),
+        (0, 0, EMPTY, x, x, EMPTY, xxx),
+        (0, 1, EMPTY, x, EMPTY, EMPTY, xxx),
+        (0, 1, x, EMPTY, EMPTY, EMPTY, xxx),
+        (0, 1, EMPTY, xx, x, EMPTY, xxxx),
+        (0, 1, xx, EMPTY, EMPTY, x, xxxx),
+        (1, 1, EMPTY, x, x, EMPTY, xxxx),
+        (1, 1, EMPTY, xx, xx, EMPTY, xxxx + x),
     ]
     # two generators with one lead word meet once at it, and overlap one way
-    assert pairs((x, x), (x, x)) == [
-        (0, 1, (), (), (), (), (x, x)),
-        (0, 0, (), (x,), (x,), (), (x, x, x)),
-        (0, 1, (), (x,), (x,), (), (x, x, x)),
-        (1, 1, (), (x,), (x,), (), (x, x, x)),
+    assert pairs(x + x, x + x) == [
+        (0, 1, EMPTY, EMPTY, EMPTY, EMPTY, x + x),
+        (0, 0, EMPTY, x, x, EMPTY, x + x + x),
+        (0, 1, EMPTY, x, x, EMPTY, x + x + x),
+        (1, 1, EMPTY, x, x, EMPTY, x + x + x),
     ]
 
 
 def test_overlaps_with_empty_word():
     # the empty word is included in the other word at every cut
-    x, y = 0, 1
-    assert pairs((), (x, y)) == [
-        (0, 1, (), (x, y), (), (), (x, y)),
-        (0, 1, (x,), (y,), (), (), (x, y)),
-        (0, 1, (x, y), (), (), (), (x, y)),
+    x, y = b"\x00", b"\x01"
+    assert pairs(EMPTY, x + y) == [
+        (0, 1, EMPTY, x + y, EMPTY, EMPTY, x + y),
+        (0, 1, x, y, EMPTY, EMPTY, x + y),
+        (0, 1, x + y, EMPTY, EMPTY, EMPTY, x + y),
     ]
-    assert pairs((x,), ()) == [
-        (0, 1, (), (), (), (x,), (x,)),
-        (0, 1, (), (), (x,), (), (x,)),
+    assert pairs(x, EMPTY) == [
+        (0, 1, EMPTY, EMPTY, EMPTY, x, x),
+        (0, 1, EMPTY, EMPTY, x, EMPTY, x),
     ]
-    assert pairs(()) == []
-    assert pairs((), ()) == [(0, 1, (), (), (), (), ())]
+    assert pairs(EMPTY) == []
+    assert pairs(EMPTY, EMPTY) == [(0, 1, EMPTY, EMPTY, EMPTY, EMPTY, EMPTY)]
 
 
 @given(nonempty_words, nonempty_words)
