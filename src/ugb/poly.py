@@ -50,6 +50,10 @@ class MultisetIndex:
     def first(self, word):
         return next(self._divisions(word), None)
 
+    def divides_extension(self, word):
+        """The full test: a new letter can complete a lead anywhere."""
+        return self.first(word) is not None
+
     def matches(self, word):
         return list(self._divisions(word))
 
@@ -121,7 +125,7 @@ class CommutativeMerge:
         return bytes(sorted(u + w + v))
 
     def is_basis_word(self, w):
-        return all(w[i] <= w[i + 1] for i in range(len(w) - 1))
+        return bytes(sorted(w)) == w
 
     def basis_words(self, n_letters, degree):
         return map(bytes, combinations_with_replacement(range(n_letters), degree))
@@ -199,12 +203,13 @@ class Algebra:
         for letter in word:
             if not isinstance(letter, int) or not 0 <= letter < size:
                 raise BasisViolation(f"letter index {letter!r} out of range")
+        word = bytes(word)
         if not self.oracle.is_basis_word(word):
             raise BasisViolation(
                 f"{self.alphabet.word_text(word)!r} is not a basis word of the "
                 f"{self.oracle.name} oracle"
             )
-        return bytes(word)
+        return word
 
     def poly(self, terms):
         """Normalized polynomial from raw (coefficient, word) pairs.

@@ -63,8 +63,13 @@ def enumerate_basis(G, max_degree, strict=True):
 
     Words grow one letter at a time at the right end.  For both oracles
     a word divisible by a leading word stays divisible when extended, so
-    only normal words are extended; each candidate is kept when it is a
-    basis word and no leading word divides it.
+    only normal words are extended, and a candidate ``w + letter`` is
+    kept when it is a basis word and the index's ``divides_extension``
+    finds no leading word dividing it.  Under the free oracle the normal
+    words are closed under taking factors, and the only factors of
+    ``w + letter`` that ``w`` lacks are its suffixes, so that test probes
+    one suffix per lead-word length; the commutative index runs its full
+    multiset test.
     """
     G.require_unital()
     if max_degree < 0:
@@ -72,16 +77,16 @@ def enumerate_basis(G, max_degree, strict=True):
     if strict:
         require_groebner(G)
     oracle = G.algebra.oracle
-    first = G.leads.first
+    divides = G.leads.divides_extension
     letters = [bytes((a,)) for a in range(G.algebra.alphabet.size)]
-    level = [EMPTY] if first(EMPTY) is None else []
+    level = [] if divides(EMPTY) else [EMPTY]
     by_degree = [level]
     for _ in range(max_degree):
         nxt = []
         for w in level:
             for letter in letters:
                 cand = w + letter
-                if oracle.is_basis_word(cand) and first(cand) is None:
+                if oracle.is_basis_word(cand) and not divides(cand):
                     nxt.append(cand)
         by_degree.append(nxt)
         level = nxt

@@ -82,6 +82,8 @@ class FactorIndex:
     ``left + lead_words[gen] + right == word`` by lowest generator index,
     then leftmost position; ``first`` is the head of that list, or None.
     The free oracle finds divisors and inclusion pairs with it.
+    ``divides_extension`` probes only suffixes, the new factors of a word
+    one letter past a normal word: one probe per lead-word length.
     """
 
     __slots__ = ("_tables",)
@@ -103,6 +105,15 @@ class FactorIndex:
             return None
         i, p, n = best
         return i, word[:p], word[p + n:]
+
+    def divides_extension(self, word):
+        """True iff some lead word divides ``word``, given that
+        ``word[:-1]`` is normal; for the empty word the test is exact."""
+        m = len(word)
+        for n, table in self._tables:
+            if n <= m and word[m - n:] in table:
+                return True
+        return False
 
     def matches(self, word):
         hits = []

@@ -183,6 +183,18 @@ def test_bad_letters_raise_basis_violation(letter):
             call()
 
 
+def test_commutative_words_of_any_iterable_are_checked():
+    # the sorted-word test compares bytes, so letters are checked first
+    assert AC.monomial((0, 1)).lm() == AC.monomial([0, 1]).lm() == b"\x00\x01"
+    assert AC.monomial(iter([1, 1])).lm() == b"\x01\x01"
+    for word in ((0, 300), [0, -1], iter((1, "a"))):
+        with pytest.raises(BasisViolation, match="out of range"):
+            AC.monomial(word)
+    for word in ((1, 0), [0, 1, 0], iter((1, 0))):
+        with pytest.raises(BasisViolation, match="is not a basis word"):
+            AC.monomial(word)
+
+
 def test_bytes_words_are_checked_too():
     with pytest.raises(BasisViolation):
         AZ.poly([(1, b"\x02")])

@@ -70,6 +70,26 @@ def test_enumerate_counts_match_brute_force_random():
             assert basis.by_degree[d] == helpers.brute_normal_words(G, d)
 
 
+def test_enumerate_matches_brute_force_on_wider_random_sets():
+    # three or four letters, two to four generators of mixed lead lengths,
+    # under both oracles; the brute force goes through the factor test
+    rng = random.Random(37)
+    mixed = 0
+    for oracle in (FREE, COMMUTATIVE):
+        for n_letters in (3, 4):
+            algebra = Algebra(ZZ, ["x", "y", "z", "t"][:n_letters], oracle)
+            for _ in range(12):
+                gens = [
+                    helpers.random_unital_poly(rng, algebra, max_deg=rng.randint(1, 4))
+                    for _ in range(rng.randint(2, 4))
+                ]
+                G = GenSet(gens, algebra)
+                mixed += len(set(map(len, G.lead_words))) > 1
+                basis = enumerate_basis(G, 4, strict=False)
+                assert basis.by_degree == [helpers.brute_normal_words(G, d) for d in range(5)]
+    assert mixed >= 24
+
+
 def test_enumerate_strict_rejects_non_groebner():
     G = _gset(AZ, [(1, (X, X)), (-1, (Y,))])
     with pytest.raises(NotAGroebnerBasis):

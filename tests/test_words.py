@@ -1,15 +1,28 @@
 import random
-from itertools import product
+from collections import Counter
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ugb import EMPTY, FREE, ZZ, Algebra, Alphabet
+from ugb.poly import MultisetIndex
 from ugb.spolys import SPoly, _pair_order
 from ugb.words import FactorIndex, _deglex
 
 words = st.lists(st.integers(0, 2), max_size=6).map(bytes)
 nonempty_words = st.lists(st.integers(0, 2), min_size=1, max_size=5).map(bytes)
+binary_leads = st.lists(st.integers(0, 1), max_size=4).map(bytes)
+sorted_leads = st.lists(st.integers(0, 2), max_size=4).map(lambda w: bytes(sorted(w)))
+
+
+@st.composite
+def lead_sets(draw, lead_words):
+    """Lead words of lengths 0-4, some drawn twice so that repeats occur."""
+    leads = draw(st.lists(lead_words, max_size=5))
+    if leads:
+        leads += draw(st.lists(st.sampled_from(leads), max_size=2))
+    return draw(st.permutations(leads))
 
 
 def test_alphabet_validation():
@@ -113,6 +126,36 @@ def test_factor_index_finds_every_position(needle, haystack):
 def test_factor_index_first_is_head_of_matches(leads, word):
     index = FactorIndex(leads)
     assert index.first(word) == (index.matches(word) or [None])[0]
+
+
+@given(lead_sets(binary_leads))
+def test_divides_extension_is_the_suffix_test(leads):
+    index = FactorIndex(leads)
+    for d in range(6):
+        for w in map(bytes, product(range(2), repeat=d)):
+            # on any word it asks only whether a lead word ends it
+            assert index.divides_extension(w) == any(w.endswith(lead) for lead in leads)
+            if index.first(w) is None:
+                # one letter past a normal word it is the full factor test
+                for a in (b"\x00", b"\x01"):
+                    assert index.divides_extension(w + a) == (index.first(w + a) is not None)
+
+
+@given(lead_sets(sorted_leads))
+def test_multiset_divides_extension_is_the_full_test(leads):
+    index = MultisetIndex(leads)
+
+    def divisible(w):
+        return any(not Counter(lead) - Counter(w) for lead in leads)
+
+    assert index.divides_extension(EMPTY) == divisible(EMPTY)
+    for d in range(5):
+        for w in map(bytes, combinations_with_replacement(range(3), d)):
+            if index.first(w) is None:
+                for a in range(3):
+                    cand = bytes(sorted(w + bytes((a,))))
+                    assert index.divides_extension(cand) == (index.first(cand) is not None)
+                    assert index.divides_extension(cand) == divisible(cand)
 
 
 def pairs(*lead_words):
