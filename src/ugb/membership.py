@@ -25,7 +25,7 @@ from collections import namedtuple
 
 from .errors import BoundTooSmall, EngineInvariantBroken
 from .poly import Poly, ensure_same_algebra
-from .words import _deglex
+from .words import EMPTY
 
 
 def _xgcd(a, b):
@@ -216,6 +216,9 @@ def build_truncation(G, bound):
     The fixed order is graded and both oracles map words to single
     monic words, so the leading word has maximal length among the terms
     and the row filter is exactly len(u) + len(LM(g)) + len(v) <= bound.
+    The basis words grow once, degree by degree, by the oracle's
+    ``letters_after``; the columns are those levels read backwards, which
+    is descending in the order, and the contexts are read off them.
     Identical rows (the same polynomial from different contexts) are
     kept once, first provenance wins.  Rows are ordered by generator,
     then context degree, then context words.
@@ -226,13 +229,13 @@ def build_truncation(G, bound):
         raise BoundTooSmall(
             f"bound {bound} is below the maximal generator degree {max_lead}"
         )
-    n = algebra.alphabet.size
-    oracle = algebra.oracle
-    columns = []
-    for d in range(bound + 1):
-        columns.extend(oracle.basis_words(n, d))
-    columns.sort(key=_deglex, reverse=True)
-    context = oracle.context
+    after = algebra.oracle.letters_after
+    letters = [bytes((a,)) for a in range(algebra.alphabet.size)]
+    levels = [[EMPTY]]
+    for _ in range(bound):
+        levels.append([w + a for w in levels[-1] for a in after(w, letters)])
+    columns = [w for level in reversed(levels) for w in reversed(level)]
+    context = algebra.oracle.context
     rows = []
     provenance = []
     seen = set()
@@ -240,9 +243,8 @@ def build_truncation(G, bound):
         room = bound - len(G.lead_words[i])
         for s in range(room + 1):
             for a in range(s + 1):
-                b = s - a
-                for u in oracle.basis_words(n, a):
-                    for v in oracle.basis_words(n, b):
+                for u in levels[a]:
+                    for v in levels[s - a]:
                         # u and v are basis words and the coefficients
                         # stay g's own, so this is g.scale(1, u, v)
                         terms = tuple([(tc, context(u, tw, v)) for tc, tw in g.terms])

@@ -17,13 +17,14 @@ leading words alone.  Each oracle names the index class of that test
 (``lead_index``) and owns the critical pairs it implies
 (``critical_pairs``, whose inclusions are the matches of the same index),
 so division, the Buchberger check and normal words share one notion of
-divisibility.
+divisibility.  Each oracle grows its basis words by one rule,
+``letters_after(word, letters)``: the one-letter words that may follow a
+basis word, ascending.  ``is_basis_word`` checks a word from outside.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations_with_replacement, product
 
 from .errors import AlgebraMismatch, BasisViolation, ZeroPolynomial
 from .words import EMPTY, Alphabet, FactorIndex
@@ -70,9 +71,9 @@ class FreeConcat:
     def is_basis_word(self, w):
         return True
 
-    def basis_words(self, n_letters, degree):
-        """All basis words of the given degree, ascending in the order."""
-        return map(bytes, product(range(n_letters), repeat=degree))
+    def letters_after(self, word, letters):
+        """The one-letter words that may follow the basis word: all."""
+        return letters
 
     def critical_pairs(self, lead_words, first_new):
         """(i, j, u, v, u2, v2) for i <= j, j >= first_new, placing both
@@ -127,8 +128,9 @@ class CommutativeMerge:
     def is_basis_word(self, w):
         return bytes(sorted(w)) == w
 
-    def basis_words(self, n_letters, degree):
-        return map(bytes, combinations_with_replacement(range(n_letters), degree))
+    def letters_after(self, word, letters):
+        """No letter below the last one: the word stays sorted."""
+        return letters[word[-1]:] if word else letters
 
     def critical_pairs(self, lead_words, first_new):
         """(i, j, u, EMPTY, u2, EMPTY) for i < j, j >= first_new: one

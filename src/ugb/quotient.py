@@ -61,12 +61,13 @@ class QuotientBasis(namedtuple("QuotientBasis", "by_degree verified")):
 def enumerate_basis(G, max_degree, strict=True):
     """Normal words of every degree up to the bound, by pruned extension.
 
-    Words grow one letter at a time at the right end.  For both oracles
-    a word divisible by a leading word stays divisible when extended, so
-    only normal words are extended, and a candidate ``w + letter`` is
-    kept when it is a basis word and the index's ``divides_extension``
-    finds no leading word dividing it.  Under the free oracle the normal
-    words are closed under taking factors, and the only factors of
+    Words grow one letter at a time at the right end, by the letters the
+    oracle's ``letters_after`` allows, so every candidate is a basis word.
+    For both oracles a word divisible by a leading word stays divisible
+    when extended, so only normal words are extended, and a candidate
+    ``w + letter`` is kept when the index's ``divides_extension`` finds
+    no leading word dividing it.  Under the free oracle the normal words
+    are closed under taking factors, and the only factors of
     ``w + letter`` that ``w`` lacks are its suffixes, so that test probes
     one suffix per lead-word length; the commutative index runs its full
     multiset test.
@@ -76,20 +77,14 @@ def enumerate_basis(G, max_degree, strict=True):
         raise ValueError("max_degree must be nonnegative")
     if strict:
         require_groebner(G)
-    oracle = G.algebra.oracle
+    after = G.algebra.oracle.letters_after
     divides = G.leads.divides_extension
     letters = [bytes((a,)) for a in range(G.algebra.alphabet.size)]
     level = [] if divides(EMPTY) else [EMPTY]
     by_degree = [level]
     for _ in range(max_degree):
-        nxt = []
-        for w in level:
-            for letter in letters:
-                cand = w + letter
-                if oracle.is_basis_word(cand) and not divides(cand):
-                    nxt.append(cand)
-        by_degree.append(nxt)
-        level = nxt
+        level = [c for w in level for a in after(w, letters) if not divides(c := w + a)]
+        by_degree.append(level)
     return QuotientBasis(by_degree, strict)
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 
 from ugb import COMMUTATIVE, FREE, QQ, ZZ, Algebra, GenSet, LieAlgebra
 from ugb.membership import _xgcd
@@ -22,6 +23,13 @@ def random_word(rng, n_letters, max_len, oracle=FREE, min_len=0):
     if oracle is COMMUTATIVE or isinstance(oracle, type(COMMUTATIVE)):
         letters.sort()
     return bytes(letters)
+
+
+def basis_words(oracle, n_letters, degree):
+    """The basis words of a degree, ascending in the order, by brute
+    force: every word of the degree that ``is_basis_word`` accepts."""
+    words = map(bytes, product(range(n_letters), repeat=degree))
+    return [w for w in words if oracle.is_basis_word(w)]
 
 
 def word_product(oracle, *words):
@@ -305,8 +313,8 @@ def reference_truncation(G, bound):
     for i, g in enumerate(G.gens):
         for s in range(bound - len(G.lead_words[i]) + 1):
             for a in range(s + 1):
-                for u in oracle.basis_words(n, a):
-                    for v in oracle.basis_words(n, s - a):
+                for u in basis_words(oracle, n, a):
+                    for v in basis_words(oracle, n, s - a):
                         p = g.scale(1, u, v)
                         if p.terms not in seen:
                             seen.add(p.terms)
@@ -409,8 +417,4 @@ def brute_normal_words(G, degree):
     from ugb import is_normal
 
     algebra = G.algebra
-    out = []
-    for w in algebra.oracle.basis_words(algebra.alphabet.size, degree):
-        if is_normal(w, G):
-            out.append(w)
-    return out
+    return [w for w in basis_words(algebra.oracle, algebra.alphabet.size, degree) if is_normal(w, G)]

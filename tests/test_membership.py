@@ -29,6 +29,7 @@ from ugb import (
     pbw_generators,
 )
 from ugb.membership import _Echelon
+from ugb.words import _deglex
 
 AZ1 = Algebra(ZZ, ["x"])
 AZ = Algebra(ZZ, ["x", "y"])
@@ -363,13 +364,26 @@ def test_build_truncation_equals_the_scale_reference(ring, oracle):
         assert T.provenance == provenance
         assert all(p.algebra == algebra for p in T.rows)
         contexts = sum(
-            len(list(algebra.oracle.basis_words(3, a))) * len(list(algebra.oracle.basis_words(3, s - a)))
+            len(helpers.basis_words(oracle, 3, a)) * len(helpers.basis_words(oracle, 3, s - a))
             for w in G.lead_words for s in range(3 - len(w) + 1) for a in range(s + 1)
         )
         deduped |= len(T.rows) < contexts
     # some contexts gave one row: u * g * v = v * g * u commutatively,
     # and a monomial's contexts can meet in the free algebra
     assert deduped
+
+
+@pytest.mark.parametrize("oracle", [FREE, COMMUTATIVE], ids=["free", "commutative"])
+@pytest.mark.parametrize("n_letters", [1, 2, 3, 4])
+def test_truncation_columns_are_the_basis_words_descending(n_letters, oracle):
+    # the column order fixes every pivot, so every witness
+    algebra = Algebra(ZZ, [f"x{i}" for i in range(n_letters)], oracle)
+    for bound in range(5):
+        T = build_truncation(GenSet([], algebra), bound)
+        words = [w for d in range(bound + 1) for w in helpers.basis_words(oracle, n_letters, d)]
+        assert T.columns == sorted(words, key=_deglex, reverse=True)
+        assert all(T.col_index[w] == t for t, w in enumerate(T.columns))
+        assert len(T.col_index) == len(words)
 
 
 def _freeness_certificate(G, bound):

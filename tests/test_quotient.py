@@ -47,10 +47,16 @@ def test_enumerate_example1(example1_q):
     assert basis.verified
 
 
-def test_enumerate_free_algebra_no_relations():
-    G = GenSet([], Algebra(ZZ, ["x", "y"]))
+@pytest.mark.parametrize(
+    "oracle, counts", [(FREE, (1, 2, 4, 8)), (COMMUTATIVE, (1, 2, 3, 4))], ids=["free", "commutative"]
+)
+def test_enumerate_free_algebra_no_relations(oracle, counts):
+    # no lead word prunes, so every word the oracle lets grow is listed
+    G = GenSet([], Algebra(ZZ, ["x", "y"], oracle))
     basis = enumerate_basis(G, 3)
-    assert basis.counts() == (1, 2, 4, 8)
+    assert basis.counts() == counts
+    for d in range(4):
+        assert basis.by_degree[d] == helpers.basis_words(oracle, 2, d)
 
 
 def test_enumerate_sl2_counts_match_brute_force(sl2_z):
