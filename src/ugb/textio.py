@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import re
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 from .division import GenSet
 from .errors import BasisViolation, ParseError
@@ -226,16 +227,21 @@ def format_record(record):
 
     With ``indent`` set, ``json.dumps`` runs its pure-Python encoder; this
     writer quotes strings with the C-accelerated quoter of the ``json``
-    module and lays out the rest itself.  Records hold only dicts with
-    ``str`` keys, lists, tuples, ``str``, ``int``, ``bool`` and ``None``;
-    any other value or key type raises ``TypeError``.
+    module and lays out the rest itself.  A list or tuple of dicts that
+    share one non-empty key set, such as a trace's steps, is written from
+    one template filled column by column; the text is still that of
+    ``json.dumps``.  Records hold only dicts with ``str`` keys, lists,
+    tuples, ``str``, ``int``, ``bool`` and ``None``; any other value or key
+    type raises ``TypeError``.
     """
     return _json(record, "\n")
 
 
 def _json(value, newline):
     """``value`` as indented JSON; ``newline`` is a line break followed by
-    the indent of the line the value starts on."""
+    the indent of the line the value starts on.  A list or tuple of plain
+    dicts with one non-empty key set fills one ``%`` template, its keys
+    sorted and quoted once, from one ``_column`` per key."""
     if isinstance(value, str):
         return _quote(value)
     if value is None:
@@ -258,20 +264,38 @@ def _json(value, newline):
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = [_quote(item) if type(item) is str else _json(item, inner) for item in value]
+        keys = value[0].keys() if type(value[0]) is dict else None
+        if keys and all(type(d) is dict and d.keys() == keys for d in value):
+            field = inner + "  "
+            keys = sorted(keys)  # a non-str key raises TypeError in sorted or _quote
+            template = "{" + field + ("," + field).join(
+                _quote(key).replace("%", "%%") + ": %s" for key in keys
+            ) + inner + "}"
+            items = map(template.__mod__, zip(*[_column(value, key, field) for key in keys]))
+        else:
+            items = [_quote(item) if type(item) is str else _json(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _column(dicts, key, newline):
+    """The JSON texts of ``key``'s values in ``dicts``, lazily: mapped in C
+    when every value is exactly ``str`` or exactly ``int``."""
+    get = itemgetter(key)
+    kinds = set(map(type, map(get, dicts)))
+    if kinds == {str}:
+        return map(_quote, map(get, dicts))
+    if kinds == {int}:
+        return map(int.__repr__, map(get, dicts))
+    return (_json(value, newline) for value in map(get, dicts))
+
+
 def record_steps(steps, algebra):
-    alphabet = algebra.alphabet
+    # a long trace repeats its context words: render each distinct one once
+    words = {word for _, left, _, right in steps for word in (left, right)}
+    text = dict(zip(words, map(algebra.alphabet.word_text, words)))
     return [
-        {
-            "coeff": str(coeff),
-            "left": alphabet.word_text(left),
-            "gen": gen,
-            "right": alphabet.word_text(right),
-        }
+        {"coeff": str(coeff), "left": text[left], "gen": gen, "right": text[right]}
         for coeff, left, gen, right in steps
     ]
 

@@ -376,6 +376,24 @@ def heisenberg(ring):
     return LieAlgebra(ring, 3, {(1, 0): (0, 0, -1)}, names=("x", "y", "z"))
 
 
+def gl(n, ring):
+    """gl_n on E_ij, named eij in row-major order:
+    [E_ij, E_kl] = d_jk E_il - d_li E_kj."""
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    index = {p: t for t, p in enumerate(pairs)}
+    brackets = {}
+    for (i, j), a in index.items():
+        for (k, l), b in index.items():
+            if a > b:
+                vec = [0] * len(pairs)
+                if j == k:
+                    vec[index[(i, l)]] += 1
+                if l == i:
+                    vec[index[(k, j)]] -= 1
+                brackets[(a, b)] = vec
+    return LieAlgebra(ring, len(pairs), brackets, names=[f"e{i + 1}{j + 1}" for i, j in pairs])
+
+
 def abelian(ring, rank):
     return LieAlgebra(ring, rank)
 

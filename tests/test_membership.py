@@ -400,7 +400,13 @@ def _freeness_certificate(G, bound):
     return len(T.columns), {T.columns[c] for c in pivots}, set(T.columns) - normal, non_units
 
 
+# corpora built in code beside the fixture files
+_GL3 = {"gl3/Z": ZZ, "gl3/Q": QQ, "gl3/Z/4": Zmod(4)}
+
+
 def _fixture_set(name):
+    if name in _GL3:
+        return pbw_generators(helpers.gl(3, _GL3[name]))
     G = load_problem(FIXTURES / name)
     return pbw_generators(G) if isinstance(G, LieAlgebra) else G
 
@@ -412,6 +418,10 @@ def _fixture_set(name):
     ("gl2_q.gb", 5, 1365, 126),
     ("inverse_pair.gb", 4, 31, 9),
     ("example1.gb", 4, 121, 4),
+    # 9 letters: 1 + 9 + 81 + 729 words, and C(12, 3) non-decreasing ones
+    ("gl3/Z", 3, 820, 220),
+    ("gl3/Q", 3, 820, 220),
+    ("gl3/Z/4", 3, 820, 220),
 ])
 def test_groebner_basis_normal_words_are_a_free_basis(name, bound, columns, normal):
     # the paper's freeness theorem against the echelon, which shares no

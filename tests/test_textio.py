@@ -16,14 +16,17 @@ from ugb import (
     LieAlgebra,
     ParseError,
     Zmod,
+    divide,
     load_problem,
     parse_poly,
     parse_problem,
+    pbw_generators,
 )
-from ugb.textio import format_record
+from ugb.textio import format_record, record_steps
 
 
 AZ = Algebra(ZZ, ["x", "y"])
+_SL2 = pbw_generators(helpers.sl2())
 
 
 def test_parse_poly_basics():
@@ -275,11 +278,56 @@ def test_format_record_is_json_dumps(value):
     assert format_record(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+# Lists and tuples of 1-40 dicts that share one key set, which the writer
+# fills from one template column by column.  Keys may hold "%", the
+# template's own marker.  A column holds one type, or a mix.
+_KEYS = st.lists(_TEXT | st.text("%sd(a)", min_size=1), min_size=1, max_size=4, unique=True)
+_NESTED = st.lists(_SCALARS, max_size=3) | st.dictionaries(_TEXT, _SCALARS, max_size=3)
+_CELLS = [_TEXT, st.integers(-(10 ** 40), 10 ** 40), st.booleans(), st.none(), _NESTED, _SCALARS | _NESTED]
+
+
+@st.composite
+def _same_keyed(draw):
+    keys = draw(_KEYS)
+    n = draw(st.integers(1, 40))
+    columns = [draw(st.lists(draw(st.sampled_from(_CELLS)), min_size=n, max_size=n)) for _ in keys]
+    rows = [dict(zip(keys, row)) for row in zip(*columns)]
+    return rows if draw(st.booleans()) else tuple(rows)
+
+
+@settings(max_examples=100)
+@given(_same_keyed() | st.dictionaries(_TEXT, _same_keyed(), min_size=1, max_size=2))
+def test_format_record_writes_same_keyed_dicts_as_json_dumps(value):
+    assert format_record(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
 @pytest.mark.parametrize(
     "value",
-    [1.5, {"a": 0.0}, [1, {2, 3}], {"a": frozenset()}, {1: "a"}, {"a": [{2: "c"}]}, {"b": 1, 2: "c"}],
-    ids=["float", "nested-float", "set", "frozenset", "int-key", "nested-int-key", "mixed-keys"],
+    [
+        1.5, {"a": 0.0}, [1, {2, 3}], {"a": frozenset()}, {1: "a"}, {"a": [{2: "c"}]}, {"b": 1, 2: "c"},
+        [{"a": 1}, {"a": 2.5}, {"a": 3}], [{1: "a"}, {1: "b"}],
+    ],
+    ids=[
+        "float", "nested-float", "set", "frozenset", "int-key", "nested-int-key", "mixed-keys",
+        "float-in-an-int-column", "int-key-in-every-row",
+    ],
 )
 def test_format_record_rejects_other_types(value):
     with pytest.raises(TypeError):
         format_record(value)
+
+
+def test_record_steps_writes_each_context_word():
+    # each distinct context word is rendered once and looked up per step
+    algebra = _SL2.algebra
+    long = divide(parse_poly(algebra, " ".join(["h f e"] * 5)), _SL2).steps
+    empty = [(1, b"", 0, b""), (-2, b"\x00\x02", 1, b""), (3, b"", 2, b"\x01")]
+    assert len(long) == 3342
+    for steps in (long, empty):
+        assert record_steps(steps, algebra) == [
+            {"coeff": str(c), "left": algebra.alphabet.word_text(left), "gen": g,
+             "right": algebra.alphabet.word_text(right)}
+            for c, left, g, right in steps
+        ]
+    contexts = [(step["left"], step["right"]) for step in record_steps(empty, algebra)]
+    assert contexts == [("1", "1"), ("e h", "1"), ("1", "f")]
