@@ -36,7 +36,8 @@ class GenSet:
     leading coefficient, None where it is not a unit.  Operations that
     invert leading coefficients insist on all of them being units.
     ``is_unital`` is stored, as every ``divide`` call reads it.
-    ``leads`` is the oracle's divisibility index over the leading words.
+    ``leads`` is the oracle's lead-word index, asked by every division,
+    basis enumeration and pair listing.
     The set is built once and never written again; its generators are
     read through ``gens``.
     """

@@ -60,11 +60,5 @@ class ParseError(UGBError):
     def __init__(self, message, filename=None, line=None):
         self.filename = filename
         self.line = line
-        prefix = ""
-        if filename is not None:
-            prefix = f"{filename}:"
-        if line is not None:
-            prefix += f"{line}:"
-        if prefix:
-            prefix += " "
-        super().__init__(prefix + message)
+        prefix = "".join(f"{part}:" for part in (filename, line) if part is not None)
+        super().__init__(f"{prefix} {message}" if prefix else message)

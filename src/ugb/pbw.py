@@ -89,7 +89,7 @@ def validate_lie(L):
         nonzero = [(t, c) for t, c in enumerate(vec) if c]
         table[(i, j)] = nonzero
         table[(j, i)] = [(t, -c) for t, c in nonzero]
-    sums = {}
+    violations = []
     for i, j, k in combinations(range(L.rank), 3):
         # [[x_i, x_j], x_k] + [[x_j, x_k], x_i] + [[x_k, x_i], x_j]
         total = [0] * L.rank
@@ -99,15 +99,10 @@ def validate_lie(L):
                     total[t] += u * v
         total = tuple(map(coerce, total))
         if any(total):
-            sums[(i, j, k)] = total
-    violations = []
-    for i, j, k in permutations(range(L.rank), 3):
-        total = sums.get(tuple(sorted((i, j, k))))
-        if total is None:
-            continue
-        if ((i > j) + (i > k) + (j > k)) % 2:  # odd permutation
-            total = tuple(coerce(-x) for x in total)
-        violations.append(((i, j, k), total))
+            # permutations() lists the orders even, odd, odd, even, even, odd
+            neg = tuple(coerce(-x) for x in total)
+            violations += zip(permutations((i, j, k)), (total, neg, neg, total, total, neg))
+    violations.sort()  # the triples are distinct, so no sum is compared
     return tuple(violations)
 
 

@@ -14,49 +14,18 @@ a sum.  That makes context scaling order-preserving and collision-free,
 and it makes the leading coefficient of ``u * g * v`` equal to the
 leading coefficient of ``g``, which turns divisibility into a test on
 leading words alone.  Each oracle names the index class of that test
-(``lead_index``) and owns the critical pairs it implies
-(``critical_pairs``, whose inclusions are the matches of the same index),
-so division, the Buchberger check and normal words share one notion of
-divisibility.  Each oracle grows its basis words by one rule,
+(``lead_index``), built once per generating set; the index answers every
+lead-word question, the critical pairs included, so division, the
+Buchberger check and normal words share one notion of divisibility.
+Each oracle grows its basis words by one rule,
 ``letters_after(word, letters)``: the one-letter words that may follow a
 basis word, ascending.  ``is_basis_word`` checks a word from outside.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .errors import AlgebraMismatch, BasisViolation, ZeroPolynomial
-from .words import EMPTY, Alphabet, FactorIndex
-
-
-class MultisetIndex:
-    """Leading words found by multiset inclusion in sorted words, under
-    the :class:`~ugb.words.FactorIndex` contract.  A generator divides a
-    word in at most one way; the cofactor is the sorted difference, placed
-    as ``left`` with ``right`` empty.
-    """
-
-    __slots__ = ("_counts",)
-
-    def __init__(self, lead_words):
-        self._counts = tuple(Counter(w) for w in lead_words)
-
-    def _divisions(self, word):
-        have = Counter(word)
-        for i, need in enumerate(self._counts):
-            if need <= have:
-                yield i, bytes(sorted((have - need).elements())), EMPTY
-
-    def first(self, word):
-        return next(self._divisions(word), None)
-
-    def divides_extension(self, word):
-        """The full test: a new letter can complete a lead anywhere."""
-        return self.first(word) is not None
-
-    def matches(self, word):
-        return list(self._divisions(word))
+from .words import EMPTY, Alphabet, FactorIndex, MultisetIndex
 
 
 class FreeConcat:
@@ -74,43 +43,6 @@ class FreeConcat:
     def letters_after(self, word, letters):
         """The one-letter words that may follow the basis word: all."""
         return letters
-
-    def critical_pairs(self, lead_words, first_new):
-        """(i, j, u, v, u2, v2) for i <= j, j >= first_new, placing both
-        lead words on one ambiguity word u * w_i * v == u2 * w_j * v2: the
-        diamond-lemma family of proper overlaps (a suffix table probed with
-        prefixes) and inclusions (the division index).  Equal lead words
-        meet once, at the word itself, and overlap one way only; no
-        generator includes itself, and an empty lead word is included at
-        every cut.  Disjoint placements always reduce to zero for unital
-        pairs and are not enumerated."""
-        ends_in = {}
-        for a, w in enumerate(lead_words):
-            for t in range(1, len(w)):
-                ends_in.setdefault(w[len(w) - t:], []).append(a)
-        index = self.lead_index(lead_words)
-        out = []
-        for b, w in enumerate(lead_words):
-            # a suffix of lead_words[a] is the prefix w[:t]
-            for t in range(1, len(w)):
-                for a in ends_in.get(w[:t], ()):
-                    wa = lead_words[a]
-                    if max(a, b) < first_new or (a > b and wa == w):
-                        continue
-                    left, right = wa[:len(wa) - t], w[t:]
-                    if a <= b:
-                        out.append((a, b, EMPTY, right, left, EMPTY))
-                    else:
-                        out.append((b, a, left, EMPTY, EMPTY, right))
-            # lead_words[a] is a factor of w; an equal word is met only from below
-            for a, u, v in index.matches(w):
-                if max(a, b) < first_new or (a >= b and len(lead_words[a]) == len(w)):
-                    continue
-                if a < b:
-                    out.append((a, b, u, v, EMPTY, EMPTY))
-                else:
-                    out.append((b, a, EMPTY, EMPTY, u, v))
-        return out
 
     def __repr__(self):
         return self.name
@@ -131,20 +63,6 @@ class CommutativeMerge:
     def letters_after(self, word, letters):
         """No letter below the last one: the word stays sorted."""
         return letters[word[-1]:] if word else letters
-
-    def critical_pairs(self, lead_words, first_new):
-        """(i, j, u, EMPTY, u2, EMPTY) for i < j, j >= first_new: one
-        placement per pair of distinct generators, at the least common
-        multiple of the leading words (the letterwise max); both divide it,
-        and their cofactors are the two left contexts."""
-        counts = [Counter(w) for w in lead_words]
-        out = []
-        for j in range(first_new, len(lead_words)):
-            for i in range(j):
-                lcm = counts[i] | counts[j]
-                u, u2 = (bytes(sorted(c.elements())) for c in (lcm - counts[i], lcm - counts[j]))
-                out.append((i, j, u, EMPTY, u2, EMPTY))
-        return out
 
     def __repr__(self):
         return self.name

@@ -6,13 +6,14 @@ generators whose leading terms meet at one ambiguity word; the scaling
 divides by the (unit) leading coefficients, so coefficients stay small
 and nothing outside the unit group is ever inverted.
 
-The oracle owns the whole pair family (``critical_pairs``).  Free
-concatenation: proper overlaps in both directions and self-overlaps,
-found through a suffix table, and inclusions, found by the oracle's
-division index (``lead_index``), following the classical diamond-lemma
-family.  Commutative merge: one pair per unordered pair of generators,
-built at the least common multiple of the leading words, since sorted
-words can share letters without sharing a contiguous factor.
+The set's lead-word index (``GenSet.leads``) lists the whole pair
+family (``critical_pairs``).  Free concatenation: proper overlaps in
+both directions and self-overlaps, found through a suffix table, and
+inclusions, found by the matches that division uses, following the
+classical diamond-lemma family.  Commutative merge: one pair per
+unordered pair of generators, built at the least common multiple of the
+leading words, since sorted words can share letters without sharing a
+contiguous factor.
 """
 
 from __future__ import annotations
@@ -80,8 +81,7 @@ def _pair_order(sp):
 def _spolys(G, first_new):
     """s-polynomials of the pairs (i, j), i <= j, with j >= first_new,
     unsorted."""
-    pairs = G.algebra.oracle.critical_pairs(G.lead_words, first_new)
-    return [_make_spoly(G, *pair) for pair in pairs]
+    return [_make_spoly(G, *pair) for pair in G.leads.critical_pairs(first_new)]
 
 
 def s_polynomials(G):

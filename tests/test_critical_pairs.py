@@ -1,4 +1,5 @@
-"""Each oracle's ``critical_pairs`` against the per-pair family it replaced.
+"""Each lead-word index's ``critical_pairs`` against the per-pair family
+it replaced.
 
 The reference below is the old enumeration, kept only here: ``overlaps``
 of two words in both directions, the collision of two generators with
@@ -95,7 +96,7 @@ def assert_matches_reference(oracle, lead_words):
         lead_words = [bytes(sorted(w)) for w in lead_words]
     lead_words = tuple(lead_words)
     for first_new in range(len(lead_words) + 1):
-        got = _ordered(oracle, lead_words, oracle.critical_pairs(lead_words, first_new))
+        got = _ordered(oracle, lead_words, oracle.lead_index(lead_words).critical_pairs(first_new))
         assert got == reference_pairs(oracle, lead_words, first_new), (lead_words, first_new)
 
 

@@ -29,7 +29,7 @@ from ugb import (
     s_polynomials,
 )
 from ugb.spolys import SPoly, _pair_order
-from ugb.words import _deglex
+from ugb.words import FactorIndex, _deglex
 
 AZ = Algebra(ZZ, ["x", "y"])
 X, Y = 0, 1
@@ -145,7 +145,7 @@ def test_spolys_match_scale_and_subtract_reference(seed, ring, oracle):
     G = GenSet(gens, algebra)
     sps = s_polynomials(G)
     expected = []
-    for i, j, u, v, u2, v2 in algebra.oracle.critical_pairs(G.lead_words, 0):
+    for i, j, u, v, u2, v2 in G.leads.critical_pairs(0):
         ambiguity = helpers.word_product(oracle, u, G.lead_words[i], v)
         assert helpers.word_product(oracle, u2, G.lead_words[j], v2) == ambiguity
         expected.append(SPoly(i, j, u, u2, ambiguity, helpers.reference_spoly(G, i, j, u, v, u2, v2)))
@@ -541,6 +541,35 @@ def test_complete_orders_carried_pairs_among_new_ones_by_ambiguity():
     result = complete(G, max_degree=4, max_rounds=3)
     assert [str(g) for g in result.gens[7:]] == ["x + 3", "x x + 3", "x x + 3*x"]
     assert result.gens == _complete_reference(G, 4, 3).gens
+
+
+def _count_inits(monkeypatch, cls):
+    """A list that grows by one on every construction of cls."""
+    calls = []
+    init = cls.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(cls)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting_init)
+    return calls
+
+
+def test_one_lead_index_per_generating_set(monkeypatch):
+    # the set's index lists the pairs itself, so listing them, checking the
+    # set and completing it build no index beyond the one of each GenSet
+    indexes = _count_inits(monkeypatch, FactorIndex)
+    gensets = _count_inits(monkeypatch, GenSet)
+    A = Algebra(Zmod(4), ["x", "y"])
+    G = GenSet([parse_poly(A, t) for t in ("y x + x x", "x y + 1", "y y + y")], A)
+    assert len(indexes) == len(gensets) == 1
+    s_polynomials(G)
+    check_groebner(G)
+    assert len(indexes) == len(gensets) == 1
+    result = complete(G, max_degree=4, max_rounds=3)
+    assert len(result.gens) == 10
+    assert len(indexes) == len(gensets) == 3
 
 
 @pytest.mark.parametrize("oracle", [FREE, COMMUTATIVE])

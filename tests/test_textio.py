@@ -237,6 +237,12 @@ def test_load_problem_skips_a_byte_order_mark(tmp_path):
     assert (with_bom.algebra, with_bom.gens) == (plain.algebra, plain.gens)
 
 
+def test_parse_error_prefixes_file_and_line():
+    shapes = [ParseError("m", *where) for where in (("f", 3), ("f",), (None, 3), ())]
+    assert [str(e) for e in shapes] == ["f:3: m", "f: m", "3: m", "m"]
+    assert [(e.filename, e.line) for e in shapes] == [("f", 3), ("f", None), (None, 3), (None, None)]
+
+
 def test_parse_problem_missing_ring():
     with pytest.raises(ParseError) as err:
         parse_problem("alphabet x\n")

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ugb import EMPTY, FREE, ZZ, Algebra, Alphabet
-from ugb.poly import MultisetIndex
 from ugb.spolys import SPoly, _pair_order
-from ugb.words import FactorIndex, _deglex
+from ugb.words import FactorIndex, MultisetIndex, _deglex
 
 words = st.lists(st.integers(0, 2), max_size=6).map(bytes)
 nonempty_words = st.lists(st.integers(0, 2), min_size=1, max_size=5).map(bytes)
@@ -162,7 +161,7 @@ def pairs(*lead_words):
     """The free oracle's critical pairs of the lead words, in pair order,
     each as (i, j, u, v, u2, v2, ambiguity) with ambiguity = u + w_i + v."""
     out = [(i, j, u, v, u2, v2, u + lead_words[i] + v)
-           for i, j, u, v, u2, v2 in FREE.critical_pairs(lead_words, 0)]
+           for i, j, u, v, u2, v2 in FREE.lead_index(lead_words).critical_pairs(0)]
     return sorted(out, key=lambda p: _pair_order(SPoly(p[0], p[1], p[2], p[4], p[6], None)))
 
 
