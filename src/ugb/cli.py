@@ -90,7 +90,8 @@ def _pbw(args, L):
 def _member(args, G):
     f = textio.parse_poly(G.algebra, args.poly, "--poly")
     result = is_member(f, build_truncation(G, args.max_deg))
-    return textio.record_membership(result, G.algebra), textio.format_membership, 0 if result.member else 1
+    record = textio.record_membership(result, args.max_deg, G.algebra)
+    return record, textio.format_membership, 0 if result.member else 1
 
 
 # kind: what the problem file must parse to; options: keys of _OPTIONS,

@@ -180,7 +180,7 @@ class _Echelon:
         return {r: w for r, c in comb.items() if (w := c % n if n else c)}
 
 
-class MembershipResult(namedtuple("MembershipResult", "witness bound")):
+class MembershipResult(namedtuple("MembershipResult", "witness")):
     """Member with an explicit witness, or not provable at this bound
     (``witness`` is None).
 
@@ -230,7 +230,7 @@ def build_truncation(G, bound):
             f"bound {bound} is below the maximal generator degree {max_lead}"
         )
     after = algebra.oracle.letters_after
-    letters = [bytes((a,)) for a in range(algebra.alphabet.size)]
+    letters = algebra.alphabet.letters
     levels = [[EMPTY]]
     for _ in range(bound):
         levels.append([w + a for w in levels[-1] for a in after(w, letters)])
@@ -272,7 +272,7 @@ def is_member(f, T):
     ring = G.algebra.ring
     sol = T.echelon.solve({T.col_index[w]: c for c, w in f.terms})
     if sol is None:
-        return MembershipResult(None, T.bound)
+        return MembershipResult(None)
     witness = []
     for r in sorted(sol):
         i, u, v = T.provenance[r]
@@ -280,7 +280,7 @@ def is_member(f, T):
     witness = tuple(witness)
     if expand_witness(G, witness) != f:
         raise EngineInvariantBroken("membership witness does not expand to the query")
-    return MembershipResult(witness, T.bound)
+    return MembershipResult(witness)
 
 
 def expand_witness(G, witness):

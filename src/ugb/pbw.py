@@ -17,7 +17,7 @@ counts, which is verified here degree by degree.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import comb
 
 from .division import GenSet
@@ -156,5 +156,5 @@ def verify_pbw(L, max_degree):
     gb_report = check_groebner(G)
     counts = basis.counts()
     expected = tuple(comb(L.rank + d - 1, d) for d in range(max_degree + 1))
-    non_decreasing = all(map(COMMUTATIVE.is_basis_word, basis.words()))
+    non_decreasing = all(map(COMMUTATIVE.is_basis_word, chain.from_iterable(basis.by_degree)))
     return PBWReport(violations, gb_report, counts, expected, non_decreasing)

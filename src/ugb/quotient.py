@@ -53,10 +53,6 @@ class QuotientBasis(namedtuple("QuotientBasis", "by_degree verified")):
     def total(self):
         return sum(self.counts())
 
-    def words(self):
-        for row in self.by_degree:
-            yield from row
-
 
 def enumerate_basis(G, max_degree, strict=True):
     """Normal words of every degree up to the bound, by pruned extension.
@@ -79,7 +75,7 @@ def enumerate_basis(G, max_degree, strict=True):
         require_groebner(G)
     after = G.algebra.oracle.letters_after
     divides = G.leads.divides_extension
-    letters = [bytes((a,)) for a in range(G.algebra.alphabet.size)]
+    letters = G.algebra.alphabet.letters
     level = [] if divides(EMPTY) else [EMPTY]
     by_degree = [level]
     for _ in range(max_degree):

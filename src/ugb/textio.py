@@ -241,7 +241,7 @@ def _json(value, newline):
     """``value`` as indented JSON; ``newline`` is a line break followed by
     the indent of the line the value starts on.  A list or tuple of plain
     dicts with one non-empty key set fills one ``%`` template, its keys
-    sorted and quoted once, from one ``_column`` per key."""
+    sorted and quoted once, from the ``_texts`` of each key's column."""
     if isinstance(value, str):
         return _quote(value)
     if value is None:
@@ -271,23 +271,23 @@ def _json(value, newline):
             template = "{" + field + ("," + field).join(
                 _quote(key).replace("%", "%%") + ": %s" for key in keys
             ) + inner + "}"
-            items = map(template.__mod__, zip(*[_column(value, key, field) for key in keys]))
+            columns = [_texts(list(map(itemgetter(key), value)), field) for key in keys]
+            items = map(template.__mod__, zip(*columns))
         else:
-            items = [_quote(item) if type(item) is str else _json(item, inner) for item in value]
+            items = _texts(value, inner)
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _column(dicts, key, newline):
-    """The JSON texts of ``key``'s values in ``dicts``, lazily: mapped in C
-    when every value is exactly ``str`` or exactly ``int``."""
-    get = itemgetter(key)
-    kinds = set(map(type, map(get, dicts)))
+def _texts(values, newline):
+    """The JSON texts of ``values``: mapped lazily in C when every value
+    is exactly ``str`` or exactly ``int``, else written one by one."""
+    kinds = set(map(type, values))
     if kinds == {str}:
-        return map(_quote, map(get, dicts))
+        return map(_quote, values)
     if kinds == {int}:
-        return map(int.__repr__, map(get, dicts))
-    return (_json(value, newline) for value in map(get, dicts))
+        return map(int.__repr__, values)
+    return [_json(value, newline) for value in values]
 
 
 def record_steps(steps, algebra):
@@ -480,8 +480,8 @@ def format_pbw_report(record):
     return "\n".join(lines)
 
 
-def record_membership(result, algebra):
-    out = {"member": result.member, "bound": result.bound}
+def record_membership(result, bound, algebra):
+    out = {"member": result.member, "bound": bound}
     if result.member:
         out["witness"] = record_steps(result.witness, algebra)
     return out

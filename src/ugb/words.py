@@ -22,9 +22,9 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 
 
 class Alphabet:
-    """Ordered generator names; index order is the generator order."""
+    """Ordered generator names and ``letters``, their one-letter words."""
 
-    __slots__ = ("names", "_index")
+    __slots__ = ("names", "letters", "_index")
 
     def __init__(self, names):
         names = tuple(names)
@@ -41,6 +41,7 @@ class Alphabet:
         if len(names) > 256:
             raise ValueError("an alphabet holds at most 256 symbols")
         self.names = names
+        self.letters = tuple(bytes((a,)) for a in range(len(names)))
         self._index = {s: i for i, s in enumerate(names)}
 
     @property

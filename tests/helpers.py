@@ -17,6 +17,11 @@ def word(*letters):
     return bytes(letters)
 
 
+def gset(algebra, *term_lists):
+    """The generating set of one polynomial per list of (coeff, word) terms."""
+    return GenSet([algebra.poly(t) for t in term_lists], algebra)
+
+
 def random_word(rng, n_letters, max_len, oracle=FREE, min_len=0):
     length = rng.randint(min_len, max_len)
     letters = [rng.randrange(n_letters) for _ in range(length)]
@@ -392,6 +397,14 @@ def gl(n, ring):
                     vec[index[(k, j)]] -= 1
                 brackets[(a, b)] = vec
     return LieAlgebra(ring, len(pairs), brackets, names=[f"e{i + 1}{j + 1}" for i, j in pairs])
+
+
+def perturbed_gl(n, ring, a, b, m):
+    """gl_n with coefficient m of [x_a, x_b] (0-based, a > b) moved by +1."""
+    L = gl(n, ring)
+    vec = list(L.brackets.get((a, b), [0] * L.rank))
+    vec[m] += 1
+    return LieAlgebra(ring, L.rank, {**L.brackets, (a, b): vec}, names=L.alphabet.names)
 
 
 def abelian(ring, rank):

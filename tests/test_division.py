@@ -33,36 +33,32 @@ AZ = Algebra(ZZ, ["x", "y"])
 X, Y = 0, 1
 
 
-def _gset(algebra, *term_lists):
-    return GenSet([algebra.poly(t) for t in term_lists], algebra)
-
-
 def _first_step(f, G):
     coeff, left, gen, right = divide(f, G).steps[0]
     return gen, left, right, coeff
 
 
 def test_divide_first_step_examples():
-    G = _gset(AZ, [(1, (X, Y)), (-1, ())])  # xy - 1
+    G = helpers.gset(AZ, [(1, (X, Y)), (-1, ())])  # xy - 1
     f = AZ.poly([(2, (X, Y, X)), (1, (Y,))])
     assert _first_step(f, G) == (0, b"", helpers.word(X), 2)
     assert divide(AZ.poly([(1, (Y,))]), G).steps == ()
 
     A6 = Algebra(Zmod(6), ["x"])
-    G6 = _gset(A6, [(5, (0,)), (1, ())])  # 5x + 1
+    G6 = helpers.gset(A6, [(5, (0,)), (1, ())])  # 5x + 1
     assert _first_step(A6.poly([(4, (0,))]), G6) == (0, b"", b"", 2)
     assert (2 * 5) % 6 == 4  # lambda * LC(g) recovers LT(f)
 
 
 def test_divide_one_step_to_constant():
-    G = _gset(AZ, [(1, (X, Y)), (-1, ())])
+    G = helpers.gset(AZ, [(1, (X, Y)), (-1, ())])
     trace = divide(AZ.poly([(1, (X, Y))]), G)
     assert trace.remainder == AZ.one()
     assert len(trace.steps) == 1
 
 
 def test_divide_normal_input_only_peels():
-    G = _gset(AZ, [(1, (X, Y)), (-1, ())])
+    G = helpers.gset(AZ, [(1, (X, Y)), (-1, ())])
     f = AZ.poly([(3, (Y, X)), (1, (Y,))])
     trace = divide(f, G)
     assert trace.remainder == f
@@ -79,7 +75,7 @@ def test_divide_self_reduction():
 
 
 def test_divide_zero_dividend():
-    G = _gset(AZ, [(1, (X, Y)), (-1, ())])
+    G = helpers.gset(AZ, [(1, (X, Y)), (-1, ())])
     trace = divide(AZ.zero(), G)
     assert trace.remainder.is_zero()
     assert trace.steps == ()
@@ -206,7 +202,7 @@ def test_long_sl2_division_step_counts(sl2_z):
 def test_strategy_sensitivity_negative_control():
     # {x^2 - y} is not a Groebner basis; dividing x^3 at the left or the
     # right occurrence of x^2 strands different remainders (yx vs xy)
-    G = _gset(AZ, [(1, (X, X)), (-1, (Y,))])
+    G = helpers.gset(AZ, [(1, (X, X)), (-1, (Y,))])
     f = AZ.poly([(1, (X, X, X))])
     first = divide(f, G).remainder
     assert first == AZ.poly([(1, (Y, X))])
@@ -221,20 +217,20 @@ def test_strategy_sensitivity_negative_control():
 
 
 def test_budget_exceeded():
-    G = _gset(AZ, [(1, (X, Y)), (-1, ())])
+    G = helpers.gset(AZ, [(1, (X, Y)), (-1, ())])
     f = AZ.poly([(1, (X, Y)), (1, (Y,))])
     with pytest.raises(BudgetExceeded):
         divide(f, G, step_budget=1)
 
 
 def test_not_unital_rejected():
-    G = _gset(AZ, [(2, (X,))])
+    G = helpers.gset(AZ, [(2, (X,))])
     assert not G.is_unital
     with pytest.raises(NotUnital):
         divide(AZ.poly([(1, (X,))]), G)
 
 
-_XY_MINUS_1 = _gset(AZ, [(1, (X, Y)), (-1, ())])
+_XY_MINUS_1 = helpers.gset(AZ, [(1, (X, Y)), (-1, ())])
 
 
 @pytest.mark.parametrize("call, message", [
@@ -266,7 +262,7 @@ def test_normal_form_commutative_monomials(example1_q):
 
 
 def test_normal_form_strict_rejects_non_groebner():
-    G = _gset(AZ, [(1, (X, X)), (-1, (Y,))])
+    G = helpers.gset(AZ, [(1, (X, X)), (-1, (Y,))])
     f = AZ.poly([(1, (X, X, X))])
     with pytest.raises(NotAGroebnerBasis):
         normal_form(f, G)
@@ -303,7 +299,7 @@ _BROKEN_INVERSE = textwrap.dedent("""
 
 def test_broken_lead_inverse_raises_engine_invariant():
     # a corrupted lead inverse leaves the leading term standing
-    G = _gset(AZ, [(1, (X, Y)), (-1, ())])
+    G = helpers.gset(AZ, [(1, (X, Y)), (-1, ())])
     G.inv_leads = (2,)
     with pytest.raises(EngineInvariantBroken, match="failed to cancel"):
         divide(AZ.poly([(1, (X, Y, X))]), G)
@@ -329,7 +325,7 @@ def test_broken_generator_tail_raises_engine_invariant():
     # xy puts yyy into the working set, and popping it next breaks the
     # strict decrease of the leading monomial (unchecked, yyy would be
     # peeled into the remainder)
-    G = _gset(AZ, [(1, (X, Y)), (-1, ())])
+    G = helpers.gset(AZ, [(1, (X, Y)), (-1, ())])
     G.gens = (Poly(AZ, ((1, helpers.word(X, Y)), (-1, helpers.word(Y, Y, Y)))),)
     with pytest.raises(EngineInvariantBroken, match="failed to decrease"):
         divide(AZ.poly([(1, (X, Y))]), G)

@@ -1,12 +1,18 @@
-"""The package's import structure: the intra-package ``from .x import``
-graph has no cycle (its layers run words, rings, poly, division, spolys,
-quotient, pbw, with textio and cli on top), and every import sits in a
-module's header, before its first top-level ``def`` or ``class``.  A
-late or function-level import is how a cycle gets hidden, so both are
-rejected.  Every module but ``__init__`` (which re-exports) reads each
-name it imports, so a deletion leaves no stale import behind.  A fresh
-``import ugb.cli`` loads neither ``dataclasses`` nor ``inspect``, which
-would dominate the CLI's start-up."""
+"""Static checks of the package source and its import structure.
+
+The intra-package ``from .x import`` graph has no cycle (its layers run
+words, rings, poly, division, spolys, quotient, pbw, with textio and cli
+on top), and every import sits in a module's header, before its first
+top-level ``def`` or ``class``.  A late or function-level import is how
+a cycle gets hidden, so both are rejected.  Three scans keep the source
+clean: every module but ``__init__`` (which re-exports) reads each name
+it imports, so a deletion leaves no stale import behind; no module holds
+an ``assert`` statement, because soundness checks must be exceptions
+that still run under ``python -O``; and a fresh ``import ugb.cli`` with
+site-packages off loads only standard-library modules, and neither
+``dataclasses`` nor ``inspect``, which would dominate the CLI's
+start-up.  Each scan first finds a planted violation, so an empty result
+cannot pass by default."""
 
 import ast
 import subprocess
@@ -54,14 +60,17 @@ def test_intra_package_imports_are_acyclic():
         pytest.fail("import cycle: " + " -> ".join(exc.args[1]))
 
 
+def _late_imports(tree):
+    """Line numbers of the imports after the module's first top-level
+    ``def`` or ``class``."""
+    defs = [node.lineno for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    return sorted(node.lineno for node in _imports(tree) if defs and node.lineno > defs[0])
+
+
 def test_imports_precede_the_first_definition():
-    late = []
-    for name, tree in _trees().items():
-        defs = [node.lineno for node in tree.body
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
-        if not defs:
-            continue
-        late += [f"{name}.py:{node.lineno}" for node in _imports(tree) if node.lineno > defs[0]]
+    assert _late_imports(ast.parse("import re\nclass C:\n    import os\nimport sys")) == [3, 4]
+    late = [f"{name}.py:{line}" for name, tree in _trees().items() for line in _late_imports(tree)]
     assert not late, late
 
 
@@ -90,15 +99,40 @@ def test_modules_read_every_name_they_import():
     assert not unused, unused
 
 
-def test_cli_import_loads_no_introspection_modules():
-    # records are namedtuple subclasses, so the CLI's start-up cost holds
-    # no dataclasses machinery, nor the inspect module it pulls in
+def _asserts(tree):
+    """Line numbers of the module's ``assert`` statements, at any depth."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_modules_hold_no_assert_statements():
+    # python -O strips asserts, so a soundness check must raise instead
+    assert _asserts(ast.parse("def f(x):\n    if x:\n        assert x, 'no'\n")) == [3]
+    found = [f"{name}.py:{line}" for name, tree in _trees().items() for line in _asserts(tree)]
+    assert not found, found
+
+
+def _fresh_import(*modules):
+    """The non-standard-library top-level modules, and those of
+    ``dataclasses`` and ``inspect``, that a fresh interpreter with
+    site-packages off (``-S``) has loaded after importing ``modules``,
+    as the text of two sorted lists."""
     probe = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import ugb.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "import sys; sys.path[:0] = sys.argv[1:]; "
+        f"import {', '.join(modules)}; "
+        "top = {name.split('.')[0] for name in sys.modules}; "
+        "print(sorted(top - set(sys.stdlib_module_names) - {'ugb', '__main__'}), "
+        "sorted({'dataclasses', 'inspect'} & top))"
     )
     run = subprocess.run(
-        [sys.executable, "-S", "-c", probe, str(PACKAGE.parent)],
+        [sys.executable, "-S", "-c", probe, str(PACKAGE.parent), str(Path(__file__).parent)],
         capture_output=True, text=True, check=True,
     )
-    assert run.stdout.strip() == "[]", run.stdout
+    return run.stdout.strip()
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # the engine uses only the standard library, and records are
+    # namedtuple subclasses, so the CLI's start-up cost holds no
+    # dataclasses machinery, nor the inspect module it pulls in
+    assert _fresh_import("ugb.cli", "helpers", "dataclasses") == "['helpers'] ['dataclasses', 'inspect']"
+    assert _fresh_import("ugb.cli") == "[] []"

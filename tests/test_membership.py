@@ -395,7 +395,7 @@ def _freeness_certificate(G, bound):
     T = build_truncation(lift, bound)
     ring = G.algebra.ring
     pivots = T.echelon.pivots
-    normal = set(enumerate_basis(G, bound, strict=False).words())
+    normal = {w for row in enumerate_basis(G, bound, strict=False).by_degree for w in row}
     non_units = [row[c] for c, (row, _) in pivots.items() if ring.inv_unit(row[c]) is None]
     return len(T.columns), {T.columns[c] for c in pivots}, set(T.columns) - normal, non_units
 
@@ -477,6 +477,51 @@ def test_completed_commutative_sets_are_free_through_the_lift():
             assert non_units == [], (G, bound)
             checked += 1
     assert (len(completed), refused, checked) == (43, 17, 96)
+
+
+def _free_bounds(G):
+    """Bounds up to 4 from the longest lead word of G: below it the
+    truncation does not hold every generator."""
+    return range(max(map(len, G.lead_words)), 5)
+
+
+def test_completed_free_sets_are_free():
+    completed, refused = _completed_draws(FREE)
+    checked = grown = failed = 0
+    for G, C in completed:
+        for bound in _free_bounds(C):
+            _, pivot_words, non_normal, non_units = _freeness_certificate(C, bound)
+            assert pivot_words == non_normal, (C, bound)
+            assert non_units == [], (C, bound)
+            checked += 1
+        # negative control: an input that completion grew is no Groebner
+        # basis, and most already fail the certificate within the bounds
+        if len(C.gens) > len(G.gens):
+            grown += 1
+            certificates = (_freeness_certificate(G, bound) for bound in _free_bounds(G))
+            failed += any(pivot_words != non_normal for _, pivot_words, non_normal, _ in certificates)
+    assert (len(completed), refused, checked, grown, failed) == (42, 18, 96, 14, 12)
+
+
+# (ring, a, b, m, generators after completion, normal words up to degree 3,
+# pivot words before completion): m of [x_a, x_b] in gl3 moved by +1
+@pytest.mark.parametrize("ring, a, b, m, gens, normal, pivots", [
+    (QQ, 1, 0, 6, 44, 4, 603),
+    (QQ, 2, 0, 0, 45, 1, 604),
+    (Zmod(5), 1, 0, 6, 44, 4, 603),
+    (Zmod(5), 5, 1, 2, 44, 4, 604),
+], ids=["Q-1-0-6", "Q-2-0-0", "Z/5-1-0-6", "Z/5-5-1-2"])
+def test_completed_perturbed_gl3_is_free(ring, a, b, m, gens, normal, pivots):
+    # Jacobi fails, so the PBW system is no Groebner basis and the
+    # certificate fails on it; its completion passes the certificate
+    G = pbw_generators(helpers.perturbed_gl(3, ring, a, b, m))
+    _, pivot_words, non_normal, _ = _freeness_certificate(G, 3)
+    assert (len(pivot_words), len(non_normal)) == (pivots, 600)
+    C = complete(G, 3)
+    n_columns, pivot_words, non_normal, non_units = _freeness_certificate(C, 3)
+    assert (len(C.gens), n_columns, n_columns - len(non_normal)) == (gens, 820, normal)
+    assert pivot_words == non_normal
+    assert non_units == []
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(4)], ids=str)

@@ -25,12 +25,8 @@ AZ = Algebra(ZZ, ["x", "y"])
 X, Y = 0, 1
 
 
-def _gset(algebra, *term_lists):
-    return GenSet([algebra.poly(t) for t in term_lists], algebra)
-
-
 def test_is_normal_examples():
-    G = _gset(AZ, [(1, (X, Y)), (-1, ())])
+    G = helpers.gset(AZ, [(1, (X, Y)), (-1, ())])
     assert is_normal((), G)
     assert not is_normal((X, Y, X), G)
     assert is_normal((Y, X), G)
@@ -97,7 +93,7 @@ def test_enumerate_matches_brute_force_on_wider_random_sets():
 
 
 def test_enumerate_strict_rejects_non_groebner():
-    G = _gset(AZ, [(1, (X, X)), (-1, (Y,))])
+    G = helpers.gset(AZ, [(1, (X, X)), (-1, (Y,))])
     with pytest.raises(NotAGroebnerBasis):
         enumerate_basis(G, 3)
     basis = enumerate_basis(G, 3, strict=False)
@@ -108,9 +104,9 @@ def test_enumerate_strict_rejects_non_groebner():
 
 
 def test_enumerate_constant_generator_kills_everything():
-    G = _gset(AZ, [(1, ()), (1, (X,))])  # leading word is x, but adjoin 1 + ...
+    G = helpers.gset(AZ, [(1, ()), (1, (X,))])  # leading word is x, but adjoin 1 + ...
     # a true constant: leading word empty
-    G2 = _gset(AZ, [(3, ())])
+    G2 = helpers.gset(AZ, [(3, ())])
     # 3 is not a unit over Z, so strict checking is unavailable; the factor
     # test still makes every word non-normal
     basis_words = [w for d in range(3) for w in helpers.brute_normal_words(G2, d)]
@@ -133,7 +129,7 @@ def test_decompose_examples(inverse_pair_q):
 
 
 def test_decompose_one_step_example():
-    G = _gset(AZ, [(1, (X, Y)), (-1, ())])
+    G = helpers.gset(AZ, [(1, (X, Y)), (-1, ())])
     assert check_groebner(G).is_groebner  # xy has no self-overlap
     f = AZ.poly([(1, (X, Y)), (1, (Y,))])
     ideal_part, normal_part = decompose(f, G)
@@ -143,7 +139,7 @@ def test_decompose_one_step_example():
 
 
 def test_decompose_strict_rejects_non_groebner():
-    G = _gset(AZ, [(1, (X, X)), (-1, (Y,))])
+    G = helpers.gset(AZ, [(1, (X, X)), (-1, (Y,))])
     with pytest.raises(NotAGroebnerBasis):
         decompose(AZ.poly([(1, (X,))]), G)
     ideal_part, normal_part = decompose(AZ.poly([(1, (X,))]), G, strict=False)

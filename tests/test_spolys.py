@@ -35,14 +35,10 @@ AZ = Algebra(ZZ, ["x", "y"])
 X, Y = 0, 1
 
 
-def _gset(algebra, *term_lists):
-    return GenSet([algebra.poly(t) for t in term_lists], algebra)
-
-
 def test_self_overlap_spoly():
     # x^2 - y overlaps itself at x^3; expanding both placements by hand:
     # (x^2 - y) x - x (x^2 - y) = xy - yx
-    G = _gset(AZ, [(1, (X, X)), (-1, (Y,))])
+    G = helpers.gset(AZ, [(1, (X, X)), (-1, (Y,))])
     sps = s_polynomials(G)
     assert len(sps) == 1
     sp = sps[0]
@@ -68,7 +64,7 @@ def test_equal_leading_words_of_distinct_generators_collide():
     # {z - x, z - y}: no word overlap exists, but the two generators meet
     # at the bare leading word z, and their difference y - x is irreducible
     A3 = Algebra(QQ, ["x", "y", "z"])
-    G = _gset(A3, [(1, (2,)), (-1, (0,))], [(1, (2,)), (-1, (1,))])
+    G = helpers.gset(A3, [(1, (2,)), (-1, (0,))], [(1, (2,)), (-1, (1,))])
     sps = s_polynomials(G)
     assert len(sps) == 1
     assert sps[0].value == A3.poly([(1, (1,)), (-1, (0,))])
@@ -82,7 +78,7 @@ def test_unit_constant_generator_is_groebner(oracle):
     A = Algebra(QQ, ["x", "y"], oracle)
     rng = random.Random(7)
     for gens in ([[(2, ())]], [[(2, ())], [(1, (X, Y)), (-1, ())]], [[(2, ())], [(3, ())]]):
-        G = _gset(A, *gens)
+        G = helpers.gset(A, *gens)
         assert check_groebner(G).is_groebner
         module = build_truncation(G, 3)
         for _ in range(10):
@@ -91,7 +87,7 @@ def test_unit_constant_generator_is_groebner(oracle):
 
 
 def test_spolys_not_unital():
-    G = _gset(AZ, [(2, (X,))])
+    G = helpers.gset(AZ, [(2, (X,))])
     with pytest.raises(NotUnital):
         s_polynomials(G)
 
@@ -172,7 +168,7 @@ _BROKEN_SPOLY_INVERSE = textwrap.dedent("""
 def test_broken_lead_inverse_breaks_spoly_cancellation():
     # {xy - 1, yx - 1} meet at xyx; with 2 in place of the first inverse
     # the s-polynomial is 2(xyx - x) - (xyx - x), led by the ambiguity word
-    G = _gset(AZ, [(1, (X, Y)), (-1, ())], [(1, (Y, X)), (-1, ())])
+    G = helpers.gset(AZ, [(1, (X, Y)), (-1, ())], [(1, (Y, X)), (-1, ())])
     G.inv_leads = (2, 1)
     with pytest.raises(EngineInvariantBroken, match="s-polynomial leading terms failed to cancel"):
         s_polynomials(G)
@@ -267,7 +263,7 @@ def test_example1_is_groebner(example1_q):
 
 
 def test_x2_minus_y_is_not_groebner():
-    G = _gset(AZ, [(1, (X, X)), (-1, (Y,))])
+    G = helpers.gset(AZ, [(1, (X, X)), (-1, (Y,))])
     report = check_groebner(G)
     assert not report.is_groebner
     assert len(report.witnesses) == 1
@@ -290,7 +286,7 @@ def test_commutative_shared_letter_counterexample():
     # exposes the failure; a contiguous-overlap enumeration would wrongly
     # report IsGroebner here
     A3 = Algebra(QQ, ["x", "y", "z"], COMMUTATIVE)
-    G = _gset(
+    G = helpers.gset(
         A3,
         [(1, (0, 2)), (-1, (0, 1))],   # xz - xy
         [(1, (1, 2)), (-1, (0, 1))],   # yz - xy
@@ -395,7 +391,7 @@ def test_criterion_completeness_witness_is_a_member():
     # reduction engine cannot see: member by the oracle, nonzero remainder
     from ugb import build_truncation, is_member
 
-    G = _gset(AZ, [(1, (X, X)), (-1, (Y,))])
+    G = helpers.gset(AZ, [(1, (X, X)), (-1, (Y,))])
     report = check_groebner(G)
     assert not report.is_groebner
     sp, trace = report.witnesses[0]
@@ -422,13 +418,13 @@ def test_complete_adjoins_commutator():
 
 
 def test_complete_works_over_z():
-    G = _gset(AZ, [(1, (X, X)), (-1, (Y,))])
+    G = helpers.gset(AZ, [(1, (X, X)), (-1, (Y,))])
     result = complete(G, max_degree=4)
     assert check_groebner(result).is_groebner
 
 
 def test_complete_rejects_non_unital_input():
-    G = _gset(AZ, [(2, (X, X)), (-1, (Y,))])
+    G = helpers.gset(AZ, [(2, (X, X)), (-1, (Y,))])
     with pytest.raises(NotUnital):
         complete(G, max_degree=4)
 
@@ -436,13 +432,13 @@ def test_complete_rejects_non_unital_input():
 def test_complete_non_unital_remainder():
     # x^2 - 2y is unital (monic) but its self-overlap leaves 2xy - 2yx,
     # whose leading coefficient 2 cannot be inverted over Z
-    G = _gset(AZ, [(1, (X, X)), (-2, (Y,))])
+    G = helpers.gset(AZ, [(1, (X, X)), (-2, (Y,))])
     with pytest.raises(NonUnitalRemainder):
         complete(G, max_degree=4)
 
 
 def test_complete_degree_bound_blocks_progress():
-    G = _gset(AZ, [(1, (X, X)), (-1, (Y,))])
+    G = helpers.gset(AZ, [(1, (X, X)), (-1, (Y,))])
     with pytest.raises(RoundsExceeded):
         complete(G, max_degree=2)  # the only ambiguity x^3 exceeds the bound
 

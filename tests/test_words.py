@@ -27,6 +27,7 @@ def lead_sets(draw, lead_words):
 def test_alphabet_validation():
     a = Alphabet(["x", "y"])
     assert a.size == 2
+    assert a.letters == (b"\x00", b"\x01")
     assert a.index("y") == 1
     assert a.word_text(()) == "1"
     assert a.word_text((0, 1, 0)) == "x y x"
@@ -152,7 +153,7 @@ def test_multiset_divides_extension_is_the_full_test(leads):
         for w in map(bytes, combinations_with_replacement(range(3), d)):
             if index.first(w) is None:
                 for a in range(3):
-                    cand = bytes(sorted(w + bytes((a,))))
+                    cand = bytes(sorted((*w, a)))
                     assert index.divides_extension(cand) == (index.first(cand) is not None)
                     assert index.divides_extension(cand) == divisible(cand)
 
