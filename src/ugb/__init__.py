@@ -40,15 +40,7 @@ from .pbw import (
     validate_lie,
     verify_pbw,
 )
-from .poly import (
-    COMMUTATIVE,
-    FREE,
-    Algebra,
-    CommutativeMerge,
-    FreeConcat,
-    Poly,
-    oracle_from_name,
-)
+from .poly import Algebra, Poly, oracle_from_name
 from .quotient import QuotientBasis, decompose, enumerate_basis, is_normal, normal_form
 from .rings import QQ, ZZ, ModularRing, Ring, Zmod, ring_from_name
 from .spolys import (
@@ -60,6 +52,6 @@ from .spolys import (
     s_polynomials,
 )
 from .textio import load_problem, parse_poly, parse_problem
-from .words import EMPTY, Alphabet
+from .words import COMMUTATIVE, EMPTY, FREE, Alphabet, CommutativeMerge, FreeConcat
 
 __version__ = "0.1.0"

@@ -74,7 +74,7 @@ def _normal_form(args, G):
 
 def _quotient_basis(args, G):
     basis = enumerate_basis(G, args.max_deg, strict=args.strict)
-    return textio.record_quotient(basis, G.algebra), textio.format_quotient, 0
+    return textio.record_quotient(basis, args.strict, G.algebra), textio.format_quotient, 0
 
 
 def _decompose(args, G):

@@ -36,8 +36,8 @@ class GenSet:
     leading coefficient, None where it is not a unit.  Operations that
     invert leading coefficients insist on all of them being units.
     ``is_unital`` is stored, as every ``divide`` call reads it.
-    ``leads`` is the oracle's lead-word index, asked by every division,
-    basis enumeration and pair listing.
+    ``leads`` is the oracle's class built on the leading words, the index
+    asked by every division, basis enumeration and pair listing.
     The set is built once and never written again; its generators are
     read through ``gens``.
     """
@@ -59,7 +59,7 @@ class GenSet:
         self.inv_leads = tuple(algebra.ring.inv_unit(g.lc()) for g in gens)
         self.is_unital = None not in self.inv_leads
         self.lead_words = tuple(g.lm() for g in gens)
-        self.leads = algebra.oracle.lead_index(self.lead_words)
+        self.leads = type(algebra.oracle)(self.lead_words)
 
     def require_unital(self):
         if not self.is_unital:

@@ -21,10 +21,10 @@ from itertools import chain, combinations, permutations
 from math import comb
 
 from .division import GenSet
-from .poly import COMMUTATIVE, FREE, Algebra
+from .poly import Algebra
 from .quotient import enumerate_basis
 from .spolys import check_groebner
-from .words import Alphabet
+from .words import COMMUTATIVE, FREE, Alphabet
 
 
 class LieAlgebra:

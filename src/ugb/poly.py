@@ -8,68 +8,15 @@ leading term is ``terms[0]``.  ``Algebra.poly``, ``+``, ``-`` and ``*``
 lay terms out through one normaliser, ``Algebra._sum``; ``scale`` and
 negation keep the layout they are given.
 
-Each oracle has one word product, ``context(u, w, v)``, and both
-shipped oracles make it a single monic basis word, never zero and never
-a sum.  That makes context scaling order-preserving and collision-free,
-and it makes the leading coefficient of ``u * g * v`` equal to the
-leading coefficient of ``g``, which turns divisibility into a test on
-leading words alone.  Each oracle names the index class of that test
-(``lead_index``), built once per generating set; the index answers every
-lead-word question, the critical pairs included, so division, the
-Buchberger check and normal words share one notion of divisibility.
-Each oracle grows its basis words by one rule,
-``letters_after(word, letters)``: the one-letter words that may follow a
-basis word, ascending.  ``is_basis_word`` checks a word from outside.
+The oracle protocol (the word product ``context``, the basis test, the
+growth rule and the lead-word index) is described once, in
+:mod:`ugb.words`.
 """
 
 from __future__ import annotations
 
 from .errors import AlgebraMismatch, BasisViolation, ZeroPolynomial
-from .words import EMPTY, Alphabet, FactorIndex, MultisetIndex
-
-
-class FreeConcat:
-    """Basis: all words; the context product is concatenation."""
-
-    name = "free"
-    lead_index = FactorIndex
-
-    def context(self, u, w, v):
-        return u + w + v
-
-    def is_basis_word(self, w):
-        return True
-
-    def letters_after(self, word, letters):
-        """The one-letter words that may follow the basis word: all."""
-        return letters
-
-    def __repr__(self):
-        return self.name
-
-
-class CommutativeMerge:
-    """Basis: non-decreasing words; the context product is the sorted merge."""
-
-    name = "commutative"
-    lead_index = MultisetIndex
-
-    def context(self, u, w, v):
-        return bytes(sorted(u + w + v))
-
-    def is_basis_word(self, w):
-        return bytes(sorted(w)) == w
-
-    def letters_after(self, word, letters):
-        """No letter below the last one: the word stays sorted."""
-        return letters[word[-1]:] if word else letters
-
-    def __repr__(self):
-        return self.name
-
-
-FREE = FreeConcat()
-COMMUTATIVE = CommutativeMerge()
+from .words import COMMUTATIVE, EMPTY, FREE, Alphabet
 
 
 def oracle_from_name(text):

@@ -36,13 +36,11 @@ def is_normal(word, G):
     return G.leads.first(G.algebra.check_word(word)) is None
 
 
-class QuotientBasis(namedtuple("QuotientBasis", "by_degree verified")):
+class QuotientBasis(namedtuple("QuotientBasis", "by_degree")):
     """Normal words of each degree up to a bound: ``by_degree[d]`` lists
-    those of degree d, for d from 0 to the bound.
-
-    ``verified`` is true when enumeration went through the strict gate,
-    so the set passed the Buchberger check; otherwise the listed words are
-    only G-normal and span no canonical quotient basis.
+    those of degree d, for d from 0 to the bound.  They span a canonical
+    quotient basis only when the set is a Groebner basis, which strict
+    enumeration checks; otherwise they are only G-normal.
     """
 
     __slots__ = ()
@@ -61,12 +59,8 @@ def enumerate_basis(G, max_degree, strict=True):
     oracle's ``letters_after`` allows, so every candidate is a basis word.
     For both oracles a word divisible by a leading word stays divisible
     when extended, so only normal words are extended, and a candidate
-    ``w + letter`` is kept when the index's ``divides_extension`` finds
-    no leading word dividing it.  Under the free oracle the normal words
-    are closed under taking factors, and the only factors of
-    ``w + letter`` that ``w`` lacks are its suffixes, so that test probes
-    one suffix per lead-word length; the commutative index runs its full
-    multiset test.
+    ``w + letter`` is kept when the index's ``divides_extension`` (see
+    :mod:`ugb.words`) finds no leading word dividing it.
     """
     G.require_unital()
     if max_degree < 0:
@@ -81,7 +75,7 @@ def enumerate_basis(G, max_degree, strict=True):
     for _ in range(max_degree):
         level = [c for w in level for a in after(w, letters) if not divides(c := w + a)]
         by_degree.append(level)
-    return QuotientBasis(by_degree, strict)
+    return QuotientBasis(by_degree)
 
 
 def decompose(f, G, strict=True):

@@ -7,13 +7,8 @@ divides by the (unit) leading coefficients, so coefficients stay small
 and nothing outside the unit group is ever inverted.
 
 The set's lead-word index (``GenSet.leads``) lists the whole pair
-family (``critical_pairs``).  Free concatenation: proper overlaps in
-both directions and self-overlaps, found through a suffix table, and
-inclusions, found by the matches that division uses, following the
-classical diamond-lemma family.  Commutative merge: one pair per
-unordered pair of generators, built at the least common multiple of the
-leading words, since sorted words can share letters without sharing a
-contiguous factor.
+family (``critical_pairs``), the diamond-lemma family of its oracle; see
+:mod:`ugb.words`.
 """
 
 from __future__ import annotations

@@ -38,9 +38,9 @@ from operator import itemgetter
 from .division import GenSet
 from .errors import BasisViolation, ParseError
 from .pbw import LieAlgebra
-from .poly import FREE, Algebra, oracle_from_name
+from .poly import Algebra, oracle_from_name
 from .rings import ring_from_name
-from .words import Alphabet
+from .words import FREE, Alphabet
 
 _SIGN_RE = re.compile(r"([+-])")
 
@@ -416,10 +416,10 @@ def format_completion(record):
     return "\n".join(lines)
 
 
-def record_quotient(basis, algebra):
+def record_quotient(basis, verified, algebra):
     alphabet = algebra.alphabet
     return {
-        "verified": basis.verified,
+        "verified": verified,
         "max_degree": len(basis.by_degree) - 1,
         "counts": list(basis.counts()),
         "total": basis.total(),

@@ -1,4 +1,5 @@
-"""Words over an indexed alphabet, the graded-lex order, lead-word indexes.
+"""Words over an indexed alphabet, the graded-lex order and the two
+multiplication oracles.
 
 A word is a ``bytes`` object, one letter index per byte, so an
 alphabet holds at most 256 symbols; the empty word ``b""`` is the
@@ -6,9 +7,31 @@ monomial 1.  Iterating a word yields its letter indices as ints.  The
 monomial order is fixed: graded lex, length first and then letters left
 to right.  As ``bytes``, words hash, slice, concatenate and compare in
 C: ``bytes`` comparison is the lex part of the order, ``len`` the graded
-part, and ``_deglex`` the two as one sort key.  A lead-word index, one
-class per oracle, holds one set's leading words and answers every
-divisibility question about them, the critical pairs included.
+part, and ``_deglex`` the two as one sort key.
+
+An oracle is an admissible system: a basis of words, a product of basis
+words and the order above.  Each oracle is one class with one protocol:
+
+- ``name``, as the problem file's ``oracle`` line spells it;
+- ``context(u, w, v)``, the word product: one monic basis word, never
+  zero and never a sum, so context scaling keeps the term order and the
+  leading coefficient of ``u * g * v`` is that of ``g``, which makes
+  divisibility a test on leading words alone;
+- ``is_basis_word(w)``, the basis test for a word from outside, and
+  ``letters_after(word, letters)``, the one growth rule: the one-letter
+  words that may follow a basis word, ascending;
+- built on leading words, ``cls(lead_words)``, an index that answers
+  every divisibility question about them.  ``first(word)`` is the
+  placement ``(gen, left, right)`` with ``context(left, lead_words[gen],
+  right) == word`` that division takes, or None; ``matches(word)`` lists
+  every placement, by lowest generator, then leftmost;
+  ``divides_extension(word)`` tests a word whose ``word[:-1]`` is normal;
+  ``critical_pairs(first_new)`` lists the diamond-lemma pair family
+  (Bergman 1978) that the Buchberger check reduces.
+
+``FREE`` and ``COMMUTATIVE`` index no leading words: the free algebra
+and the polynomial algebra, each the quotient by the empty set.  A
+generating set builds its own index as ``type(algebra.oracle)(lead_words)``.
 """
 
 from __future__ import annotations
@@ -79,26 +102,34 @@ def _deglex(word):
     return (len(word), word)
 
 
-class FactorIndex:
-    """Leading words found as contiguous factors: one hash table per length.
-
-    ``matches`` lists the placements ``(gen, left, right)`` with
-    ``left + lead_words[gen] + right == word`` by lowest generator index,
-    then leftmost position; ``first`` is the head of that list, or None.
-    Division asks ``first``, and ``critical_pairs`` finds its inclusions
-    with ``matches``.  ``divides_extension`` probes only suffixes, the new
-    factors of a word one letter past a normal word: one probe per
+class FreeConcat:
+    """Basis: all words; the context product is concatenation.  A lead
+    word divides a word as a contiguous factor, found in one hash table
+    per lead-word length.  ``divides_extension`` probes only suffixes, the
+    new factors of a word one letter past a normal word: one probe per
     lead-word length.
     """
 
     __slots__ = ("lead_words", "_tables")
 
-    def __init__(self, lead_words):
+    name = "free"
+
+    def __init__(self, lead_words=()):
         self.lead_words = lead_words
         tables = {}
         for i, w in enumerate(lead_words):
             tables.setdefault(len(w), {}).setdefault(w, []).append(i)
         self._tables = tuple(tables.items())
+
+    def context(self, u, w, v):
+        return u + w + v
+
+    def is_basis_word(self, w):
+        return True
+
+    def letters_after(self, word, letters):
+        """The one-letter words that may follow the basis word: all."""
+        return letters
 
     def first(self, word):
         best = None
@@ -161,17 +192,29 @@ class FactorIndex:
                 for a, u, v, b, u2, v2 in found if max(a, b) >= first_new]
 
 
-class MultisetIndex:
-    """Leading words found by multiset inclusion in sorted words, under
-    the :class:`FactorIndex` contract.  A generator divides a word in at
+class CommutativeMerge:
+    """Basis: non-decreasing words; the context product is the sorted
+    merge.  A lead word divides a sorted word by multiset inclusion, in at
     most one way; the cofactor is the sorted difference, placed as
     ``left`` with ``right`` empty.
     """
 
     __slots__ = ("_counts",)
 
-    def __init__(self, lead_words):
+    name = "commutative"
+
+    def __init__(self, lead_words=()):
         self._counts = tuple(Counter(w) for w in lead_words)
+
+    def context(self, u, w, v):
+        return bytes(sorted(u + w + v))
+
+    def is_basis_word(self, w):
+        return bytes(sorted(w)) == w
+
+    def letters_after(self, word, letters):
+        """No letter below the last one: the word stays sorted."""
+        return letters[word[-1]:] if word else letters
 
     def _divisions(self, word):
         have = Counter(word)
@@ -202,3 +245,7 @@ class MultisetIndex:
                 u, u2 = (bytes(sorted(c.elements())) for c in (lcm - counts[i], lcm - counts[j]))
                 out.append((i, j, u, EMPTY, u2, EMPTY))
         return out
+
+
+FREE = FreeConcat()
+COMMUTATIVE = CommutativeMerge()

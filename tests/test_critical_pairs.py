@@ -1,10 +1,10 @@
-"""Each lead-word index's ``critical_pairs`` against the per-pair family
-it replaced.
+"""Each oracle's ``critical_pairs``, built on a set's leading words,
+against the per-pair family it replaced.
 
 The reference below is the old enumeration, kept only here: ``overlaps``
 of two words in both directions, the collision of two generators with
 equal leading words inserted first, the least-common-multiple pairing of
-the commutative oracle through a two-word ``MultisetIndex``, and the
+the commutative oracle through a two-word ``CommutativeMerge``, and the
 ``i <= j`` double loop.  Its placements are (u, v, u2, v2, ambiguity)
 tuples, and its pairs were listed by a stable sort on (ambiguity, i, j),
 so emission order broke ties; ``_pair_order`` is a total order, and it
@@ -18,9 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from ugb import COMMUTATIVE, EMPTY, FREE
-from ugb.poly import MultisetIndex
 from ugb.spolys import SPoly, _pair_order
-from ugb.words import _deglex
+from ugb.words import CommutativeMerge, _deglex
 
 
 def _factorizations(needle, haystack):
@@ -63,7 +62,7 @@ def reference_commutative(w, w2, same_gen):
     if same_gen:
         return []
     ambiguity = bytes(sorted((Counter(w) | Counter(w2)).elements()))
-    (_, u, v), (_, u2, v2) = MultisetIndex((w, w2)).matches(ambiguity)
+    (_, u, v), (_, u2, v2) = CommutativeMerge((w, w2)).matches(ambiguity)
     return [(u, v, u2, v2, ambiguity)]
 
 
@@ -96,7 +95,7 @@ def assert_matches_reference(oracle, lead_words):
         lead_words = [bytes(sorted(w)) for w in lead_words]
     lead_words = tuple(lead_words)
     for first_new in range(len(lead_words) + 1):
-        got = _ordered(oracle, lead_words, oracle.lead_index(lead_words).critical_pairs(first_new))
+        got = _ordered(oracle, lead_words, type(oracle)(lead_words).critical_pairs(first_new))
         assert got == reference_pairs(oracle, lead_words, first_new), (lead_words, first_new)
 
 

@@ -29,7 +29,7 @@ from ugb import (
     s_polynomials,
 )
 from ugb.spolys import SPoly, _pair_order
-from ugb.words import FactorIndex, _deglex
+from ugb.words import FreeConcat, _deglex
 
 AZ = Algebra(ZZ, ["x", "y"])
 X, Y = 0, 1
@@ -555,7 +555,7 @@ def _count_inits(monkeypatch, cls):
 def test_one_lead_index_per_generating_set(monkeypatch):
     # the set's index lists the pairs itself, so listing them, checking the
     # set and completing it build no index beyond the one of each GenSet
-    indexes = _count_inits(monkeypatch, FactorIndex)
+    indexes = _count_inits(monkeypatch, FreeConcat)
     gensets = _count_inits(monkeypatch, GenSet)
     A = Algebra(Zmod(4), ["x", "y"])
     G = GenSet([parse_poly(A, t) for t in ("y x + x x", "x y + 1", "y y + y")], A)

@@ -5,9 +5,9 @@ from itertools import combinations_with_replacement, product
 import pytest
 from hypothesis import given, strategies as st
 
-from ugb import EMPTY, FREE, ZZ, Algebra, Alphabet
+from ugb import COMMUTATIVE, EMPTY, FREE, ZZ, Algebra, Alphabet, GenSet, parse_poly
 from ugb.spolys import SPoly, _pair_order
-from ugb.words import FactorIndex, MultisetIndex, _deglex
+from ugb.words import CommutativeMerge, FreeConcat, _deglex
 
 words = st.lists(st.integers(0, 2), max_size=6).map(bytes)
 nonempty_words = st.lists(st.integers(0, 2), min_size=1, max_size=5).map(bytes)
@@ -95,13 +95,45 @@ def test_order_is_total_and_ranked():
             assert chain <= len(all_words)
 
 
+def _public_methods(cls):
+    return {name for name, value in vars(cls).items() if callable(value) and not name.startswith("_")}
+
+
+def test_both_oracles_hold_one_protocol():
+    assert FREE.name == "free" and COMMUTATIVE.name == "commutative"
+    assert _public_methods(FreeConcat) == _public_methods(CommutativeMerge) == {
+        "context", "is_basis_word", "letters_after",
+        "first", "divides_extension", "matches", "critical_pairs",
+    }
+
+
+@pytest.mark.parametrize("oracle", [FREE, COMMUTATIVE])
+def test_singleton_oracles_index_no_lead_words(oracle):
+    # the free and the polynomial algebra: the quotient by the empty set
+    for word in (EMPTY, b"\x00", b"\x00\x01", b"\x01\x01\x02"):
+        assert oracle.is_basis_word(word)
+        assert oracle.first(word) is None
+        assert oracle.matches(word) == []
+        assert not oracle.divides_extension(word)
+    assert oracle.critical_pairs(0) == []
+
+
+@pytest.mark.parametrize("oracle", [FREE, COMMUTATIVE])
+def test_a_generating_set_indexes_with_its_oracle_class(oracle):
+    A = Algebra(ZZ, ["x", "y"], oracle)
+    G = GenSet([parse_poly(A, "y y - x"), parse_poly(A, "x y")], A)
+    assert type(G.leads) is type(G.algebra.oracle)
+    assert G.leads is not oracle
+    assert G.leads.first(b"\x00\x01\x01") is not None
+
+
 def test_factor_index_matches_examples():
     x, y = b"\x00", b"\x01"
-    assert FactorIndex([x]).matches(x + y + x) == [(0, EMPTY, y + x), (0, x + y, EMPTY)]
-    assert FactorIndex([x + y]).matches(y + x) == []
+    assert FreeConcat([x]).matches(x + y + x) == [(0, EMPTY, y + x), (0, x + y, EMPTY)]
+    assert FreeConcat([x + y]).matches(y + x) == []
     # sliding window: x x occurs in x x x at offsets 0 and 1
-    assert FactorIndex([x + x]).matches(x + x + x) == [(0, EMPTY, x), (0, x, EMPTY)]
-    assert FactorIndex([EMPTY]).matches(x + y) == [
+    assert FreeConcat([x + x]).matches(x + x + x) == [(0, EMPTY, x), (0, x, EMPTY)]
+    assert FreeConcat([EMPTY]).matches(x + y) == [
         (0, EMPTY, x + y), (0, x, y), (0, x + y, EMPTY),
     ]
 
@@ -113,7 +145,7 @@ def test_factor_index_finds_every_position(needle, haystack):
         for i in range(len(haystack) - len(needle) + 1)
         if haystack[i:i + len(needle)] == needle
     ]
-    index = FactorIndex([needle])
+    index = FreeConcat([needle])
     outs = index.matches(haystack)
     assert [len(u) for _, u, _ in outs] == positions
     assert (index.first(haystack) is not None) == bool(positions)
@@ -124,13 +156,13 @@ def test_factor_index_finds_every_position(needle, haystack):
 
 @given(st.lists(words, max_size=6), st.lists(st.integers(0, 2), max_size=12).map(bytes))
 def test_factor_index_first_is_head_of_matches(leads, word):
-    index = FactorIndex(leads)
+    index = FreeConcat(leads)
     assert index.first(word) == (index.matches(word) or [None])[0]
 
 
 @given(lead_sets(binary_leads))
 def test_divides_extension_is_the_suffix_test(leads):
-    index = FactorIndex(leads)
+    index = FreeConcat(leads)
     for d in range(6):
         for w in map(bytes, product(range(2), repeat=d)):
             # on any word it asks only whether a lead word ends it
@@ -143,7 +175,7 @@ def test_divides_extension_is_the_suffix_test(leads):
 
 @given(lead_sets(sorted_leads))
 def test_multiset_divides_extension_is_the_full_test(leads):
-    index = MultisetIndex(leads)
+    index = CommutativeMerge(leads)
 
     def divisible(w):
         return any(not Counter(lead) - Counter(w) for lead in leads)
@@ -162,7 +194,7 @@ def pairs(*lead_words):
     """The free oracle's critical pairs of the lead words, in pair order,
     each as (i, j, u, v, u2, v2, ambiguity) with ambiguity = u + w_i + v."""
     out = [(i, j, u, v, u2, v2, u + lead_words[i] + v)
-           for i, j, u, v, u2, v2 in FREE.lead_index(lead_words).critical_pairs(0)]
+           for i, j, u, v, u2, v2 in FreeConcat(lead_words).critical_pairs(0)]
     return sorted(out, key=lambda p: _pair_order(SPoly(p[0], p[1], p[2], p[4], p[6], None)))
 
 
