@@ -83,6 +83,8 @@ class RationalField(Ring):
         return self.coerce(Fraction(x))
 
     def inv_unit(self, a):
+        if a == 1 or a == -1:  # the leading coefficient of most generators
+            return int(a)
         return self.coerce(Fraction(1, a)) if a else None
 
     def quotient(self, a, b):
@@ -92,6 +94,8 @@ class RationalField(Ring):
     def parse(self, text):
         if not _RAT_RE.match(text):
             raise ValueError(f"not a rational: {text!r}")
+        if "/" not in text:
+            return int(text)
         try:
             return self.coerce(Fraction(text))
         except ZeroDivisionError:

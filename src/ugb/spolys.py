@@ -6,8 +6,9 @@ generators whose leading terms meet at one ambiguity word; the scaling
 divides by the (unit) leading coefficients, so coefficients stay small
 and nothing outside the unit group is ever inverted.
 
-The set's lead-word index (``GenSet.leads``) lists the whole pair
-family (``critical_pairs``), the diamond-lemma family of its oracle; see
+The set's lead-word index (``GenSet.leads``) lists the pair family
+(``critical_pairs``), the diamond-lemma family of its oracle, whole or
+only the pairs that involve the generators from a given index on; see
 :mod:`ugb.words`.
 """
 
@@ -88,12 +89,13 @@ def s_polynomials(G):
     return sorted(_spolys(G, 0), key=_pair_order)
 
 
-def _failures(spolys, G):
-    """(s-polynomial, first-match trace) for each of spolys whose
-    remainder against G is nonzero, in the order given."""
+def _failures(pending, G):
+    """(s-polynomial, first-match trace) for each (s-polynomial, dividend)
+    of pending whose dividend has a nonzero remainder against G, in the
+    order given."""
     out = []
-    for sp in spolys:
-        trace = divide(sp.value, G)
+    for sp, f in pending:
+        trace = divide(f, G)
         if not trace.remainder.is_zero():
             out.append((sp, trace))
     return out
@@ -107,7 +109,7 @@ def check_groebner(G):
     exact and unconditional.
     """
     spolys = s_polynomials(G)
-    return GBReport(len(spolys), tuple(_failures(spolys, G)))
+    return GBReport(len(spolys), tuple(_failures([(sp, sp.value) for sp in spolys], G)))
 
 
 def require_groebner(G):
@@ -127,13 +129,19 @@ def complete(G, max_degree, max_rounds=8):
     most max_degree.
 
     The first round divides every s-polynomial of the input.  Each later
-    round divides only the pairs that failed in the round before and the
-    new pairs, those involving an adjoined generator.  A pair that divided
-    to zero stays zero: adjoined generators come after the old ones and
-    the first match is the lowest generator index that divides, so the
-    division that matched old generators at every step takes the same
-    steps against the larger set.  The verdict, the adjoined generators
-    and the exceptions are those of running the full check every round.
+    round divides the new pairs, those involving an adjoined generator,
+    and carries each pair that failed in the round before with its
+    remainder, which alone is divided against the larger set.  That gives
+    the remainder of dividing the s-polynomial itself: adjoined generators
+    come after the old ones and the first match is the lowest generator
+    index that divides, so every word an old generator reduced is reduced
+    by the same step against the larger set.  A word's rewrite depends
+    only on the word, so the remainder N(f) is linear in f, and f - N(f)
+    is a sum of such steps, whose remainder is zero; hence N'(N(f)) ==
+    N'(f) for the larger set's N', and a pair that divided to zero stays
+    zero.  Only the failures are sorted, by ``_pair_order``, before they
+    are adjoined.  The verdict, the adjoined generators and the exceptions
+    are those of running the full check every round.
 
     Already-complete input is returned unchanged.  Raises
     NonUnitalRemainder when a failing remainder has a non-unit leading
@@ -150,11 +158,12 @@ def complete(G, max_degree, max_rounds=8):
     first_new = 0
     failed = []
     for _ in range(max_rounds):
-        new = _spolys(current, first_new)
-        pending = sorted([sp for sp, _ in failed] + new, key=_pair_order)
+        pending = [(sp, trace.remainder) for sp, trace in failed]
+        pending += [(sp, sp.value) for sp in _spolys(current, first_new)]
         failed = _failures(pending, current)
         if not failed:
             return current
+        failed.sort(key=lambda failure: _pair_order(failure[0]))
         additions = []
         for sp, trace in failed:
             if len(sp.ambiguity) > max_degree:

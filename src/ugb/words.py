@@ -164,32 +164,59 @@ class FreeConcat:
     def critical_pairs(self, first_new):
         """(i, j, u, v, u2, v2) for i <= j, j >= first_new, placing both
         lead words on one ambiguity word u * w_i * v == u2 * w_j * v2: the
-        diamond-lemma family of proper overlaps (a suffix table probed with
-        prefixes) and inclusions (``matches``).  Equal lead words meet
-        once, at the word itself, and overlap one way only; no generator
-        includes itself, and an empty lead word is included at every cut.
-        Disjoint placements always reduce to zero for unital pairs and are
-        not enumerated."""
+        diamond-lemma family of proper overlaps and inclusions.  Equal lead
+        words meet once, at the word itself, and overlap one way only; no
+        generator includes itself, and an empty lead word is included at
+        every cut.  Disjoint placements always reduce to zero for unital
+        pairs and are not enumerated.
+
+        Only the new lead words, from index first_new on, are visited, so a
+        later completion round pays for no old-old placement.  A new word's
+        prefixes probe a table of every proper suffix and its suffixes a
+        table of the old words' proper prefixes; ``matches`` finds the
+        words inside a new word, and ``bytes.find`` the new word inside
+        longer old ones."""
         lead_words = self.lead_words
+        if first_new >= len(lead_words):
+            return []
         ends_in = {}
         for a, w in enumerate(lead_words):
             for t in range(1, len(w)):
                 ends_in.setdefault(w[len(w) - t:], []).append(a)
+        old = lead_words[:first_new]
+        starts_in = {}
+        for b, w in enumerate(old):
+            for t in range(1, len(w)):
+                starts_in.setdefault(w[:t], []).append(b)
         # each placement once, as (a, u, v, b, u2, v2) with u w_a v == u2 w_b v2
         found = []
-        for b, w in enumerate(lead_words):
-            # a suffix of lead_words[a] is the prefix w[:t]
-            for t in range(1, len(w)):
+        for c in range(first_new, len(lead_words)):
+            w = lead_words[c]
+            n = len(w)
+            for t in range(1, n):
+                # a suffix of lead_words[a] is the prefix w[:t]
                 for a in ends_in.get(w[:t], ()):
                     wa = lead_words[a]
-                    if a <= b or wa != w:
-                        found.append((a, EMPTY, w[t:], b, wa[:len(wa) - t], EMPTY))
+                    if a <= c or wa != w:
+                        found.append((a, EMPTY, w[t:], c, wa[:len(wa) - t], EMPTY))
+                # the suffix w[n - t:] is a prefix of the old lead_words[b]
+                for b in starts_in.get(w[n - t:], ()):
+                    wb = old[b]
+                    if wb != w:
+                        found.append((c, EMPTY, wb[t:], b, w[:n - t], EMPTY))
             # lead_words[a] is a factor of w; an equal word is met only from below
             for a, u, v in self.matches(w):
-                if a < b or len(lead_words[a]) < len(w):
-                    found.append((a, u, v, b, EMPTY, EMPTY))
+                if a < c or len(lead_words[a]) < n:
+                    found.append((a, u, v, c, EMPTY, EMPTY))
+            # w is a factor of a longer old lead word
+            for b, wb in enumerate(old):
+                if len(wb) > n:
+                    p = wb.find(w)
+                    while p >= 0:
+                        found.append((c, wb[:p], wb[p + n:], b, EMPTY, EMPTY))
+                        p = wb.find(w, p + 1)
         return [(a, b, u, v, u2, v2) if a <= b else (b, a, u2, v2, u, v)
-                for a, u, v, b, u2, v2 in found if max(a, b) >= first_new]
+                for a, u, v, b, u2, v2 in found]
 
 
 class CommutativeMerge:

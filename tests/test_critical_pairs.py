@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import helpers
 from ugb import COMMUTATIVE, EMPTY, FREE
 from ugb.spolys import SPoly, _pair_order
-from ugb.words import CommutativeMerge, _deglex
+from ugb.words import CommutativeMerge, FreeConcat, _deglex
 
 
 def _factorizations(needle, haystack):
@@ -126,3 +126,22 @@ def test_pairs_match_reference_on_repeated_and_nested_words():
         for oracle in (FREE, COMMUTATIVE):
             assert_matches_reference(oracle, lead_words)
 
+
+def test_listing_visits_only_new_lead_words(monkeypatch):
+    # a later completion round pays for no old-old placement: with k new
+    # lead words ``matches`` runs at most k times, and with none not at all
+    calls = []
+    matches = FreeConcat.matches
+    monkeypatch.setattr(FreeConcat, "matches", lambda self, word: calls.append(word) or matches(self, word))
+    rng = random.Random(33)
+    for _ in range(200):
+        lead_words = tuple(bytes(rng.randrange(2) for _ in range(rng.randint(0, 4)))
+                           for _ in range(rng.randint(1, 8)))
+        index = FreeConcat(lead_words)
+        for first_new in range(len(lead_words) + 1):
+            calls.clear()
+            pairs = index.critical_pairs(first_new)
+            assert len(calls) <= len(lead_words) - first_new
+            assert all(j >= first_new for _, j, *_ in pairs)
+        # the last first_new is len(lead_words): no new word, no work
+        assert pairs == [] and calls == []

@@ -597,6 +597,31 @@ def test_zero_pairs_divide_identically_after_appending_generators(oracle):
     assert checked > 200
 
 
+@pytest.mark.parametrize("oracle", [FREE, COMMUTATIVE])
+def test_remainders_carry_across_appended_generators(oracle):
+    # complete resumes a failed pair from its remainder: against a set with
+    # generators appended, the remainder divides to the remainder of the
+    # dividend itself, zero or not, because every old step is still the
+    # first match and the first-match remainder is linear
+    rng = random.Random(33)
+    carried = 0
+    for case in range(160):
+        ring = (ZZ, QQ, Zmod(4), Zmod(6))[case % 4]
+        algebra = Algebra(ring, ["x", "y"], oracle)
+        G = _random_unital_set(rng, algebra)
+        extra = tuple(helpers.random_unital_poly(rng, algebra, max_deg=2, max_terms=3)
+                      for _ in range(rng.randint(1, 3)))
+        bigger = GenSet(G.gens + extra, algebra)
+        dividends = [sp.value for sp in s_polynomials(G)]
+        dividends += [helpers.random_poly(rng, algebra, max_deg=5) for _ in range(4)]
+        for f in dividends:
+            remainder = divide(f, G).remainder
+            final = divide(f, bigger).remainder
+            assert divide(remainder, bigger).remainder == final, (G, extra, f)
+            carried += not final.is_zero() and final != remainder
+    assert carried > 100
+
+
 def test_complete_divides_only_new_and_failed_pairs(monkeypatch):
     # perturbed sl2 PBW over Q completes in two rounds at degree 3; the
     # round-wise loop divides 16 s-polynomials, the incremental one 10
