@@ -9,6 +9,9 @@ its words.  When the set is a verified Groebner basis this normal form
 is unique and independent of the divisor choice: the first match (lowest
 generator index, then leftmost factor) or a seeded random one.
 
+The loop, ``_reduce``, takes a working dict: ``divide`` hands it the
+dividend's terms, the Buchberger check each s-polynomial as built.
+
 Termination is guaranteed because the working leading monomial strictly
 decreases in a well order; the step budget is a defensive guard against
 engine bugs, not expected behavior.
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from .errors import BudgetExceeded, EngineInvariantBroken, NotUnital
 from .poly import Poly, ensure_same_algebra
@@ -99,7 +102,12 @@ def divide(f, G, seed=None, step_budget=DEFAULT_STEP_BUDGET):
     if step_budget <= 0:
         raise ValueError("step_budget must be positive")
     rng = None if seed is None else random.Random(seed)
+    return _reduce({w: c for c, w in f.terms}, G, rng, step_budget)
 
+
+def _reduce(working, G, rng=None, step_budget=DEFAULT_STEP_BUDGET):
+    """The loop of ``divide`` on a working dict, word -> nonzero
+    coefficient, which it consumes; the caller has run the guards."""
     algebra = G.algebra
     coerce = algebra.ring.coerce
     context = algebra.oracle.context
@@ -107,16 +115,14 @@ def divide(f, G, seed=None, step_budget=DEFAULT_STEP_BUDGET):
     inv_leads = G.inv_leads
     gens = G.gens
 
-    working = {w: c for c, w in f.terms}
     # Max-heap of the words entering ``working``: each entry is the triple
     # (-len(w), w.translate(NEG), w), so that the least entry is the
     # graded-lex greatest word, read back as entry[2].  Both keys compare
     # in C, and the complemented word decides only between equal lengths.
-    # The terms of f descend in that order, so their ascending entries are
-    # already a heap.
     # A word that leaves ``working`` leaves a stale entry, dropped when it
     # is popped; a word that cancels and comes back gets a second entry.
-    heap = [(-len(w), w.translate(NEG), w) for _, w in f.terms]
+    heap = [(-len(w), w.translate(NEG), w) for w in working]
+    heapify(heap)
     steps = []
     peeled = []
     prev = ()  # below every heap entry

@@ -5,7 +5,8 @@ basis-multiplication oracle; the monomial order is the fixed graded lex
 of :mod:`ugb.words`.  A :class:`Poly` is an immutable tuple of
 (coefficient, word) terms, strictly descending in the order, so the
 leading term is ``terms[0]``.  ``Algebra.poly``, ``+``, ``-`` and ``*``
-lay terms out through one normaliser, ``Algebra._sum``; ``scale`` and
+lay terms out through one normaliser, ``Algebra._sum``, whose layout
+half ``Algebra._layout`` also lays out s-polynomials; ``scale`` and
 negation keep the layout they are given.
 
 The oracle protocol (the word product ``context``, the basis test, the
@@ -95,8 +96,7 @@ class Algebra:
     def _sum(self, terms):
         """The polynomial of trusted terms, (nonzero ring element, basis
         word) pairs.  Like terms merge and drop when they cancel, the only
-        place a zero can arise; words come out strictly descending in
-        graded lex, by C-level bytes comparison, then stably by length."""
+        place a zero can arise; then ``_layout``."""
         coerce = self.ring.coerce
         acc = {}
         for c, w in terms:
@@ -106,6 +106,11 @@ class Algebra:
                     del acc[w]
                     continue
             acc[w] = c
+        return self._layout(acc)
+
+    def _layout(self, acc):
+        """The polynomial of a dict, basis word -> nonzero ring element: words
+        descending in graded lex, by C-level bytes order, then by length."""
         words = sorted(sorted(acc, reverse=True), key=len, reverse=True)
         return Poly(self, tuple([(acc[w], w) for w in words]))
 

@@ -9,14 +9,15 @@ and nothing outside the unit group is ever inverted.
 The set's lead-word index (``GenSet.leads``) lists the pair family
 (``critical_pairs``), the diamond-lemma family of its oracle, whole or
 only the pairs that involve the generators from a given index on; see
-:mod:`ugb.words`.
+:mod:`ugb.words`.  The check and completion divide each s-polynomial as
+built; its ``SPoly`` is laid out only for the listing or a failure.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .division import GenSet, divide
+from .division import GenSet, _reduce
 from .errors import EngineInvariantBroken, NonUnitalRemainder, NotAGroebnerBasis, RoundsExceeded
 from .words import _deglex
 
@@ -50,22 +51,31 @@ class SPoly(namedtuple("SPoly", "i j u u2 ambiguity value")):
 
 
 def _make_spoly(G, i, j, u, v, u2, v2):
-    """Both scaled context products in one merge, the second scaled by the
-    negated inverse; the oracle's context words are not re-checked."""
-    algebra = G.algebra
-    coerce = algebra.ring.coerce
-    context = algebra.oracle.context
-    terms = []
-    for c, k, left, right in ((G.inv_leads[i], i, u, v), (coerce(-G.inv_leads[j]), j, u2, v2)):
-        for tc, tw in G.gens[k].terms:
-            nc = coerce(c * tc)
-            if nc:  # _sum trusts its terms to be nonzero
-                terms.append((nc, context(left, tw, right)))
-    value = algebra._sum(terms)
+    """Ambiguity word and s-polynomial, as a division working dict, of one
+    placement: the first scaled context product (no zero: a unit scales
+    it), minus the second; context words are not re-checked.  Both must
+    lead at the ambiguity word and cancel there, leaving every word below."""
+    coerce = G.algebra.ring.coerce
+    context = G.algebra.oracle.context
+    c = G.inv_leads[i]
+    working = {context(u, tw, v): coerce(c * tc) for tc, tw in G.gens[i].terms}
+    c = G.inv_leads[j]
+    for tc, tw in G.gens[j].terms:
+        w = context(u2, tw, v2)
+        nc = coerce(working.pop(w, 0) - c * tc)
+        if nc:
+            working[w] = nc
     ambiguity = context(u, G.lead_words[i], v)
-    if not (value.is_zero() or _deglex(value.lm()) < _deglex(ambiguity)):
+    if ambiguity in working or context(u2, G.lead_words[j], v2) != ambiguity:
         raise EngineInvariantBroken("s-polynomial leading terms failed to cancel")
-    return SPoly(i, j, u, u2, ambiguity, value)
+    return ambiguity, working
+
+
+def _spoly(G, pair):
+    """The SPoly of a placement (i, j, u, v, u2, v2), laid out."""
+    i, j, u, _, u2, _ = pair
+    ambiguity, working = _make_spoly(G, *pair)
+    return SPoly(i, j, u, u2, ambiguity, G.algebra._layout(working))
 
 
 def _pair_order(sp):
@@ -74,30 +84,29 @@ def _pair_order(sp):
     return (_deglex(sp.ambiguity), sp.i, sp.j, len(sp.u), len(sp.u2))
 
 
-def _spolys(G, first_new):
-    """s-polynomials of the pairs (i, j), i <= j, with j >= first_new,
-    unsorted."""
-    return [_make_spoly(G, *pair) for pair in G.leads.critical_pairs(first_new)]
-
-
 def s_polynomials(G):
     """All critical-pair s-polynomials of the set, ascending by ambiguity.
 
     Zero-valued s-polynomials are kept: they count as checked pairs.
     """
     G.require_unital()
-    return sorted(_spolys(G, 0), key=_pair_order)
+    return sorted([_spoly(G, pair) for pair in G.leads.critical_pairs(0)], key=_pair_order)
 
 
-def _failures(pending, G):
-    """(s-polynomial, first-match trace) for each (s-polynomial, dividend)
-    of pending whose dividend has a nonzero remainder against G, in the
-    order given."""
+def _failures(G, pairs, failed=()):
+    """(s-polynomial, first-match trace), sorted by ``_pair_order``, of each
+    placement in pairs and each (s-polynomial, trace) of failed (only its
+    remainder is divided again) that leaves a nonzero remainder."""
     out = []
-    for sp, f in pending:
-        trace = divide(f, G)
-        if not trace.remainder.is_zero():
+    for sp, trace in failed:
+        trace = _reduce({w: c for c, w in trace.remainder.terms}, G)
+        if trace.remainder.terms:
             out.append((sp, trace))
+    for pair in pairs:
+        trace = _reduce(_make_spoly(G, *pair)[1], G)
+        if trace.remainder.terms:
+            out.append((_spoly(G, pair), trace))
+    out.sort(key=lambda failure: _pair_order(failure[0]))
     return out
 
 
@@ -105,11 +114,13 @@ def check_groebner(G):
     """Buchberger criterion: the set is a Groebner basis iff every
     s-polynomial divides to zero remainder (first-match division).
 
-    The pair family is finite for both shipped oracles, so the verdict is
-    exact and unconditional.
+    Witnesses come in the order of ``s_polynomials``.  The pair family is
+    finite for both shipped oracles, so the verdict is exact and
+    unconditional.
     """
-    spolys = s_polynomials(G)
-    return GBReport(len(spolys), tuple(_failures([(sp, sp.value) for sp in spolys], G)))
+    G.require_unital()
+    pairs = G.leads.critical_pairs(0)
+    return GBReport(len(pairs), tuple(_failures(G, pairs)))
 
 
 def require_groebner(G):
@@ -128,20 +139,20 @@ def complete(G, max_degree, max_rounds=8):
     Buchberger check passes, restricted to ambiguity words of length at
     most max_degree.
 
-    The first round divides every s-polynomial of the input.  Each later
-    round divides the new pairs, those involving an adjoined generator,
-    and carries each pair that failed in the round before with its
-    remainder, which alone is divided against the larger set.  That gives
-    the remainder of dividing the s-polynomial itself: adjoined generators
-    come after the old ones and the first match is the lowest generator
-    index that divides, so every word an old generator reduced is reduced
-    by the same step against the larger set.  A word's rewrite depends
-    only on the word, so the remainder N(f) is linear in f, and f - N(f)
-    is a sum of such steps, whose remainder is zero; hence N'(N(f)) ==
-    N'(f) for the larger set's N', and a pair that divided to zero stays
-    zero.  Only the failures are sorted, by ``_pair_order``, before they
-    are adjoined.  The verdict, the adjoined generators and the exceptions
-    are those of running the full check every round.
+    The first round divides every pair of the input, as ``check_groebner``
+    does.  Each later round divides the new pairs, those involving an
+    adjoined generator, and carries each pair that failed in the round
+    before with its remainder, which alone is divided against the larger
+    set.  That gives the remainder of dividing the s-polynomial itself:
+    adjoined generators come after the old ones and the first match is the
+    lowest generator index that divides, so every word an old generator
+    reduced is reduced by the same step against the larger set.  A word's
+    rewrite depends only on the word, so the remainder N(f) is linear in
+    f, and f - N(f) is a sum of such steps, whose remainder is zero; hence
+    N'(N(f)) == N'(f) for the larger set's N', and a pair that divided to
+    zero stays zero.  The failures are sorted, by ``_pair_order``, before
+    they are adjoined.  The verdict, the adjoined generators and the
+    exceptions are those of running the full check every round.
 
     Already-complete input is returned unchanged.  Raises
     NonUnitalRemainder when a failing remainder has a non-unit leading
@@ -158,12 +169,9 @@ def complete(G, max_degree, max_rounds=8):
     first_new = 0
     failed = []
     for _ in range(max_rounds):
-        pending = [(sp, trace.remainder) for sp, trace in failed]
-        pending += [(sp, sp.value) for sp in _spolys(current, first_new)]
-        failed = _failures(pending, current)
+        failed = _failures(current, current.leads.critical_pairs(first_new), failed)
         if not failed:
             return current
-        failed.sort(key=lambda failure: _pair_order(failure[0]))
         additions = []
         for sp, trace in failed:
             if len(sp.ambiguity) > max_degree:

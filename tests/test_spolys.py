@@ -152,28 +152,81 @@ def test_spolys_match_scale_and_subtract_reference(seed, ring, oracle):
         assert any(sp.i == sp.j == 0 for sp in sps)
 
 
+def complete_to_degree_4(G):
+    return complete(G, max_degree=4)
+
+
+# Entries that build s-polynomials: each one checks the cancellation itself
+_SPOLY_ENTRIES = [s_polynomials, check_groebner, complete_to_degree_4]
+
+
+class _Listing:
+    """A lead-word index that lists the given placements and records each
+    listing; the tests that use it raise before any division."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+        self.listed = []
+
+    def critical_pairs(self, first_new):
+        self.listed.append(first_new)
+        return self.pairs
+
+
 _BROKEN_SPOLY_INVERSE = textwrap.dedent("""
-    from ugb import QQ, Algebra, EngineInvariantBroken, GenSet, s_polynomials
+    from ugb import QQ, ZZ, Algebra, EngineInvariantBroken, FreeConcat, GenSet, check_groebner, complete, s_polynomials
 
     A = Algebra(QQ, ["x", "y"])
     G = GenSet([A.poly([(1, (0, 1)), (-1, ())]), A.poly([(1, (1, 0)), (-1, ())])], A)
     G.inv_leads = (QQ.coerce(2), QQ.coerce(1))  # the true inverses are 1 and 1
-    try:
-        s_polynomials(G)
-    except EngineInvariantBroken as exc:
-        print(exc)
+
+    class Misplaced(FreeConcat):
+        def critical_pairs(self, first_new):
+            return [(0, 1, b"", b"", b"", b"")]
+
+    AZ = Algebra(ZZ, ["x", "y"])
+    H = GenSet([AZ.poly([(1, (0,)), (-1, ())]), AZ.poly([(1, (1,)), (1, (0,))])], AZ)
+    H.leads = Misplaced(H.lead_words)
+    for entry in (s_polynomials, check_groebner, lambda G: complete(G, 4)):
+        for broken in (G, H):
+            try:
+                entry(broken)
+            except EngineInvariantBroken as exc:
+                print(exc)
 """)
 
 
 def test_broken_lead_inverse_breaks_spoly_cancellation():
     # {xy - 1, yx - 1} meet at xyx; with 2 in place of the first inverse
-    # the s-polynomial is 2(xyx - x) - (xyx - x), led by the ambiguity word
-    G = helpers.gset(AZ, [(1, (X, Y)), (-1, ())], [(1, (Y, X)), (-1, ())])
-    G.inv_leads = (2, 1)
-    with pytest.raises(EngineInvariantBroken, match="s-polynomial leading terms failed to cancel"):
-        s_polynomials(G)
-    expected = "s-polynomial leading terms failed to cancel\n"
+    # the s-polynomial is 2(xyx - x) - (xyx - x), led by the ambiguity word.
+    # Under -O the script also runs the misplaced pair of the test below
+    for entry in _SPOLY_ENTRIES:
+        G = helpers.gset(AZ, [(1, (X, Y)), (-1, ())], [(1, (Y, X)), (-1, ())])
+        G.inv_leads = (2, 1)
+        with pytest.raises(EngineInvariantBroken, match="s-polynomial leading terms failed to cancel"):
+            entry(G)
+    expected = "s-polynomial leading terms failed to cancel\n" * 6
     assert helpers.run_optimized(_BROKEN_SPOLY_INVERSE) == expected
+
+
+@pytest.mark.parametrize("entry", _SPOLY_ENTRIES, ids=lambda entry: entry.__name__)
+def test_second_placement_must_lead_at_the_ambiguity_word(entry):
+    # {x - 1, y + x} listed with both placements empty: the terms at the
+    # ambiguity word x cancel, but the second product is led by y > x, so
+    # the s-polynomial -y - 1 is not below its ambiguity word
+    G = helpers.gset(AZ, [(1, (X,)), (-1, ())], [(1, (Y,)), (1, (X,))])
+    G.leads = _Listing([(0, 1, b"", b"", b"", b"")])
+    with pytest.raises(EngineInvariantBroken, match="s-polynomial leading terms failed to cancel"):
+        entry(G)
+
+
+@pytest.mark.parametrize("entry", _SPOLY_ENTRIES, ids=lambda entry: entry.__name__)
+def test_non_unital_input_is_refused_before_pairs_are_listed(entry):
+    G = helpers.gset(AZ, [(1, (X, X)), (-1, (Y,))], [(2, (Y, X)), (1, (X,))])
+    G.leads = _Listing([])
+    with pytest.raises(NotUnital):
+        entry(G)
+    assert G.leads.listed == []
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +453,34 @@ def test_criterion_completeness_witness_is_a_member():
     assert not trace.remainder.is_zero()
 
 
+def _witness(witness):
+    sp, trace = witness
+    return _fields(sp), trace.steps, _typed(trace.remainder)
+
+
+@pytest.mark.parametrize("oracle", [FREE, COMMUTATIVE])
+def test_check_groebner_is_its_definition(oracle):
+    # every s-polynomial is checked, and the witnesses are those that
+    # divide to a nonzero remainder, with their traces, in the order of
+    # s_polynomials, which is not the order the pairs are listed in
+    rng = random.Random(34)
+    reordered = 0
+    for case in range(200):
+        ring = (ZZ, QQ, Zmod(4), Zmod(6))[case % 4]
+        algebra = Algebra(ring, ["x", "y", "z"], oracle)
+        G = _random_unital_set(rng, algebra)
+        spolys = s_polynomials(G)
+        expected = [(sp, divide(sp.value, G)) for sp in spolys]
+        expected = [(sp, trace) for sp, trace in expected if not trace.remainder.is_zero()]
+        report = check_groebner(G)
+        assert report.pairs_checked == len(spolys)
+        assert list(map(_witness, report.witnesses)) == list(map(_witness, expected)), G
+        listed = [(i, j, u, u2) for i, j, u, _, u2, _ in G.leads.critical_pairs(0)]
+        places = [listed.index((sp.i, sp.j, sp.u, sp.u2)) for sp, _ in report.witnesses]
+        reordered += places != sorted(places)
+    assert reordered > 30
+
+
 # ---------------------------------------------------------------------------
 # completion
 
@@ -624,17 +705,18 @@ def test_remainders_carry_across_appended_generators(oracle):
 
 def test_complete_divides_only_new_and_failed_pairs(monkeypatch):
     # perturbed sl2 PBW over Q completes in two rounds at degree 3; the
-    # round-wise loop divides 16 s-polynomials, the incremental one 10
+    # round-wise loop divides 16 s-polynomials, the incremental one 10.
+    # Every pair, new or carried, enters the division loop ``_reduce``
     import ugb.spolys as spolys_module
 
     calls = []
-    real_divide = spolys_module.divide
+    real_reduce = spolys_module._reduce
 
-    def counting_divide(*args, **kwargs):
+    def counting_reduce(*args, **kwargs):
         calls.append(1)
-        return real_divide(*args, **kwargs)
+        return real_reduce(*args, **kwargs)
 
-    monkeypatch.setattr(spolys_module, "divide", counting_divide)
+    monkeypatch.setattr(spolys_module, "_reduce", counting_reduce)
     G = pbw_generators(helpers.perturbed_sl2(QQ))
     result = complete(G, max_degree=3)
     incremental = len(calls)
