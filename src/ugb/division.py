@@ -38,14 +38,13 @@ class GenSet:
     ``inv_leads`` is the per-generator unit record: the inverse of each
     leading coefficient, None where it is not a unit.  Operations that
     invert leading coefficients insist on all of them being units.
-    ``is_unital`` is stored, as every ``divide`` call reads it.
     ``leads`` is the oracle's class built on the leading words, the index
     asked by every division, basis enumeration and pair listing.
     The set is built once and never written again; its generators are
     read through ``gens``.
     """
 
-    __slots__ = ("algebra", "gens", "inv_leads", "is_unital", "lead_words", "leads")
+    __slots__ = ("algebra", "gens", "inv_leads", "lead_words", "leads")
 
     def __init__(self, gens, algebra=None):
         gens = tuple(gens)
@@ -60,9 +59,12 @@ class GenSet:
         self.algebra = algebra
         self.gens = gens
         self.inv_leads = tuple(algebra.ring.inv_unit(g.lc()) for g in gens)
-        self.is_unital = None not in self.inv_leads
         self.lead_words = tuple(g.lm() for g in gens)
         self.leads = type(algebra.oracle)(self.lead_words)
+
+    @property
+    def is_unital(self):
+        return None not in self.inv_leads
 
     def require_unital(self):
         if not self.is_unital:

@@ -62,16 +62,18 @@ class Algebra:
         return f"Algebra({self.ring}, {list(self.alphabet.names)}, {self.oracle.name})"
 
     def check_word(self, word):
-        """The basis word of an iterable of letter indices, as ``bytes``.
-        A bad letter or a non-basis word raises BasisViolation, before
-        ``bytes`` could raise its own error."""
+        """The basis word of an iterable of letter indices, as ``bytes``: the
+        one word check, of parsed and library words alike.  ``bytes`` checks
+        the letters in C and one ``max`` bounds them by the alphabet; a
+        non-iterable, a bad letter or a non-basis word raises BasisViolation."""
         if not isinstance(word, bytes):
-            word = tuple(word)
-        size = self.alphabet.size
-        for letter in word:
-            if not isinstance(letter, int) or not 0 <= letter < size:
-                raise BasisViolation(f"letter index {letter!r} out of range")
-        word = bytes(word)
+            try:
+                word = tuple(word)  # so a message shows an iterator's letters
+                word = bytes(word)
+            except (TypeError, ValueError):
+                raise BasisViolation(f"word {word!r}: a letter index out of range or not an int") from None
+        if word and max(word) >= self.alphabet.size:
+            raise BasisViolation(f"letter index {max(word)} out of range")
         if not self.oracle.is_basis_word(word):
             raise BasisViolation(
                 f"{self.alphabet.word_text(word)!r} is not a basis word of the "

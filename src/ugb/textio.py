@@ -46,13 +46,15 @@ _SIGN_RE = re.compile(r"([+-])")
 
 
 def parse_poly(algebra, text, filename=None, line=None):
-    """Polynomial from its text form; inverse of ``str(poly)``."""
+    """Polynomial from its text form; inverse of ``str(poly)``.  Each
+    symbol token is looked up once, in the symbol table ``alphabet.index``;
+    ``Algebra.poly`` then checks the words, through ``check_word``."""
 
     def fail(message):
         raise ParseError(message, filename, line)
 
     ring = algebra.ring
-    alphabet = algebra.alphabet
+    index = algebra.alphabet.index
 
     def coefficient(token):
         try:
@@ -73,28 +75,29 @@ def parse_poly(algebra, text, filename=None, line=None):
                 continue
             fail("dangling sign at end of polynomial" if k == len(parts) - 1 else "two signs in a row")
         head, *rest = tokens
-        if "*" in head:
+        letter = index.get(head)
+        if letter is not None:
+            coeff = 1
+        elif "*" in head:
             coeff_text, _, symbol = head.partition("*")
             try:
                 coeff = ring.parse(coeff_text)
             except ValueError as exc:
                 fail(str(exc))
-            if not symbol:
-                fail(f"missing word after {head!r}")
-            if symbol != "1" and symbol not in alphabet:
-                fail(f"unknown symbol {symbol!r}")
-        elif head in alphabet:
-            coeff, symbol = 1, head
+            letter = index.get(symbol)
+            if letter is None and symbol != "1":
+                fail(f"unknown symbol {symbol!r}" if symbol else f"missing word after {head!r}")
         else:
-            coeff, symbol = coefficient(head), "1"  # a bare coefficient c is c*1
-        letters = [] if symbol == "1" else [alphabet.index(symbol)]
+            coeff = coefficient(head)  # a bare coefficient c is c*1
+        letters = [] if letter is None else [letter]  # [] is the word 1
         for token in rest:
-            if token not in alphabet:
+            letter = index.get(token)
+            if letter is None:
                 coefficient(token)
                 fail(f"misplaced coefficient {token!r}; write a term as c*w")
-            if symbol == "1":
+            if not letters:
                 fail("a bare coefficient cannot be followed by symbols; use c*w")
-            letters.append(alphabet.index(token))
+            letters.append(letter)
         terms.append((-coeff if k and parts[k - 1] == "-" else coeff, bytes(letters)))
     try:
         return algebra.poly(terms)

@@ -45,9 +45,10 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 
 
 class Alphabet:
-    """Ordered generator names and ``letters``, their one-letter words."""
+    """Ordered generator names, ``letters``, their one-letter words, and
+    ``index``, the symbol table: a dict from each name to its letter index."""
 
-    __slots__ = ("names", "letters", "_index")
+    __slots__ = ("names", "letters", "index")
 
     def __init__(self, names):
         names = tuple(names)
@@ -65,20 +66,11 @@ class Alphabet:
             raise ValueError("an alphabet holds at most 256 symbols")
         self.names = names
         self.letters = tuple(bytes((a,)) for a in range(len(names)))
-        self._index = {s: i for i, s in enumerate(names)}
+        self.index = {s: i for i, s in enumerate(names)}
 
     @property
     def size(self):
         return len(self.names)
-
-    def index(self, name):
-        try:
-            return self._index[name]
-        except KeyError:
-            raise KeyError(f"unknown symbol {name!r}") from None
-
-    def __contains__(self, name):
-        return name in self._index
 
     def word_text(self, word):
         """Space-separated symbol names; the empty word prints as "1"."""

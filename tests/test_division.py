@@ -191,7 +191,7 @@ def test_heap_key_sorts_descending_deglex(words):
 
 def test_long_sl2_division_step_counts(sl2_z):
     A = sl2_z.algebra
-    e, f, h = (A.alphabet.index(name) for name in ("e", "f", "h"))
+    e, f, h = (A.alphabet.index[name] for name in ("e", "f", "h"))
     for n, count in ((4, 800), (5, 3342)):
         trace = divide(A.monomial((h, f, e) * n), sl2_z)
         assert len(trace.steps) == count

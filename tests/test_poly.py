@@ -11,9 +11,12 @@ from ugb import (
     ZZ,
     Algebra,
     AlgebraMismatch,
+    Alphabet,
     BasisViolation,
+    GenSet,
     ZeroPolynomial,
     Zmod,
+    is_normal,
     oracle_from_name,
 )
 from ugb.words import _deglex
@@ -171,13 +174,28 @@ def test_words_of_any_iterable_are_bytes():
 
 @pytest.mark.parametrize("letter", [300, -1, 2, "a", None], ids=["300", "-1", "2", "str", "None"])
 def test_bad_letters_raise_basis_violation(letter):
-    # checked before bytes() sees them: no ValueError or TypeError leaks
+    # no ValueError or TypeError from bytes() leaks
     f = AZ.monomial((0,))
     for call in (
         lambda: AZ.poly([(1, (0, letter))]),
         lambda: AZ.monomial([letter]),
         lambda: f.scale(1, (letter,), ()),
         lambda: f.scale(1, (), (letter,)),
+    ):
+        with pytest.raises(BasisViolation, match="out of range"):
+            call()
+
+
+@pytest.mark.parametrize("word", [5, None, 1.5], ids=["int", "None", "float"])
+def test_non_iterable_words_raise_basis_violation(word):
+    f = AZ.monomial((0,))
+    G = GenSet([f])
+    for call in (
+        lambda: AZ.poly([(1, word)]),
+        lambda: AZ.monomial(word),
+        lambda: f.scale(1, word, ()),
+        lambda: f.scale(1, (), word),
+        lambda: is_normal(word, G),
     ):
         with pytest.raises(BasisViolation, match="out of range"):
             call()
@@ -200,6 +218,15 @@ def test_bytes_words_are_checked_too():
         AZ.poly([(1, b"\x02")])
     with pytest.raises(BasisViolation):
         AC.poly([(1, b"\x01\x00")])
+
+
+def test_equal_values_hash_equal():
+    assert Algebra(ZZ, ["x", "y"]) == AZ and hash(Algebra(ZZ, ["x", "y"])) == hash(AZ)
+    assert Alphabet(["x", "y"]) == AZ.alphabet and hash(Alphabet(["x", "y"])) == hash(AZ.alphabet)
+    terms = [(2, (0, 1)), (1, X), (-3, ())]
+    f, g = AZ.poly(terms), AZ.poly(terms[::-1])
+    assert f == g and hash(f) == hash(g)
+    assert len({f: 1, g: 2}) == 1
 
 
 def test_algebra_mismatches():

@@ -28,7 +28,7 @@ def test_alphabet_validation():
     a = Alphabet(["x", "y"])
     assert a.size == 2
     assert a.letters == (b"\x00", b"\x01")
-    assert a.index("y") == 1
+    assert a.index["y"] == 1
     assert a.word_text(()) == "1"
     assert a.word_text((0, 1, 0)) == "x y x"
     with pytest.raises(ValueError):
