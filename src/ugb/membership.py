@@ -218,10 +218,12 @@ def build_truncation(G, bound):
     and the row filter is exactly len(u) + len(LM(g)) + len(v) <= bound.
     The basis words grow once, degree by degree, by the oracle's
     ``letters_after``; the columns are those levels read backwards, which
-    is descending in the order, and the contexts are read off them.
-    Identical rows (the same polynomial from different contexts) are
-    kept once, first provenance wins.  Rows are ordered by generator,
-    then context degree, then context words.
+    is descending in the order.  Rows follow the generators, then the
+    oracle's ``contexts`` read off the levels: every split (u, v) when
+    free, (1, m) per monomial m when commutative.  A repeated row keeps
+    its first provenance; two generators can give one (commutative x and
+    y both give x y), and so can two free contexts of one (x x - 1 under
+    (x, 1) and (1, x)).
     """
     algebra = G.algebra
     max_lead = max((len(w) for w in G.lead_words), default=0)
@@ -236,23 +238,20 @@ def build_truncation(G, bound):
         levels.append([w + a for w in levels[-1] for a in after(w, letters)])
     columns = [w for level in reversed(levels) for w in reversed(level)]
     context = algebra.oracle.context
+    contexts = algebra.oracle.contexts
     rows = []
     provenance = []
     seen = set()
     for i, g in enumerate(G.gens):
-        room = bound - len(G.lead_words[i])
-        for s in range(room + 1):
-            for a in range(s + 1):
-                for u in levels[a]:
-                    for v in levels[s - a]:
-                        # u and v are basis words and the coefficients
-                        # stay g's own, so this is g.scale(1, u, v)
-                        terms = tuple([(tc, context(u, tw, v)) for tc, tw in g.terms])
-                        if terms in seen:
-                            continue
-                        seen.add(terms)
-                        rows.append(Poly(algebra, terms))
-                        provenance.append((i, u, v))
+        for u, v in contexts(levels, bound - len(G.lead_words[i])):
+            # u and v are basis words and the coefficients stay g's own,
+            # so this is g.scale(1, u, v)
+            terms = tuple([(tc, context(u, tw, v)) for tc, tw in g.terms])
+            if terms in seen:
+                continue
+            seen.add(terms)
+            rows.append(Poly(algebra, terms))
+            provenance.append((i, u, v))
     col_index = {w: t for t, w in enumerate(columns)}
     ring = algebra.ring
     echelon = _Echelon([{col_index[w]: c for c, w in p.terms} for p in rows], ring.quotient, ring.modulus)

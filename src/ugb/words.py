@@ -20,6 +20,9 @@ words and the order above.  Each oracle is one class with one protocol:
 - ``is_basis_word(w)``, the basis test for a word from outside, and
   ``letters_after(word, letters)``, the one growth rule: the one-letter
   words that may follow a basis word, ascending;
+- ``contexts(levels, room)``: from ``levels[d]``, the basis words of
+  degree d, the (left, right) pairs of degree at most ``room`` that give
+  each split's product at its first split, by degree, left degree, words;
 - built on leading words, ``cls(lead_words)``, an index that answers
   every divisibility question about them.  ``first(word)`` is the
   placement ``(gen, left, right)`` with ``context(left, lead_words[gen],
@@ -122,6 +125,11 @@ class FreeConcat:
     def letters_after(self, word, letters):
         """The one-letter words that may follow the basis word: all."""
         return letters
+
+    def contexts(self, levels, room):
+        """Every split: u of degree a and v of degree s - a."""
+        return [(u, v) for s in range(room + 1) for a in range(s + 1)
+                for u in levels[a] for v in levels[s - a]]
 
     def first(self, word):
         best = None
@@ -234,6 +242,10 @@ class CommutativeMerge:
     def letters_after(self, word, letters):
         """No letter below the last one: the word stays sorted."""
         return letters[word[-1]:] if word else letters
+
+    def contexts(self, levels, room):
+        """(1, v) alone: split (u, v) gives the product of (1, sorted(u + v)), met first."""
+        return [(EMPTY, v) for s in range(room + 1) for v in levels[s]]
 
     def _divisions(self, word):
         have = Counter(word)

@@ -346,9 +346,13 @@ def _typed_rows(rows):
     return [[(type(c), c, w) for c, w in p.terms] for p in rows]
 
 
-@pytest.mark.parametrize("oracle", [FREE, COMMUTATIVE], ids=["free", "commutative"])
+@pytest.mark.parametrize("oracle, bound", [
+    pytest.param(FREE, 3, id="free"),
+    pytest.param(COMMUTATIVE, 3, id="commutative"),
+    pytest.param(COMMUTATIVE, 5, id="commutative-5"),
+])
 @pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(4), Zmod(6)], ids=str)
-def test_build_truncation_equals_the_scale_reference(ring, oracle):
+def test_build_truncation_equals_the_scale_reference(ring, oracle, bound):
     rng = random.Random(58)
     algebra = Algebra(ring, ["x", "y", "z"], oracle)
     deduped = False
@@ -358,18 +362,19 @@ def test_build_truncation_equals_the_scale_reference(ring, oracle):
             for _ in range(rng.randint(1, 3))
         ]
         G = GenSet(gens, algebra)
-        T = build_truncation(G, 3)
-        rows, provenance = helpers.reference_truncation(G, 3)
+        T = build_truncation(G, bound)
+        rows, provenance = helpers.reference_truncation(G, bound)
         assert _typed_rows(T.rows) == _typed_rows(rows)
         assert T.provenance == provenance
         assert all(p.algebra == algebra for p in T.rows)
-        contexts = sum(
+        splits = sum(
             len(helpers.basis_words(oracle, 3, a)) * len(helpers.basis_words(oracle, 3, s - a))
-            for w in G.lead_words for s in range(3 - len(w) + 1) for a in range(s + 1)
+            for w in G.lead_words for s in range(bound - len(w) + 1) for a in range(s + 1)
         )
-        deduped |= len(T.rows) < contexts
-    # some contexts gave one row: u * g * v = v * g * u commutatively,
-    # and a monomial's contexts can meet in the free algebra
+        deduped |= len(T.rows) < splits
+    # the reference's every-split loop met repeated rows: u * g * v =
+    # v * g * u commutatively, and a monomial's contexts can meet in the
+    # free algebra
     assert deduped
 
 

@@ -249,6 +249,14 @@ def test_poly_text_forms():
     assert str(AQ.poly([("1/2", Y)])) == "1/2*y"
 
 
+def test_reprs():
+    f = AZ.poly([(2, (0, 1)), (-3, ())])
+    assert repr(f) == "2*x y - 3"
+    assert repr(GenSet([f], AZ)) == "GenSet([2*x y - 3])"
+    assert repr(helpers.sl2()) == "LieAlgebra(Z, rank=3, names=['e', 'f', 'h'])"
+    assert repr(Alphabet(["x", "y"])) == "Alphabet(['x', 'y'])"
+
+
 def test_oracle_from_name():
     assert oracle_from_name("free") is FREE
     assert oracle_from_name("commutative") is COMMUTATIVE

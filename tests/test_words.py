@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 from hypothesis import given, strategies as st
 
+import helpers
 from ugb import COMMUTATIVE, EMPTY, FREE, ZZ, Algebra, Alphabet, GenSet, parse_poly
 from ugb.spolys import SPoly, _pair_order
 from ugb.words import CommutativeMerge, FreeConcat, _deglex
@@ -102,7 +103,7 @@ def _public_methods(cls):
 def test_both_oracles_hold_one_protocol():
     assert FREE.name == "free" and COMMUTATIVE.name == "commutative"
     assert _public_methods(FreeConcat) == _public_methods(CommutativeMerge) == {
-        "context", "is_basis_word", "letters_after",
+        "context", "is_basis_word", "letters_after", "contexts",
         "first", "divides_extension", "matches", "critical_pairs",
     }
 
@@ -125,6 +126,32 @@ def test_a_generating_set_indexes_with_its_oracle_class(oracle):
     assert type(G.leads) is type(G.algebra.oracle)
     assert G.leads is not oracle
     assert G.leads.first(b"\x00\x01\x01") is not None
+
+
+@pytest.mark.parametrize("oracle", [FREE, COMMUTATIVE], ids=["free", "commutative"])
+@given(data=st.data(), n=st.integers(1, 3), room=st.integers(0, 4))
+def test_contexts_give_each_split_product_at_its_first_split(oracle, data, n, room):
+    w = data.draw(st.lists(st.integers(0, n - 1), max_size=3).map(bytes))
+    if oracle is COMMUTATIVE:
+        w = bytes(sorted(w))
+    levels = [helpers.basis_words(oracle, n, d) for d in range(room + 1)]
+    family = oracle.contexts(levels, room)
+    assert all(oracle.is_basis_word(u) and oracle.is_basis_word(v) and len(u + v) <= room
+               for u, v in family)
+    assert family == sorted(family, key=lambda uv: (len(uv[0] + uv[1]), len(uv[0]), uv))
+    splits = [(u, v) for s in range(room + 1) for a in range(s + 1)
+              for u in levels[a] for v in levels[s - a]]
+    first = {}
+    for u, v in splits:
+        first.setdefault(oracle.context(u, w, v), (u, v))
+    met = {}
+    for u, v in family:
+        met.setdefault(oracle.context(u, w, v), (u, v))
+    # the same products, each at the split where every split meets it first
+    assert met == first
+    if oracle is COMMUTATIVE:
+        assert all(u == EMPTY for u, _ in family)
+        assert len(met) == len(family)
 
 
 def test_factor_index_matches_examples():
