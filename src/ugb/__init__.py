@@ -41,7 +41,7 @@ from .pbw import (
     verify_pbw,
 )
 from .poly import Algebra, Poly, oracle_from_name
-from .quotient import QuotientBasis, decompose, enumerate_basis, is_normal, normal_form
+from .quotient import QuotientBasis, count_basis, decompose, enumerate_basis, is_normal, normal_form
 from .rings import QQ, ZZ, ModularRing, Ring, Zmod, ring_from_name
 from .spolys import (
     GBReport,

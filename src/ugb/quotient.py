@@ -78,6 +78,40 @@ def enumerate_basis(G, max_degree, strict=True):
     return QuotientBasis(by_degree)
 
 
+def count_basis(G, max_degree):
+    """The number of normal words of each degree up to the bound, the
+    tuple ``enumerate_basis(G, max_degree, strict=False).counts()``,
+    without listing the words.
+
+    The words grow by the same rule as in ``enumerate_basis``, but a
+    level keeps only the number of normal words in each state of the
+    Ufnarovski graph (the index's ``state``, see :mod:`ugb.words`): the
+    state decides which extensions stay normal and the state they reach,
+    so equal states are extended once.  The counts are those of a
+    quotient basis only when the set is a Groebner basis, which this
+    does not check.
+    """
+    G.require_unital()
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
+    after = G.algebra.oracle.letters_after
+    divides = G.leads.divides_extension
+    state = G.leads.state
+    letters = G.algebra.alphabet.letters
+    level = {} if divides(EMPTY) else {EMPTY: 1}
+    counts = [sum(level.values())]
+    for _ in range(max_degree):
+        grown = {}
+        for w, n in level.items():
+            for a in after(w, letters):
+                if not divides(c := w + a):
+                    c = state(c)
+                    grown[c] = grown.get(c, 0) + n
+        level = grown
+        counts.append(sum(level.values()))
+    return tuple(counts)
+
+
 def decompose(f, G, strict=True):
     """Split f into (ideal_part, normal_part) along the generating set.
 

@@ -29,6 +29,10 @@ words and the order above.  Each oracle is one class with one protocol:
   right) == word`` that division takes, or None; ``matches(word)`` lists
   every placement, by lowest generator, then leftmost;
   ``divides_extension(word)`` tests a word whose ``word[:-1]`` is normal;
+  ``state(word)``, a normal word's state in the Ufnarovski graph
+  (Ufnarovski 1982): extended by a letter, the state gets the word's own
+  ``letters_after`` and ``divides_extension`` answers, and its state is
+  the extended word's;
   ``critical_pairs(first_new)`` lists the diamond-lemma pair family
   (Bergman 1978) that the Buchberger check reduces.
 
@@ -105,7 +109,7 @@ class FreeConcat:
     lead-word length.
     """
 
-    __slots__ = ("lead_words", "_tables")
+    __slots__ = ("lead_words", "_tables", "_reach")
 
     name = "free"
 
@@ -115,6 +119,7 @@ class FreeConcat:
         for i, w in enumerate(lead_words):
             tables.setdefault(len(w), {}).setdefault(w, []).append(i)
         self._tables = tuple(tables.items())
+        self._reach = max(max(tables, default=0) - 1, 0)
 
     def context(self, u, w, v):
         return u + w + v
@@ -151,6 +156,11 @@ class FreeConcat:
             if n <= m and word[m - n:] in table:
                 return True
         return False
+
+    def state(self, word):
+        """The last m - 1 letters, m the longest lead word: all that a
+        suffix probe of one more letter reads."""
+        return word[-self._reach:] if self._reach else EMPTY
 
     def matches(self, word):
         hits = []
@@ -226,12 +236,15 @@ class CommutativeMerge:
     ``left`` with ``right`` empty.
     """
 
-    __slots__ = ("_counts",)
+    __slots__ = ("_counts", "_caps")
 
     name = "commutative"
 
     def __init__(self, lead_words=()):
         self._counts = tuple(Counter(w) for w in lead_words)
+        self._caps = Counter()
+        for need in self._counts:
+            self._caps |= need
 
     def context(self, u, w, v):
         return bytes(sorted(u + w + v))
@@ -259,6 +272,11 @@ class CommutativeMerge:
     def divides_extension(self, word):
         """The full test: a new letter can complete a lead anywhere."""
         return self.first(word) is not None
+
+    def state(self, word):
+        """Each letter's multiplicity capped at the most any lead word
+        needs, keeping one copy of the last letter for ``letters_after``."""
+        return bytes(sorted((Counter(word) & (self._caps | Counter(word[-1:]))).elements()))
 
     def matches(self, word):
         return list(self._divisions(word))

@@ -28,7 +28,7 @@ def test_golden_outputs_are_byte_stable(name, capsys, monkeypatch):
 def test_golden_manifest_names_every_golden_file():
     # a .txt golden missing from the manifest would never be compared
     assert {path.stem for path in GOLDEN.glob("*.txt")} == set(MANIFEST)
-    assert len(MANIFEST) == 58
+    assert len(MANIFEST) == 61
 
 
 def test_records_are_valid_json(capsys, monkeypatch):

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import chain, permutations
 from math import comb
 
 import pytest
@@ -7,11 +7,16 @@ import pytest
 import helpers
 import ugb.pbw
 from ugb import (
+    COMMUTATIVE,
+    FREE,
     LieAlgebra,
     QQ,
     ZZ,
+    Algebra,
+    GenSet,
     Zmod,
     check_groebner,
+    enumerate_basis,
     normal_form,
     pbw_generators,
     validate_lie,
@@ -199,6 +204,31 @@ def test_normal_words_are_exactly_non_decreasing():
                     if all(w[t] <= w[t + 1] for t in range(d - 1))
                 }
                 assert normals == expected
+
+
+def test_non_decreasing_verdict_from_degree_two_matches_the_full_listing():
+    # verify_pbw reads the verdict off the normal words of degree <= 2; on
+    # random free sets, with and without normal descents, the full listing
+    # never finds a descent that degree 2 missed (factors of normal words
+    # are normal)
+    def non_decreasing(G, max_degree):
+        words = chain.from_iterable(enumerate_basis(G, max_degree, strict=False).by_degree)
+        return all(map(COMMUTATIVE.is_basis_word, words))
+
+    rng = random.Random(43)
+    verdicts = []
+    for _ in range(300):
+        n_letters = rng.randint(1, 3)
+        algebra = Algebra(ZZ, ["x", "y", "z"][:n_letters], FREE)
+        descents = [bytes((a, b)) for a in range(n_letters) for b in range(a)]
+        words = [w for w in descents if rng.random() < 0.5]
+        words += [helpers.random_word(rng, n_letters, 4, min_len=1) for _ in range(rng.randint(0, 2))]
+        G = GenSet([algebra.monomial(w) for w in words], algebra)
+        max_degree = rng.randint(0, 6)
+        verdict = non_decreasing(G, max_degree)
+        assert non_decreasing(G, min(max_degree, 2)) == verdict
+        verdicts.append(verdict)
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 60
 
 
 def test_jacobi_iff_buchberger_randomized():

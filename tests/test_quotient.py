@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
+from conftest import FIXTURES
 from ugb import (
     COMMUTATIVE,
     FREE,
@@ -11,14 +13,19 @@ from ugb import (
     Algebra,
     BasisViolation,
     GenSet,
+    LieAlgebra,
     NotAGroebnerBasis,
+    NotUnital,
     Zmod,
     check_groebner,
+    count_basis,
     decompose,
     divide,
     enumerate_basis,
     is_normal,
+    load_problem,
     normal_form,
+    pbw_generators,
 )
 
 AZ = Algebra(ZZ, ["x", "y"])
@@ -90,6 +97,45 @@ def test_enumerate_matches_brute_force_on_wider_random_sets():
                 basis = enumerate_basis(G, 4, strict=False)
                 assert basis.by_degree == [helpers.brute_normal_words(G, d) for d in range(5)]
     assert mixed >= 24
+
+
+@st.composite
+def _monomial_sets(draw):
+    # monic monomials: the counts depend on the leading words alone
+    oracle = draw(st.sampled_from([FREE, COMMUTATIVE]))
+    n_letters = draw(st.integers(1, 3))
+    algebra = Algebra(ZZ, ["x", "y", "z"][:n_letters], oracle)
+    words = draw(st.lists(st.lists(st.integers(0, n_letters - 1), max_size=4), max_size=4))
+    if oracle is COMMUTATIVE:
+        words = map(sorted, words)
+    return GenSet([algebra.monomial(w) for w in words], algebra)
+
+
+@settings(max_examples=300)
+@given(G=_monomial_sets(), max_degree=st.integers(0, 7))
+def test_count_basis_equals_the_enumerated_counts(G, max_degree):
+    assert count_basis(G, max_degree) == enumerate_basis(G, max_degree, strict=False).counts()
+
+
+@pytest.mark.parametrize("oracle", [FREE, COMMUTATIVE], ids=["free", "commutative"])
+def test_count_basis_of_a_constant_generator_is_all_zero(oracle):
+    algebra = Algebra(ZZ, ["x", "y"], oracle)
+    G = GenSet([algebra.monomial(()), algebra.monomial((0, 1))], algebra)
+    assert count_basis(G, 5) == enumerate_basis(G, 5, strict=False).counts() == (0,) * 6
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.iterdir()), ids=lambda path: path.name)
+def test_count_basis_equals_the_enumerated_counts_on_every_fixture(path):
+    G = load_problem(path)
+    if isinstance(G, LieAlgebra):
+        G = pbw_generators(G)
+    if not G.is_unital:
+        with pytest.raises(NotUnital):
+            count_basis(G, 6)
+        return
+    assert count_basis(G, 6) == enumerate_basis(G, 6, strict=False).counts()
+    with pytest.raises(ValueError, match="max_degree must be nonnegative"):
+        count_basis(G, -1)
 
 
 def test_enumerate_strict_rejects_non_groebner():

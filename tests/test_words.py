@@ -104,7 +104,7 @@ def test_both_oracles_hold_one_protocol():
     assert FREE.name == "free" and COMMUTATIVE.name == "commutative"
     assert _public_methods(FreeConcat) == _public_methods(CommutativeMerge) == {
         "context", "is_basis_word", "letters_after", "contexts",
-        "first", "divides_extension", "matches", "critical_pairs",
+        "first", "divides_extension", "state", "matches", "critical_pairs",
     }
 
 
