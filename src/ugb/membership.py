@@ -25,7 +25,7 @@ from collections import namedtuple
 
 from .errors import BoundTooSmall, EngineInvariantBroken
 from .poly import Poly, ensure_same_algebra
-from .words import EMPTY
+from .words import _normal_levels
 
 
 def _xgcd(a, b):
@@ -217,13 +217,14 @@ def build_truncation(G, bound):
     monic words, so the leading word has maximal length among the terms
     and the row filter is exactly len(u) + len(LM(g)) + len(v) <= bound.
     The basis words grow once, degree by degree, by the oracle's
-    ``letters_after``; the columns are those levels read backwards, which
-    is descending in the order.  Rows follow the generators, then the
-    oracle's ``contexts`` read off the levels: every split (u, v) when
-    free, (1, m) per monomial m when commutative.  A repeated row keeps
-    its first provenance; two generators can give one (commutative x and
-    y both give x y), and so can two free contexts of one (x x - 1 under
-    (x, 1) and (1, x)).
+    ``extensions``: the oracle indexes no leading word, so they are every
+    basis word one letter longer.  The columns are those levels read
+    backwards, which is descending in the order.  Rows follow the
+    generators, then the oracle's ``contexts`` read off the levels: every
+    split (u, v) when free, (1, m) per monomial m when commutative.  A
+    repeated row keeps its first provenance; two generators can give one
+    (commutative x and y both give x y), and so can two free contexts of
+    one (x x - 1 under (x, 1) and (1, x)).
     """
     algebra = G.algebra
     max_lead = max((len(w) for w in G.lead_words), default=0)
@@ -231,11 +232,7 @@ def build_truncation(G, bound):
         raise BoundTooSmall(
             f"bound {bound} is below the maximal generator degree {max_lead}"
         )
-    after = algebra.oracle.letters_after
-    letters = algebra.alphabet.letters
-    levels = [[EMPTY]]
-    for _ in range(bound):
-        levels.append([w + a for w in levels[-1] for a in after(w, letters)])
+    levels = _normal_levels(algebra.oracle, algebra.alphabet.letters, bound)
     columns = [w for level in reversed(levels) for w in reversed(level)]
     context = algebra.oracle.context
     contexts = algebra.oracle.contexts

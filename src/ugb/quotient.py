@@ -15,7 +15,7 @@ from collections import namedtuple
 from .division import divide
 from .poly import ensure_same_algebra
 from .spolys import require_groebner
-from .words import EMPTY
+from .words import EMPTY, _normal_levels
 
 
 def normal_form(f, G, strict=True):
@@ -55,27 +55,17 @@ class QuotientBasis(namedtuple("QuotientBasis", "by_degree")):
 def enumerate_basis(G, max_degree, strict=True):
     """Normal words of every degree up to the bound, by pruned extension.
 
-    Words grow one letter at a time at the right end, by the letters the
-    oracle's ``letters_after`` allows, so every candidate is a basis word.
-    For both oracles a word divisible by a leading word stays divisible
-    when extended, so only normal words are extended, and a candidate
-    ``w + letter`` is kept when the index's ``divides_extension`` (see
-    :mod:`ugb.words`) finds no leading word dividing it.
+    Words grow one letter at a time at the right end, and only normal
+    words grow: each level is the index's ``extensions`` of the one
+    below (see :mod:`ugb.words`), the basis words one letter longer that
+    no leading word divides.
     """
     G.require_unital()
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     if strict:
         require_groebner(G)
-    after = G.algebra.oracle.letters_after
-    divides = G.leads.divides_extension
-    letters = G.algebra.alphabet.letters
-    level = [] if divides(EMPTY) else [EMPTY]
-    by_degree = [level]
-    for _ in range(max_degree):
-        level = [c for w in level for a in after(w, letters) if not divides(c := w + a)]
-        by_degree.append(level)
-    return QuotientBasis(by_degree)
+    return QuotientBasis(_normal_levels(G.leads, G.algebra.alphabet.letters, max_degree))
 
 
 def count_basis(G, max_degree):
@@ -83,30 +73,27 @@ def count_basis(G, max_degree):
     tuple ``enumerate_basis(G, max_degree, strict=False).counts()``,
     without listing the words.
 
-    The words grow by the same rule as in ``enumerate_basis``, but a
-    level keeps only the number of normal words in each state of the
-    Ufnarovski graph (the index's ``state``, see :mod:`ugb.words`): the
-    state decides which extensions stay normal and the state they reach,
-    so equal states are extended once.  The counts are those of a
-    quotient basis only when the set is a Groebner basis, which this
-    does not check.
+    The words grow by the index's ``extensions``, as in
+    ``enumerate_basis``, but a level keeps only the number of normal
+    words in each state of the Ufnarovski graph (the index's ``state``,
+    see :mod:`ugb.words`): the state decides which extensions stay normal
+    and the state they reach, so equal states are extended once.  The
+    counts are those of a quotient basis only when the set is a Groebner
+    basis, which this does not check.
     """
     G.require_unital()
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    after = G.algebra.oracle.letters_after
-    divides = G.leads.divides_extension
+    extensions = G.leads.extensions
     state = G.leads.state
     letters = G.algebra.alphabet.letters
-    level = {} if divides(EMPTY) else {EMPTY: 1}
+    level = {} if G.leads.first(EMPTY) else {EMPTY: 1}
     counts = [sum(level.values())]
     for _ in range(max_degree):
         grown = {}
         for w, n in level.items():
-            for a in after(w, letters):
-                if not divides(c := w + a):
-                    c = state(c)
-                    grown[c] = grown.get(c, 0) + n
+            for c in map(state, extensions(w, letters)):
+                grown[c] = grown.get(c, 0) + n
         level = grown
         counts.append(sum(level.values()))
     return tuple(counts)

@@ -17,9 +17,7 @@ words and the order above.  Each oracle is one class with one protocol:
   zero and never a sum, so context scaling keeps the term order and the
   leading coefficient of ``u * g * v`` is that of ``g``, which makes
   divisibility a test on leading words alone;
-- ``is_basis_word(w)``, the basis test for a word from outside, and
-  ``letters_after(word, letters)``, the one growth rule: the one-letter
-  words that may follow a basis word, ascending;
+- ``is_basis_word(w)``, the basis test for a word from outside;
 - ``contexts(levels, room)``: from ``levels[d]``, the basis words of
   degree d, the (left, right) pairs of degree at most ``room`` that give
   each split's product at its first split, by degree, left degree, words;
@@ -28,17 +26,19 @@ words and the order above.  Each oracle is one class with one protocol:
   placement ``(gen, left, right)`` with ``context(left, lead_words[gen],
   right) == word`` that division takes, or None; ``matches(word)`` lists
   every placement, by lowest generator, then leftmost;
-  ``divides_extension(word)`` tests a word whose ``word[:-1]`` is normal;
+  ``extensions(word, letters)``, the one growth rule: the normal basis
+  words one letter past a normal word, ascending;
   ``state(word)``, a normal word's state in the Ufnarovski graph
-  (Ufnarovski 1982): extended by a letter, the state gets the word's own
-  ``letters_after`` and ``divides_extension`` answers, and its state is
-  the extended word's;
+  (Ufnarovski 1982): the state's ``extensions`` match the word's letter
+  for letter, and each has the state of the word's extension by the
+  same letter;
   ``critical_pairs(first_new)`` lists the diamond-lemma pair family
   (Bergman 1978) that the Buchberger check reduces.
 
-``FREE`` and ``COMMUTATIVE`` index no leading words: the free algebra
-and the polynomial algebra, each the quotient by the empty set.  A
-generating set builds its own index as ``type(algebra.oracle)(lead_words)``.
+``FREE`` and ``COMMUTATIVE`` index no leading words, so their
+``extensions`` are all basis extensions: the free and the polynomial
+algebra, each the quotient by the empty set.  A generating set builds
+its own index as ``type(algebra.oracle)(lead_words)``.
 """
 
 from __future__ import annotations
@@ -104,8 +104,8 @@ def _deglex(word):
 class FreeConcat:
     """Basis: all words; the context product is concatenation.  A lead
     word divides a word as a contiguous factor, found in one hash table
-    per lead-word length.  ``divides_extension`` probes only suffixes, the
-    new factors of a word one letter past a normal word: one probe per
+    per lead-word length.  ``extensions`` probes only suffixes, the new
+    factors of a word one letter past a normal word: one probe per
     lead-word length.
     """
 
@@ -127,10 +127,6 @@ class FreeConcat:
     def is_basis_word(self, w):
         return True
 
-    def letters_after(self, word, letters):
-        """The one-letter words that may follow the basis word: all."""
-        return letters
-
     def contexts(self, levels, room):
         """Every split: u of degree a and v of degree s - a."""
         return [(u, v) for s in range(room + 1) for a in range(s + 1)
@@ -148,14 +144,19 @@ class FreeConcat:
         i, p, n = best
         return i, word[:p], word[p + n:]
 
-    def divides_extension(self, word):
-        """True iff some lead word divides ``word``, given that
-        ``word[:-1]`` is normal; for the empty word the test is exact."""
-        m = len(word)
-        for n, table in self._tables:
-            if n <= m and word[m - n:] in table:
-                return True
-        return False
+    def extensions(self, word, letters):
+        """Each ``word + a``, a in ``letters``, that no lead word ends:
+        past a normal word, a new factor is a suffix."""
+        m = len(word) + 1
+        out = []
+        for a in letters:
+            c = word + a
+            for n, table in self._tables:
+                if n <= m and c[m - n:] in table:
+                    break
+            else:
+                out.append(c)
+        return out
 
     def state(self, word):
         """The last m - 1 letters, m the longest lead word: all that a
@@ -252,10 +253,6 @@ class CommutativeMerge:
     def is_basis_word(self, w):
         return bytes(sorted(w)) == w
 
-    def letters_after(self, word, letters):
-        """No letter below the last one: the word stays sorted."""
-        return letters[word[-1]:] if word else letters
-
     def contexts(self, levels, room):
         """(1, v) alone: split (u, v) gives the product of (1, sorted(u + v)), met first."""
         return [(EMPTY, v) for s in range(room + 1) for v in levels[s]]
@@ -269,13 +266,15 @@ class CommutativeMerge:
     def first(self, word):
         return next(self._divisions(word), None)
 
-    def divides_extension(self, word):
-        """The full test: a new letter can complete a lead anywhere."""
-        return self.first(word) is not None
+    def extensions(self, word, letters):
+        """Each sorted ``word + a``, a in ``letters``, that no lead word
+        divides: the full test, as a new letter can complete a lead anywhere."""
+        return [c for a in (letters[word[-1]:] if word else letters)
+                if self.first(c := word + a) is None]
 
     def state(self, word):
         """Each letter's multiplicity capped at the most any lead word
-        needs, keeping one copy of the last letter for ``letters_after``."""
+        needs, keeping one copy of the last letter for ``extensions``."""
         return bytes(sorted((Counter(word) & (self._caps | Counter(word[-1:]))).elements()))
 
     def matches(self, word):
@@ -298,3 +297,15 @@ class CommutativeMerge:
 
 FREE = FreeConcat()
 COMMUTATIVE = CommutativeMerge()
+
+
+def _normal_levels(index, letters, max_degree):
+    """``levels[d]``, the normal words of degree d up to the bound, each
+    level the ``extensions`` of the one below: a divisible word stays so."""
+    extensions = index.extensions
+    level = [] if index.first(EMPTY) else [EMPTY]
+    levels = [level]
+    for _ in range(max_degree):
+        level = [c for w in level for c in extensions(w, letters)]
+        levels.append(level)
+    return levels

@@ -207,10 +207,10 @@ def test_normal_words_are_exactly_non_decreasing():
 
 
 def test_non_decreasing_verdict_from_degree_two_matches_the_full_listing():
-    # verify_pbw reads the verdict off the normal words of degree <= 2; on
-    # random free sets, with and without normal descents, the full listing
-    # never finds a descent that degree 2 missed (factors of normal words
-    # are normal)
+    # on random free sets, with and without normal descents, the full
+    # listing never finds a descent that degree 2 missed (factors of
+    # normal words are normal), and verify_pbw's probe form, a lead word
+    # dividing each descent, reads the same verdict off the index
     def non_decreasing(G, max_degree):
         words = chain.from_iterable(enumerate_basis(G, max_degree, strict=False).by_degree)
         return all(map(COMMUTATIVE.is_basis_word, words))
@@ -227,6 +227,12 @@ def test_non_decreasing_verdict_from_degree_two_matches_the_full_listing():
         max_degree = rng.randint(0, 6)
         verdict = non_decreasing(G, max_degree)
         assert non_decreasing(G, min(max_degree, 2)) == verdict
+        probe = all(G.leads.first(bytes((a, b))) is not None
+                    for a in range(n_letters) for b in range(a))
+        # the probe reads degree 2 whatever the bound
+        assert probe == non_decreasing(G, 2)
+        if max_degree >= 2:
+            assert probe == verdict
         verdicts.append(verdict)
     assert verdicts.count(True) >= 100 and verdicts.count(False) >= 60
 

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import helpers
+import ugb.words
 from ugb import COMMUTATIVE, EMPTY, FREE, ZZ, Algebra, Alphabet, GenSet, parse_poly
 from ugb.spolys import SPoly, _pair_order
-from ugb.words import CommutativeMerge, FreeConcat, _deglex
+from ugb.words import CommutativeMerge, FreeConcat, _deglex, _normal_levels
 
 words = st.lists(st.integers(0, 2), max_size=6).map(bytes)
 nonempty_words = st.lists(st.integers(0, 2), min_size=1, max_size=5).map(bytes)
@@ -102,21 +103,34 @@ def _public_methods(cls):
 
 def test_both_oracles_hold_one_protocol():
     assert FREE.name == "free" and COMMUTATIVE.name == "commutative"
-    assert _public_methods(FreeConcat) == _public_methods(CommutativeMerge) == {
-        "context", "is_basis_word", "letters_after", "contexts",
-        "first", "divides_extension", "state", "matches", "critical_pairs",
+    protocol = {
+        "context", "is_basis_word", "contexts",
+        "first", "matches", "extensions", "state", "critical_pairs",
     }
+    assert _public_methods(FreeConcat) == _public_methods(CommutativeMerge) == protocol
+    # the module docstring is the one place that describes the protocol
+    assert [name for name in sorted(protocol) if f"``{name}(" not in ugb.words.__doc__] == []
 
 
 @pytest.mark.parametrize("oracle", [FREE, COMMUTATIVE])
 def test_singleton_oracles_index_no_lead_words(oracle):
     # the free and the polynomial algebra: the quotient by the empty set
+    letters = (b"\x00", b"\x01", b"\x02")
     for word in (EMPTY, b"\x00", b"\x00\x01", b"\x01\x01\x02"):
         assert oracle.is_basis_word(word)
         assert oracle.first(word) is None
         assert oracle.matches(word) == []
-        assert not oracle.divides_extension(word)
+        # every basis word one letter longer
+        assert oracle.extensions(word, letters) == [
+            word + a for a in letters if oracle.is_basis_word(word + a)]
     assert oracle.critical_pairs(0) == []
+
+
+@pytest.mark.parametrize("oracle", [FREE, COMMUTATIVE], ids=["free", "commutative"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_normal_levels_of_an_oracle_are_its_basis_words(oracle, n):
+    letters = Alphabet("xyz"[:n]).letters
+    assert _normal_levels(oracle, letters, 5) == [helpers.basis_words(oracle, n, d) for d in range(6)]
 
 
 @pytest.mark.parametrize("oracle", [FREE, COMMUTATIVE])
@@ -188,33 +202,34 @@ def test_factor_index_first_is_head_of_matches(leads, word):
 
 
 @given(lead_sets(binary_leads))
-def test_divides_extension_is_the_suffix_test(leads):
+def test_free_extensions_are_the_undivided_basis_extensions(leads):
     index = FreeConcat(leads)
+    letters = (b"\x00", b"\x01")
     for d in range(6):
         for w in map(bytes, product(range(2), repeat=d)):
-            # on any word it asks only whether a lead word ends it
-            assert index.divides_extension(w) == any(w.endswith(lead) for lead in leads)
             if index.first(w) is None:
-                # one letter past a normal word it is the full factor test
-                for a in (b"\x00", b"\x01"):
-                    assert index.divides_extension(w + a) == (index.first(w + a) is not None)
+                # the suffix probe gives what the full factor test gives
+                grown = [w + a for a in letters if index.first(w + a) is None]
+                assert index.extensions(w, letters) == grown
+                assert grown == [c for c in (w + a for a in letters)
+                                 if not any(lead in c for lead in leads)]
 
 
 @given(lead_sets(sorted_leads))
-def test_multiset_divides_extension_is_the_full_test(leads):
+def test_commutative_extensions_are_the_undivided_basis_extensions(leads):
     index = CommutativeMerge(leads)
+    letters = (b"\x00", b"\x01", b"\x02")
 
     def divisible(w):
         return any(not Counter(lead) - Counter(w) for lead in leads)
 
-    assert index.divides_extension(EMPTY) == divisible(EMPTY)
-    for d in range(5):
+    for d in range(6):
         for w in map(bytes, combinations_with_replacement(range(3), d)):
             if index.first(w) is None:
-                for a in range(3):
-                    cand = bytes(sorted((*w, a)))
-                    assert index.divides_extension(cand) == (index.first(cand) is not None)
-                    assert index.divides_extension(cand) == divisible(cand)
+                basis = [w + a for a in letters if COMMUTATIVE.is_basis_word(w + a)]
+                grown = [c for c in basis if index.first(c) is None]
+                assert index.extensions(w, letters) == grown
+                assert grown == [c for c in basis if not divisible(c)]
 
 
 def pairs(*lead_words):
