@@ -77,9 +77,10 @@ def count_basis(G, max_degree):
     ``enumerate_basis``, but a level keeps only the number of normal
     words in each state of the Ufnarovski graph (the index's ``state``,
     see :mod:`ugb.words`): the state decides which extensions stay normal
-    and the state they reach, so equal states are extended once.  The
-    counts are those of a quotient basis only when the set is a Groebner
-    basis, which this does not check.
+    and the state they reach, so equal states are extended once; an
+    extension ``c`` adds the count of the state it extends, ``c[:-1]``.
+    The counts are those of a quotient basis only when the set is a
+    Groebner basis, which this does not check.
     """
     G.require_unital()
     if max_degree < 0:
@@ -91,9 +92,9 @@ def count_basis(G, max_degree):
     counts = [sum(level.values())]
     for _ in range(max_degree):
         grown = {}
-        for w, n in level.items():
-            for c in map(state, extensions(w, letters)):
-                grown[c] = grown.get(c, 0) + n
+        for c in extensions(level, letters):
+            s = state(c)
+            grown[s] = grown.get(s, 0) + level[c[:-1]]
         level = grown
         counts.append(sum(level.values()))
     return tuple(counts)

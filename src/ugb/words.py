@@ -25,9 +25,11 @@ words and the order above.  Each oracle is one class with one protocol:
   every divisibility question about them.  ``first(word)`` is the
   placement ``(gen, left, right)`` with ``context(left, lead_words[gen],
   right) == word`` that division takes, or None; ``matches(word)`` lists
-  every placement, by lowest generator, then leftmost;
-  ``extensions(word, letters)``, the one growth rule: the normal basis
-  words one letter past a normal word, ascending;
+  every placement, by lowest generator, then leftmost; the free index
+  finds both by one of two scans, with one answer (see ``FreeConcat``);
+  ``extensions(words, letters)``, the one growth rule: the normal basis
+  words one letter past normal words, each ``w + a`` for a word w of
+  ``words``, by word and then letter, so a level grows ascending;
   ``state(word)``, a normal word's state in the Ufnarovski graph
   (Ufnarovski 1982): the state's ``extensions`` match the word's letter
   for letter, and each has the state of the word's extension by the
@@ -103,18 +105,32 @@ def _deglex(word):
 
 class FreeConcat:
     """Basis: all words; the context product is concatenation.  A lead
-    word divides a word as a contiguous factor, found in one hash table
-    per lead-word length.  ``extensions`` probes only suffixes, the new
-    factors of a word one letter past a normal word: one probe per
-    lead-word length.
+    word divides a word as a contiguous factor.  ``first`` and ``matches``
+    give one answer, lowest generator and then leftmost, by one of two
+    scans: with fewer lead words (``_count``) than the word has letters,
+    the generator scan, ``bytes.find`` of each lead word in generator
+    order; otherwise the position scan, one probe per position into a
+    hash table per lead-word length.  ``find`` runs in C, so the
+    generator scan costs per lead word what the position scan costs per
+    letter: on division's sl2, Heisenberg and gl2 words (3-15 letters) it
+    took a third to three quarters of the time.  With more lead words
+    than letters it loses in ``matches`` and on normal words, which every
+    scan reads to the end ("fewer than twice the letters" lost there by
+    up to 2x), so the Buchberger check's words on gl3 and gl4 (2 or 3
+    letters, 36 or 120 lead words) keep the position scan.
+
+    ``extensions`` probes only suffixes, the new factors of a word one
+    letter past a normal word: one filter of the level per lead-word
+    length.
     """
 
-    __slots__ = ("lead_words", "_tables", "_reach")
+    __slots__ = ("lead_words", "_count", "_tables", "_reach")
 
     name = "free"
 
     def __init__(self, lead_words=()):
         self.lead_words = lead_words
+        self._count = len(lead_words)
         tables = {}
         for i, w in enumerate(lead_words):
             tables.setdefault(len(w), {}).setdefault(w, []).append(i)
@@ -133,6 +149,12 @@ class FreeConcat:
                 for u in levels[a] for v in levels[s - a]]
 
     def first(self, word):
+        if self._count < len(word):
+            for i, lead in enumerate(self.lead_words):
+                p = word.find(lead)
+                if p >= 0:
+                    return i, word[:p], word[p + len(lead):]
+            return None
         best = None
         for n, table in self._tables:
             for p in range(len(word) - n + 1):
@@ -144,19 +166,15 @@ class FreeConcat:
         i, p, n = best
         return i, word[:p], word[p + n:]
 
-    def extensions(self, word, letters):
-        """Each ``word + a``, a in ``letters``, that no lead word ends:
-        past a normal word, a new factor is a suffix."""
-        m = len(word) + 1
-        out = []
-        for a in letters:
-            c = word + a
-            for n, table in self._tables:
-                if n <= m and c[m - n:] in table:
-                    break
-            else:
-                out.append(c)
-        return out
+    def extensions(self, words, letters):
+        """Each ``w + a``, w in ``words`` and a in ``letters``, that no
+        lead word ends: past a normal word, a new factor is a suffix, and
+        ``c[-n:]`` is the one of length n (a shorter c has none).  The
+        words are normal, so under the empty lead word there are none."""
+        grown = [w + a for w in words for a in letters]
+        for n, table in self._tables:
+            grown = [c for c in grown if c[-n:] not in table]
+        return grown
 
     def state(self, word):
         """The last m - 1 letters, m the longest lead word: all that a
@@ -164,6 +182,14 @@ class FreeConcat:
         return word[-self._reach:] if self._reach else EMPTY
 
     def matches(self, word):
+        if self._count < len(word):
+            out = []
+            for i, lead in enumerate(self.lead_words):
+                p = word.find(lead)
+                while p >= 0:
+                    out.append((i, word[:p], word[p + len(lead):]))
+                    p = word.find(lead, p + 1)
+            return out
         hits = []
         for n, table in self._tables:
             for p in range(len(word) - n + 1):
@@ -264,13 +290,14 @@ class CommutativeMerge:
                 yield i, bytes(sorted((have - need).elements())), EMPTY
 
     def first(self, word):
-        return next(self._divisions(word), None)
+        return next(self._divisions(word), None) if self._counts else None
 
-    def extensions(self, word, letters):
-        """Each sorted ``word + a``, a in ``letters``, that no lead word
-        divides: the full test, as a new letter can complete a lead anywhere."""
-        return [c for a in (letters[word[-1]:] if word else letters)
-                if self.first(c := word + a) is None]
+    def extensions(self, words, letters):
+        """Each sorted ``w + a``, w in ``words`` and a in ``letters``, that
+        no lead word divides: the full test, as a new letter can complete a
+        lead anywhere."""
+        return [c for w in words for a in (letters[w[-1]:] if w else letters)
+                if self.first(c := w + a) is None]
 
     def state(self, word):
         """Each letter's multiplicity capped at the most any lead word
@@ -302,10 +329,9 @@ COMMUTATIVE = CommutativeMerge()
 def _normal_levels(index, letters, max_degree):
     """``levels[d]``, the normal words of degree d up to the bound, each
     level the ``extensions`` of the one below: a divisible word stays so."""
-    extensions = index.extensions
     level = [] if index.first(EMPTY) else [EMPTY]
     levels = [level]
     for _ in range(max_degree):
-        level = [c for w in level for c in extensions(w, letters)]
+        level = index.extensions(level, letters)
         levels.append(level)
     return levels

@@ -3,7 +3,7 @@ from collections import Counter
 from itertools import combinations_with_replacement, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import helpers
 import ugb.words
@@ -116,13 +116,14 @@ def test_both_oracles_hold_one_protocol():
 def test_singleton_oracles_index_no_lead_words(oracle):
     # the free and the polynomial algebra: the quotient by the empty set
     letters = (b"\x00", b"\x01", b"\x02")
-    for word in (EMPTY, b"\x00", b"\x00\x01", b"\x01\x01\x02"):
+    words = (EMPTY, b"\x00", b"\x00\x01", b"\x01\x01\x02")
+    for word in words:
         assert oracle.is_basis_word(word)
         assert oracle.first(word) is None
         assert oracle.matches(word) == []
-        # every basis word one letter longer
-        assert oracle.extensions(word, letters) == [
-            word + a for a in letters if oracle.is_basis_word(word + a)]
+    # every basis word one letter longer, by word and then letter
+    assert oracle.extensions(words, letters) == [
+        w + a for w in words for a in letters if oracle.is_basis_word(w + a)]
     assert oracle.critical_pairs(0) == []
 
 
@@ -195,10 +196,23 @@ def test_factor_index_finds_every_position(needle, haystack):
         assert u + needle + v == haystack
 
 
+# Up to 6 lead words against words of up to 12 letters, so both scans are
+# drawn: the generator scan when there are fewer lead words than letters.
 @given(st.lists(words, max_size=6), st.lists(st.integers(0, 2), max_size=12).map(bytes))
+@example([b""], b"\0\1")  # the empty lead word, at every cut
+@example([b"", b""], b"\0")  # ... on the position side, under two generators
+@example([b"\1", b"\0", b"\1"], b"\1\0\1")  # one lead word under two generators
+@example([b"\0\0"], b"\0\0\0")  # x x in x x x: overlapping occurrences
+@example([b"\0\1\0", b"\1"], b"\0\0\1\0\1")  # one lead word inside another
+@example([b"\0\0", b"\1\0", b"\2\0", b"\2\1", b"\1", b""], b"\2\1\0")  # 6 lead words, 3 letters
 def test_factor_index_first_is_head_of_matches(leads, word):
     index = FreeConcat(leads)
-    assert index.first(word) == (index.matches(word) or [None])[0]
+    # every (gen, left, right) with left + lead + right == word, by
+    # generator and then position
+    reference = [(i, word[:p], word[p + len(lead):]) for i, lead in enumerate(leads)
+                 for p in range(len(word) + 1) if word[p:].startswith(lead)]
+    assert index.matches(word) == reference
+    assert index.first(word) == (reference or [None])[0]
 
 
 @given(lead_sets(binary_leads))
@@ -206,13 +220,12 @@ def test_free_extensions_are_the_undivided_basis_extensions(leads):
     index = FreeConcat(leads)
     letters = (b"\x00", b"\x01")
     for d in range(6):
-        for w in map(bytes, product(range(2), repeat=d)):
-            if index.first(w) is None:
-                # the suffix probe gives what the full factor test gives
-                grown = [w + a for a in letters if index.first(w + a) is None]
-                assert index.extensions(w, letters) == grown
-                assert grown == [c for c in (w + a for a in letters)
-                                 if not any(lead in c for lead in leads)]
+        normal = [w for w in map(bytes, product(range(2), repeat=d)) if index.first(w) is None]
+        # the suffix probe gives what the full factor test gives
+        grown = [w + a for w in normal for a in letters if index.first(w + a) is None]
+        assert index.extensions(normal, letters) == grown
+        assert grown == [c for c in (w + a for w in normal for a in letters)
+                         if not any(lead in c for lead in leads)]
 
 
 @given(lead_sets(sorted_leads))
@@ -224,12 +237,12 @@ def test_commutative_extensions_are_the_undivided_basis_extensions(leads):
         return any(not Counter(lead) - Counter(w) for lead in leads)
 
     for d in range(6):
-        for w in map(bytes, combinations_with_replacement(range(3), d)):
-            if index.first(w) is None:
-                basis = [w + a for a in letters if COMMUTATIVE.is_basis_word(w + a)]
-                grown = [c for c in basis if index.first(c) is None]
-                assert index.extensions(w, letters) == grown
-                assert grown == [c for c in basis if not divisible(c)]
+        normal = [w for w in map(bytes, combinations_with_replacement(range(3), d))
+                  if index.first(w) is None]
+        basis = [w + a for w in normal for a in letters if COMMUTATIVE.is_basis_word(w + a)]
+        grown = [c for c in basis if index.first(c) is None]
+        assert index.extensions(normal, letters) == grown
+        assert grown == [c for c in basis if not divisible(c)]
 
 
 def pairs(*lead_words):
